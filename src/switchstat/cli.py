@@ -207,7 +207,7 @@ def _index_record(idx):
 def _stability_record(p, pt, cfg):
     try:
         verdict = check_strong_stability(p, pt.x, pt.mult, pt.idx, cfg)
-    except LicqViolationError as exc:
+    except (LicqViolationError, SubsetCapError) as exc:
         return {"out_of_scope": True, "reason": str(exc)}
     return {
         "strongly_stable": verdict.strongly_stable,
@@ -297,7 +297,8 @@ def cmd_analyze(args) -> int:
         points.append(rec)
         stable = rec["strong_stability"].get("strongly_stable")
         stable_text = (
-            "stability characterization not applicable (no LICQ)"
+            "stability characterization not applicable"
+            f" ({rec['strong_stability']['reason']})"
             if stable is None
             else ("strongly stable" if stable else
                   f"not strongly stable ({rec['strong_stability']['failure_reason']})")
@@ -415,14 +416,16 @@ def cmd_levelsets(args) -> int:
     box = (args.box[0], args.box[1])
     grid = GridSpec.for_problem(p, box, args.grid, args.feas_scale)
     result = search_stationary_points(p, box, cfg)
+    mask = feasibility_mask(p, grid)
+    fvals = objective_values(p, grid)
     if args.levels is not None:
         try:
             levels = sorted(float(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --levels list: {exc}") from exc
     else:
-        levels = _auto_levels(p, grid, result.points, args.auto)
-    sweep = sweep_levels(p, grid, levels)
+        levels = _auto_levels(fvals, result.points, args.auto)
+    sweep = sweep_levels(p, grid, levels, mask, fvals)
     crit = critical_level_report(sweep, result.points)
     classifications = [
         classify_point(p, pt.x, pt.mult, pt.idx, cfg) for pt in result.points
@@ -482,8 +485,6 @@ def cmd_levelsets(args) -> int:
         if c.w is not None and c.w.w >= 2
     ]
     if args.emit_labels:
-        mask = feasibility_mask(p, grid)
-        fvals = objective_values(p, grid)
         report["labels_by_level"] = [
             {
                 "level": a,
@@ -501,8 +502,7 @@ def cmd_levelsets(args) -> int:
     return EXIT_OK
 
 
-def _auto_levels(p, grid, points, count):
-    fvals = objective_values(p, grid)
+def _auto_levels(fvals, points, count):
     finite = fvals[np.isfinite(fvals)]
     if finite.size == 0:
         raise ValueError("objective has no finite values on the grid")

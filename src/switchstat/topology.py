@@ -5,10 +5,10 @@ constraint is active, so a raw grid sampling would miss it.  The mask
 therefore thickens every constraint to one grid cell, scaled by the local
 gradient magnitude: a node passes when each constraint residual is within
 ``feas_scale * spacing * (1 + |grad|)``.  Connected components of
-``{feasible, f <= a}`` are counted with union-find under full diagonal
-adjacency (8 neighbours in 2-D, 26 in 3-D) so one-cell-wide bands never
-fragment.  Sweeping the level and comparing the count changes against the
-stationary values gives a desk-scale check of the deformation and
+``{feasible, f <= a}`` are labelled with ``scipy.ndimage.label`` under full
+diagonal adjacency (8 neighbours in 2-D, 26 in 3-D) so one-cell-wide bands
+never fragment.  Sweeping the level and comparing the count changes against
+the stationary values gives a desk-scale check of the deformation and
 cell-attachment behaviour, and counting minimizers against index-one
 saddles checks the mountain-pass inequality.
 
@@ -18,7 +18,6 @@ the probe exists for verification, not scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -232,68 +231,16 @@ def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _forward_offsets(n):
-    """Half of the full diagonal neighbourhood: first nonzero entry positive."""
-    offsets = []
-    for off in itertools.product((-1, 0, 1), repeat=n):
-        for o in off:
-            if o > 0:
-                offsets.append(off)
-                break
-            if o < 0:
-                break
-    return offsets
-
-
 def _active_labels(active):
-    """Union-find labelling of True nodes; returns (labels, count) where
-    labels is flat, -1 outside, components numbered in scan order."""
-    shape = active.shape
-    size = active.size
-    flat_active = active.ravel()
-    uf = _UnionFind(size)
-    index = np.arange(size).reshape(shape)
-    for off in _forward_offsets(len(shape)):
-        src = tuple(
-            slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape)
-        )
-        dst = tuple(
-            slice(max(0, o), s - max(0, -o)) for o, s in zip(off, shape)
-        )
-        both = active[src] & active[dst]
-        if not both.any():
-            continue
-        for a, b in zip(index[src][both].ravel(), index[dst][both].ravel()):
-            uf.union(int(a), int(b))
-    labels = np.full(size, -1, dtype=np.int64)
-    next_label = {}
-    for i in np.flatnonzero(flat_active):
-        root = uf.find(int(i))
-        if root not in next_label:
-            next_label[root] = len(next_label)
-        labels[i] = next_label[root]
-    return labels, len(next_label)
+    """Label the True nodes under full diagonal adjacency; returns
+    (labels, count) where labels is flat int64, -1 outside, components
+    numbered in scan order."""
+    # imported here so analyze and relax, which never label, skip its cost
+    from scipy import ndimage
+
+    structure = np.ones((3,) * active.ndim, dtype=bool)
+    labels, count = ndimage.label(active, structure=structure)
+    return labels.ravel().astype(np.int64) - 1, int(count)
 
 
 def sublevel_labels(
@@ -331,15 +278,23 @@ class LevelSweep:
     change_levels: tuple[float, ...]
 
 
-def sweep_levels(p: Problem, grid: GridSpec, levels: Sequence[float]) -> LevelSweep:
+def sweep_levels(
+    p: Problem,
+    grid: GridSpec,
+    levels: Sequence[float],
+    mask: Optional[np.ndarray] = None,
+    fvals: Optional[np.ndarray] = None,
+) -> LevelSweep:
     """Component counts across ascending levels over one shared mask."""
     levels = [float(a) for a in levels]
     if levels != sorted(levels):
         raise ValueError("levels must be sorted ascending")
     if not levels:
         return LevelSweep((), (), ())
-    mask = feasibility_mask(p, grid)
-    fvals = objective_values(p, grid)
+    if mask is None:
+        mask = feasibility_mask(p, grid)
+    if fvals is None:
+        fvals = objective_values(p, grid)
     counts = [sublevel_components(p, grid, a, mask, fvals) for a in levels]
     changes = tuple(
         levels[i] for i in range(1, len(levels)) if counts[i] != counts[i - 1]

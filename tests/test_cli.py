@@ -96,6 +96,35 @@ class TestAnalyze:
         assert pts[0]["multipliers"]["unique"] is False
         assert pts[0]["strong_stability"]["out_of_scope"] is True
 
+    def test_subset_cap_is_per_point_out_of_scope(self, tmp_path, capsys):
+        # the stability enumeration at the origin needs 2 inequality subsets
+        src = _write(
+            tmp_path, "p.txt", "vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2\n"
+        )
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", src, "--json", out, "--tol", "subset_cap=1"]) == 0
+        report = json.loads(open(out).read())
+        assert report["summary"]["num_points"] == 1
+        pt = report["points"][0]
+        assert pt["x"] == [0.0, 0.0]
+        assert pt["strong_stability"] == {
+            "out_of_scope": True,
+            "reason": "2 inequality subsets exceed subset_cap=1",
+        }
+        assert "subset_cap=1" in capsys.readouterr().out
+
+    def test_pattern_cap_still_exits_3_with_subset_cap(self, tmp_path):
+        src = _write(
+            tmp_path, "p.txt", "vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2\n"
+        )
+        out = str(tmp_path / "report.json")
+        code = main(
+            ["analyze", src, "--json", out,
+             "--tol", "subset_cap=1", "--tol", "pattern_cap=1"]
+        )
+        assert code == 3
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestRelaxCommand:
     def test_three_paths(self, tmp_path):

@@ -1,8 +1,15 @@
 """Feasibility masks, sublevel component counts and the mountain-pass count."""
 
+import itertools
+import os
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 
+import switchstat
 from switchstat.classify import classify_point
 from switchstat.expr import parse_problem
 from switchstat.stationarity import find_stationary_points
@@ -11,6 +18,7 @@ from switchstat.topology import (
     DimensionError,
     GridSpec,
     LevelSweep,
+    _active_labels,
     critical_level_report,
     feasibility_mask,
     mountain_pass_check,
@@ -95,6 +103,82 @@ class TestSublevelComponents:
         assert sublevel_components(cross_quadratic, grid, 0.5) == 0
 
 
+def _bfs_labels(active):
+    """Reference labelling: flood fill over all 3^n - 1 neighbours, started
+    from each unlabelled True node in scan order."""
+    shape = active.shape
+    offsets = [
+        off for off in itertools.product((-1, 0, 1), repeat=active.ndim) if any(off)
+    ]
+    labels = np.full(shape, -1, dtype=np.int64)
+    count = 0
+    for start in itertools.product(*(range(s) for s in shape)):
+        if not active[start] or labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for off in offsets:
+                nb = tuple(i + o for i, o in zip(node, off))
+                if all(0 <= i < s for i, s in zip(nb, shape)) and active[nb] and (
+                    labels[nb] < 0
+                ):
+                    labels[nb] = count
+                    queue.append(nb)
+        count += 1
+    return labels.ravel(), count
+
+
+class TestActiveLabels:
+    SHAPES = [(200,), (30, 41), (11, 13, 12)]
+    DENSITIES = [0.2, 0.45, 0.7]
+
+    def _masks(self):
+        rng = np.random.default_rng(20260808)
+        for shape in self.SHAPES:
+            for d in self.DENSITIES:
+                yield rng.random(shape) < d
+
+    def _check(self, active):
+        labels, count = _active_labels(active)
+        ref, ref_count = _bfs_labels(active)
+        assert labels.dtype == np.int64
+        assert labels.shape == (active.size,)
+        assert type(count) is int
+        assert count == ref_count
+        np.testing.assert_array_equal(labels, ref)
+        assert (labels[~active.ravel()] == -1).all()
+        assert (labels[active.ravel()] >= 0).all()
+        # scan order: the first node of component k precedes that of k + 1
+        _, first = np.unique(labels[labels >= 0], return_index=True)
+        assert (np.diff(first) > 0).all()
+        return labels, count
+
+    def test_matches_flood_fill_reference(self):
+        for active in self._masks():
+            self._check(active)
+
+    def test_all_false_and_all_true(self):
+        for shape in self.SHAPES:
+            _, count = self._check(np.zeros(shape, dtype=bool))
+            assert count == 0
+            labels, count = self._check(np.ones(shape, dtype=bool))
+            assert count == 1
+            assert (labels == 0).all()
+
+    def test_corner_touching_blobs_are_one_component(self):
+        active = np.zeros((6, 6, 6), dtype=bool)
+        active[0:2, 0:2, 0:2] = True
+        active[2:4, 2:4, 2:4] = True  # meets the first blob at one corner only
+        active[5, 5, 5] = True
+        labels, count = self._check(active)
+        assert count == 2
+        grid = labels.reshape(active.shape)
+        assert grid[0, 0, 0] == grid[3, 3, 3] == 0
+        assert grid[5, 5, 5] == 1
+
+
 class TestSweep:
     def test_quadratic_cross_sweep(self, cross_quadratic):
         sweep = sweep_levels(cross_quadratic, _grid(cross_quadratic), [0.5, 1.5, 2.5])
@@ -113,6 +197,15 @@ class TestSweep:
     def test_unsorted_levels_rejected(self, cross_linear):
         with pytest.raises(ValueError):
             sweep_levels(cross_linear, _grid(cross_linear), [1.0, -1.0])
+
+    def test_shared_mask_and_values(self, cross_quadratic):
+        grid = _grid(cross_quadratic, res=201)
+        levels = [0.5, 1.5, 2.5]
+        mask = feasibility_mask(cross_quadratic, grid)
+        fvals = objective_values(cross_quadratic, grid)
+        assert sweep_levels(cross_quadratic, grid, levels, mask, fvals) == (
+            sweep_levels(cross_quadratic, grid, levels)
+        )
 
     def test_resolution_doubling_stable(self, cross_quadratic, cross_linear):
         for p, levels in (
@@ -252,3 +345,25 @@ class TestThreeDimensional:
         grid = _grid(cross_linear, res=32)
         vals = objective_values(cross_linear, grid)
         assert vals.shape == (32, 32)
+
+
+def test_cli_import_does_not_load_ndimage():
+    # labelling imports scipy.ndimage on first use, so analyze and relax
+    # start without paying for it
+    src = os.path.dirname(os.path.dirname(switchstat.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, switchstat.cli; "
+        "print('scipy.ndimage' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
