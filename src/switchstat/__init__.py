@@ -16,6 +16,7 @@ from .expr import (
     Expr,
     ParseError,
     Problem,
+    eval_batch,
     eval_gradient,
     eval_hessian,
     eval_value,
@@ -51,6 +52,7 @@ from .stationarity import (
     feasibility_violation,
     find_stationary_points,
     licq_matrix,
+    newton_solve_batch,
     newton_solve_branch,
     recover_multipliers,
     search_stationary_points,

@@ -3,7 +3,7 @@
 Every number in a report is produced by a library operation; the CLI only
 assembles and serialises.  JSON output is key-sorted with floats rendered at
 17 significant digits, so identical inputs and configuration produce
-byte-identical files regardless of thread count.
+byte-identical files.
 
 Exit codes: 0 ok, 2 input error, 3 enumeration cap exceeded, 4 numerical
 failure, 5 unsupported dimension.
@@ -59,7 +59,6 @@ _INT_CONFIG_FIELDS = {
     "polish_steps",
     "pattern_cap",
     "subset_cap",
-    "threads",
     "seed",
 }
 _FLOAT_CONFIG_FIELDS = {
@@ -130,6 +129,12 @@ def _render(obj, out, indent):
         if not len(obj):
             out.append("[]")
             return
+        if all(type(item) is int for item in obj):
+            # long integer lists (label grids) in one join, with the bytes
+            # the loop below writes; bool, a subclass of int, takes the loop
+            sep = ",\n" + pad + "  "
+            out.append("[" + sep[1:] + sep.join(map(str, obj)) + "\n" + pad + "]")
+            return
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad + "  ")
@@ -154,13 +159,11 @@ def render_json(obj) -> str:
 
 
 def _config_record(cfg: SolveConfig):
-    # threads are execution machinery, not analysis configuration: reports
-    # must be byte-identical across thread counts
     rec = {
         name: getattr(cfg, name)
         for name in sorted(
             (_INT_CONFIG_FIELDS | _FLOAT_CONFIG_FIELDS)
-            - {"threads", "rank_scale", "rank_floor", "eig_zero", "solve_residual"}
+            - {"rank_scale", "rank_floor", "eig_zero", "solve_residual"}
         )
     }
     rec.update(
@@ -488,7 +491,7 @@ def cmd_levelsets(args) -> int:
         report["labels_by_level"] = [
             {
                 "level": a,
-                "labels": [int(v) for v in sublevel_labels(p, grid, a, mask, fvals)[0]],
+                "labels": sublevel_labels(p, grid, a, mask, fvals)[0].tolist(),
             }
             for a in sweep.levels
         ]
@@ -539,8 +542,6 @@ def _config_from_args(args) -> SolveConfig:
             overrides[key] = float(value)
         else:
             raise ValueError(f"unknown --tol key {key!r}")
-    if args.threads != 1:
-        overrides["threads"] = args.threads
     if args.seed != 0:
         overrides["seed"] = args.seed
     return with_overrides(DEFAULT_CONFIG, **overrides)
@@ -563,7 +564,6 @@ def _add_common(sp):
         metavar="KEY=VALUE",
         help="override a tolerance/configuration field (repeatable)",
     )
-    sp.add_argument("--threads", type=int, default=1, help="solver threads")
     sp.add_argument(
         "--seed",
         type=int,

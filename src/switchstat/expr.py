@@ -17,8 +17,10 @@ can be written through exp/log.
 Evaluation propagates (value, gradient, Hessian) triples through the tree,
 so all derivatives are exact up to floating rounding; no finite differences
 are involved.  Hessians are assembled so that transposed entries are the
-bitwise-identical floats.  Expressions and problems are immutable after
-construction and all evaluation entry points are reentrant.
+bitwise-identical floats.  ``eval_batch`` walks the tree once for a whole
+array of points and reproduces the scalar results bit for bit, lane by lane.
+Expressions and problems are immutable after construction and all
+evaluation entry points are reentrant.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "eval_value",
     "eval_gradient",
     "eval_hessian",
+    "eval_batch",
 ]
 
 
@@ -70,7 +73,9 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ValueError):
-    """Evaluation outside a partial function's domain (log <= 0, division by 0)."""
+    """Evaluation outside a partial function's domain (log <= 0, division by
+    0) or beyond the float range (exp or an integer power overflowing, sin or
+    cos of an infinite value)."""
 
 
 def _zeros(n):
@@ -272,7 +277,10 @@ class Pow(Expr):
     def _pow(self, u, m):
         if u == 0.0 and m < 0:
             raise EvalDomainError("zero raised to a negative power")
-        return u ** m
+        try:
+            return u ** m
+        except OverflowError:
+            raise EvalDomainError("power overflows") from None
 
     def val(self, x):
         return self._pow(self.base.val(x), self.exponent)
@@ -325,16 +333,25 @@ class Neg(Expr):
 
 
 def _fn_sin(u):
-    return math.sin(u), math.cos(u), -math.sin(u)
+    try:
+        return math.sin(u), math.cos(u), -math.sin(u)
+    except ValueError:
+        raise EvalDomainError("sin of an infinite value") from None
 
 
 def _fn_cos(u):
-    c = math.cos(u)
-    return c, -math.sin(u), -c
+    try:
+        c = math.cos(u)
+        return c, -math.sin(u), -c
+    except ValueError:
+        raise EvalDomainError("cos of an infinite value") from None
 
 
 def _fn_exp(u):
-    w = math.exp(u)
+    try:
+        w = math.exp(u)
+    except OverflowError:
+        raise EvalDomainError("exp overflows") from None
     return w, w, w
 
 
@@ -429,6 +446,120 @@ def eval_hessian(e: Expr, x: Sequence[float]) -> np.ndarray:
     """Exact Hessian of ``e`` at ``x``; transposed entries are bitwise equal."""
     _, _, H = e.val_grad_hess([float(v) for v in x])
     return np.array(H, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: many points through one tree walk
+# ---------------------------------------------------------------------------
+
+
+def eval_batch(e: Expr, X, hessian: bool = False):
+    """Value, gradient and (when ``hessian``) Hessian of ``e`` at every row of
+    ``X[B, n]``; returns ``(v[B], g[B, n], H[B, n, n] or None, bad[B])``.
+
+    Every lane runs the floating-point operations of ``val_grad`` (or
+    ``val_grad_hess``) in the same order, so the lanes not marked in ``bad``
+    are bitwise equal to the scalar results.  ``bad`` marks exactly the lanes
+    where the scalar walk raises :class:`EvalDomainError`; their entries are
+    meaningless.  Transcendental functions run lane by lane through the
+    scalar :mod:`math`-based table and powers through ``np.float_power``
+    (the platform ``pow``, as Python's ``**``), because numpy's own ``exp``,
+    ``log`` and ``power`` round differently.
+    """
+    X = np.asarray(X, dtype=float)
+    bad = np.zeros(X.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        v, g, H = _walk(e, X, hessian, bad)
+    return v, g, H, bad
+
+
+def _cross(a, b):
+    """Per lane ``a[i]*b[j] + b[i]*a[j]``: symmetric bit for bit."""
+    return a[:, :, None] * b[:, None, :] + b[:, :, None] * a[:, None, :]
+
+
+def _func_lanes(fn, u, bad):
+    """The scalar ``fn`` of FUNCTIONS applied lane by lane: arrays of the
+    value and the first and second derivative; lanes where it raises are
+    marked in ``bad``."""
+    out = []
+    for i, ui in enumerate(u.tolist()):
+        try:
+            out.append(fn(ui))
+        except EvalDomainError:
+            bad[i] = True
+            out.append((math.nan, math.nan, math.nan))
+    return np.array(out, dtype=float).reshape(-1, 3).T
+
+
+def _walk(e, X, hess, bad):
+    """(v, g, H or None) of ``e`` over the rows of ``X``; see eval_batch."""
+    B, n = X.shape
+    t = type(e)
+    if t is Var:
+        g = np.zeros((B, n))
+        g[:, e.index] = 1.0
+        return X[:, e.index].copy(), g, np.zeros((B, n, n)) if hess else None
+    if t is Const:
+        return (np.full(B, e.value), np.zeros((B, n)),
+                np.zeros((B, n, n)) if hess else None)
+    if t is Neg:
+        v, g, H = _walk(e.a, X, hess, bad)
+        return -v, -g, -H if hess else None
+    if t is Func:
+        u, gu, Hu = _walk(e.arg, X, hess, bad)
+        w, d1, d2 = _func_lanes(FUNCTIONS[e.name], u, bad)
+        H = None
+        if hess:
+            H = d1[:, None, None] * Hu + d2[:, None, None] * (
+                gu[:, :, None] * gu[:, None, :]
+            )
+        return w, d1[:, None] * gu, H
+    if t is Pow:
+        m = e.exponent
+        u, gu, Hu = _walk(e.base, X, hess, bad)
+        if m == 0:
+            return np.ones(B), np.zeros((B, n)), np.zeros((B, n, n)) if hess else None
+        if m < 0:
+            bad |= u == 0.0
+        finite = np.isfinite(u)
+
+        def power(k):
+            # u ** k bit for bit; a finite u with an infinite result is the
+            # scalar walk's OverflowError
+            r = np.float_power(u, float(k))
+            bad[finite & ~np.isfinite(r)] = True
+            return r
+
+        a = m * power(m - 1)
+        H = None
+        if hess:
+            b = np.zeros(B) if m * (m - 1) == 0 else m * (m - 1) * power(m - 2)
+            H = a[:, None, None] * Hu + b[:, None, None] * (
+                gu[:, :, None] * gu[:, None, :]
+            )
+        return power(m), a[:, None] * gu, H
+
+    va, ga, Ha = _walk(e.a, X, hess, bad)
+    vb, gb, Hb = _walk(e.b, X, hess, bad)
+    if t is Add:
+        return va + vb, ga + gb, Ha + Hb if hess else None
+    if t is Sub:
+        return va - vb, ga - gb, Ha - Hb if hess else None
+    if t is Mul:
+        H = None
+        if hess:
+            H = (va[:, None, None] * Hb + vb[:, None, None] * Ha) + _cross(ga, gb)
+        return va * vb, va[:, None] * gb + vb[:, None] * ga, H
+    if t is Div:
+        bad |= vb == 0.0
+        w = va / vb
+        g = (ga - w[:, None] * gb) / vb[:, None]
+        H = None
+        if hess:
+            H = ((Ha - w[:, None, None] * Hb) - _cross(g, gb)) / vb[:, None, None]
+        return w, g, H
+    raise TypeError(f"unknown node {t.__name__}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,32 @@ are enumerated, each is solved by damped Newton from a uniform grid of
 starting points, and the surviving candidates are filtered by feasibility,
 multiplier signs and an independently re-evaluated stationarity residual.
 
-Branch x start solves are independent; the merge step is a deterministic
-single-threaded reduction, so results do not depend on the thread count.
+Each pattern's starts are solved together as one batch
+(:func:`newton_solve_batch`): one tree walk per residual or Jacobian for all
+starts, one stacked linear solve, and damping decided start by start.  Every
+start runs the floating-point operations of the single-start solver
+:func:`newton_solve_branch` in the same order, so each outcome, and with it
+every accepted point, is bitwise the same as solving the starts one at a
+time.  Continuation, which solves from one start at a time, calls
+:func:`newton_solve_branch` directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, Problem, eval_gradient, eval_value
+from .expr import (
+    EvalDomainError,
+    Expr,
+    Problem,
+    eval_batch,
+    eval_gradient,
+    eval_value,
+)
 from .linalg import (
     DEFAULT_TOLS,
     SingularSystemError,
@@ -56,6 +68,7 @@ __all__ = [
     "complementarity_violation",
     "enumerate_branches",
     "newton_solve_branch",
+    "newton_solve_batch",
     "find_stationary_points",
     "search_stationary_points",
 ]
@@ -96,7 +109,6 @@ class SolveConfig:
     subset_cap: int = 4096        # max inequality subsets in stability checks
     match_radius: float = 1e-4    # continuation limit matching radius
     box_inflation: float = 0.10   # accepted points may exceed the box by this
-    threads: int = 1
     seed: int = 0                 # 0 = no multi-start jitter
     lin: ToleranceConfig = DEFAULT_TOLS
 
@@ -601,12 +613,168 @@ def newton_solve_branch(
     return x, mult
 
 
+def _batch_residual(objective, cons, Z, n):
+    """_branch_residual for every row of ``Z``; returns (R, failed lanes)."""
+    X = Z[:, :n]
+    _, top, _, bad = eval_batch(objective, X)
+    R = np.empty_like(Z)
+    with np.errstate(all="ignore"):  # failed lanes carry inf and nan
+        for i, c in enumerate(cons):
+            cv, cg, _, cbad = eval_batch(c, X)
+            yi = Z[:, n + i, None]
+            # where y_i == 0 the scalar path skips the update; subtracting
+            # 0*g could flip the sign of a zero or turn an infinite g into nan
+            top = np.where(yi != 0.0, top - yi * cg, top)
+            R[:, n + i] = cv
+            bad |= cbad
+    R[:, :n] = top
+    return R, bad
+
+
+def _batch_jacobian(objective, cons, Z, n):
+    """_branch_jacobian for every row of ``Z``; returns (J, failed lanes)."""
+    X = Z[:, :n]
+    m = len(cons)
+    J = np.zeros((len(Z), n + m, n + m))
+    _, _, H, bad = eval_batch(objective, X, hessian=True)
+    with np.errstate(all="ignore"):
+        for i, c in enumerate(cons):
+            _, cg, cH, cbad = eval_batch(c, X, hessian=True)
+            yi = Z[:, n + i, None, None]
+            H = np.where(yi != 0.0, H - yi * cH, H)
+            J[:, n + i, :n] = cg
+            J[:, :n, n + i] = -cg
+            bad |= cbad
+    J[:, :n, :n] = H
+    return J, bad
+
+
+def _max_norms(A):
+    return np.abs(A).max(axis=1, initial=0.0)
+
+
+def _newton_steps(J, R, diagnostics=None):
+    """``np.linalg.solve(J[k], -R[k])`` for every lane k.
+
+    One stacked solve when every Jacobian is regular.  Otherwise the lanes
+    are solved one by one, and a singular lane takes the minimum-norm
+    least-squares step (counted in ``diagnostics`` when given), exactly as
+    :func:`newton_solve_branch` does.
+    """
+    try:
+        return np.linalg.solve(J, -R[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.empty_like(R)
+    for k in range(len(J)):
+        try:
+            steps[k] = np.linalg.solve(J[k], -R[k])
+        except np.linalg.LinAlgError:
+            if diagnostics is not None:
+                diagnostics["singular_jacobian"] = (
+                    diagnostics.get("singular_jacobian", 0) + 1
+                )
+            steps[k] = np.linalg.lstsq(J[k], -R[k], rcond=None)[0]
+    return steps
+
+
+def newton_solve_batch(
+    p: Problem,
+    pattern: BranchPattern,
+    starts,
+    cfg: SolveConfig = DEFAULT_CONFIG,
+    diagnostics=None,
+):
+    """:func:`newton_solve_branch` from every row of ``starts[B, n]`` at once,
+    multipliers starting at zero.
+
+    Returns one outcome per start, ``None`` or ``(x, Multipliers)``, each
+    bitwise equal to what the single-start solver returns for that start:
+    every lane takes the same Newton steps, halvings, step-blow-up test,
+    least-squares fallback and polish steps.  Lanes leave the batch as they
+    converge or fail, so later iterations evaluate only the live ones.
+    """
+    n = p.n
+    obj = p.objective
+    cons, slots = _pattern_constraints(p, pattern)
+    starts = np.asarray(starts, dtype=float)
+    Z = np.zeros((len(starts), n + len(cons)))
+    Z[:, :n] = starts
+    R, failed = _batch_residual(obj, cons, Z, n)
+    rnorm = _max_norms(R)
+    failed |= ~np.isfinite(rnorm)
+    converged = ~failed & (rnorm <= cfg.tol_resid)
+    # damping factors 1, 1/2, 1/4, ..., formed as the scalar loop forms them
+    factors = [1.0]
+    for _ in range(cfg.max_halvings):
+        factors.append(factors[-1] * 0.5)
+    factors = np.array(factors)
+
+    for _ in range(cfg.max_iter):
+        live = np.flatnonzero(~failed & ~converged)
+        if not live.size:
+            break
+        J, bad = _batch_jacobian(obj, cons, Z[live], n)
+        failed[live[bad]] = True
+        live, J = live[~bad], J[~bad]
+        step = _newton_steps(J, R[live], diagnostics)
+        blown = ~np.all(np.isfinite(step), axis=1) | (
+            _max_norms(step) > 1e8 * (1.0 + _max_norms(Z[live]))
+        )
+        failed[live[blown]] = True
+        live, step = live[~blown], step[~blown]
+        # a lane takes the first damping factor that strictly lowers its
+        # residual.  Factors are tried in chunks of doubling size, each
+        # chunk for every lane still searching in one walk, so a lane that
+        # needs many halvings costs few walks
+        done, size = 0, 1
+        while live.size and done < len(factors):
+            ts = factors[done:done + size]
+            k, L = len(ts), live.size
+            Z_try = (Z[live] + ts[:, None, None] * step).reshape(k * L, -1)
+            R_try, bad = _batch_residual(obj, cons, Z_try, n)
+            rn_try = _max_norms(R_try)
+            ok = (~bad & np.isfinite(rn_try)).reshape(k, L) & (
+                rn_try.reshape(k, L) < rnorm[live]
+            )
+            hit = ok.any(axis=0)
+            rows = ok.argmax(axis=0)[hit] * L + np.flatnonzero(hit)
+            took = live[hit]
+            Z[took], R[took], rnorm[took] = Z_try[rows], R_try[rows], rn_try[rows]
+            live, step = live[~hit], step[~hit]
+            done, size = done + k, 2 * size
+        failed[live] = True  # no improving damping
+        converged = ~failed & (rnorm <= cfg.tol_resid)
+    failed |= ~converged
+
+    # polish: extra full steps while they strictly improve the residual
+    live = np.flatnonzero(~failed)
+    for _ in range(cfg.polish_steps):
+        if not live.size:
+            break
+        J, bad = _batch_jacobian(obj, cons, Z[live], n)
+        live, J = live[~bad], J[~bad]
+        Z_try = Z[live] + _newton_steps(J, R[live])
+        R_try, bad = _batch_residual(obj, cons, Z_try, n)
+        rn_try = _max_norms(R_try)
+        ok = ~bad & np.isfinite(rn_try) & (rn_try < rnorm[live])
+        live = live[ok]
+        Z[live], R[live], rnorm[live] = Z_try[ok], R_try[ok], rn_try[ok]
+
+    return [
+        None if failed[k]
+        else (Z[k, :n].copy(), _multipliers_from_slots(p, slots, Z[k, n:]))
+        for k in range(len(Z))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # multi-start search
 # ---------------------------------------------------------------------------
 
 
 def _grid_starts(n, box, cfg):
+    """Multi-start points, one per row, in lexicographic grid order."""
     lo, hi = float(box[0]), float(box[1])
     if cfg.grid_points < 2:
         axes = [np.array([(lo + hi) / 2.0])] * n
@@ -614,11 +782,11 @@ def _grid_starts(n, box, cfg):
     else:
         axes = [np.linspace(lo, hi, cfg.grid_points)] * n
         spacing = (hi - lo) / (cfg.grid_points - 1)
-    starts = [np.array(pt) for pt in itertools.product(*axes)]
+    starts = np.array(list(itertools.product(*axes)), dtype=float)
     if cfg.seed != 0:
         rng = np.random.default_rng(cfg.seed)
-        jitter = rng.uniform(-0.1, 0.1, size=(len(starts), n)) * spacing
-        starts = [np.clip(s + j, lo, hi) for s, j in zip(starts, jitter)]
+        jitter = rng.uniform(-0.1, 0.1, size=starts.shape) * spacing
+        starts = np.clip(starts + jitter, lo, hi)
     return starts
 
 
@@ -632,31 +800,18 @@ def search_stationary_points(
         raise ValueError(f"empty box [{lo}, {hi}]")
     patterns = enumerate_branches(p, cfg)
     starts = _grid_starts(p.n, box, cfg)
-    diagnostics = {"solves": 0, "converged": 0, "singular_jacobian": 0,
-                   "residual_rejected": 0}
-
-    tasks = [(pat, st) for pat in patterns for st in starts]
-    diagnostics["solves"] = len(tasks)
-
-    def run(task):
-        pat, st = task
-        local = {}
-        return newton_solve_branch(p, pat, st, cfg, diagnostics=local), local
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    outcomes = [out for out, _ in results]
-    for _, local in results:
-        for key, count in local.items():
-            diagnostics[key] = diagnostics.get(key, 0) + count
+    diagnostics = {"solves": len(patterns) * len(starts), "converged": 0,
+                   "singular_jacobian": 0, "residual_rejected": 0}
+    candidates = [
+        (pattern, outcome)
+        for pattern in patterns
+        for outcome in newton_solve_batch(p, pattern, starts, cfg, diagnostics)
+    ]
 
     pad = cfg.box_inflation * (hi - lo)
     accepted: list[WStationaryPoint] = []
     rejected: list[Rejection] = []
-    for (pattern, _), outcome in zip(tasks, outcomes):
+    for pattern, outcome in candidates:
         if outcome is None:
             continue
         diagnostics["converged"] += 1

@@ -17,6 +17,7 @@ from switchstat.expr import (
     Pow,
     Sub,
     Var,
+    eval_batch,
     eval_gradient,
     eval_hessian,
     eval_value,
@@ -145,6 +146,22 @@ class TestEvalValue:
             eval_value(parse_expression("1/x", names), (0.0,))
         with pytest.raises(EvalDomainError):
             eval_value(parse_expression("x^(-2)", names), (0.0,))
+
+    def test_range_errors_are_domain_errors(self):
+        names = {"x": 0}
+        with pytest.raises(EvalDomainError):
+            eval_value(parse_expression("exp(x)", names), (1000.0,))
+        with pytest.raises(EvalDomainError):
+            eval_value(parse_expression("x^3", names), (1e200,))
+        with pytest.raises(EvalDomainError):
+            eval_value(parse_expression("sin(x*x)", names), (1e200,))
+        with pytest.raises(EvalDomainError):
+            eval_gradient(parse_expression("cos(x*x)", names), (1e200,))
+        # only the derivative's power u^-4 overflows
+        e = parse_expression("x^(-3)", names)
+        assert eval_value(e, (1e-78,)) == 1e-78 ** -3
+        with pytest.raises(EvalDomainError):
+            eval_gradient(e, (1e-78,))
 
 
 class TestGradientsAndHessians:
@@ -329,3 +346,116 @@ class TestPrinterRoundTrip:
             v2 = eval_value(reparsed, values)
             if math.isfinite(v1):
                 assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+
+
+def _bits(a):
+    """Bytes of a float array with every nan made the same nan, so that
+    equality below means bitwise equality, signed zeros included."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _check_batch(e, points):
+    """eval_batch against eval_value / eval_gradient / eval_hessian, lane by
+    lane: the same failures, and bitwise-equal results elsewhere."""
+    X = np.array(points, dtype=float)
+    for hessian in (False, True):
+        v, g, H, bad = eval_batch(e, X, hessian=hessian)
+        assert v.shape == (len(X),) and g.shape == X.shape and bad.shape == v.shape
+        assert (H is None) is not hessian
+        for k, x in enumerate(X):
+            try:
+                sg = eval_gradient(e, x)
+                sH = eval_hessian(e, x) if hessian else None
+            except EvalDomainError:
+                assert bad[k], (e, x, hessian)
+                continue
+            assert not bad[k], (e, x, hessian)
+            assert _bits(v[k]) == _bits(eval_value(e, x))
+            assert np.array_equal(g[k], sg, equal_nan=True)
+            assert _bits(g[k]) == _bits(sg)
+            if hessian:
+                assert np.array_equal(H[k], sH, equal_nan=True)
+                assert _bits(H[k]) == _bits(sH)
+                assert _bits(H[k]) == _bits(H[k].T)
+
+
+class TestBatchedEvaluation:
+    names = {"x1": 0, "x2": 1}
+    # points in and out of every partial function's domain
+    points = [
+        (0.7, 1.3), (-1.2, 0.4), (0.0, 0.0), (0.0, 2.0), (-0.0, -1.0),
+        (2.0, -0.0), (1e-78, 1.0), (1e-160, -3.0), (-1e-77, 2.5),
+        (1000.0, 1.0), (-1000.0, 0.5), (710.0, 0.0), (1e200, 1.0),
+        (1e155, -1e155), (np.inf, 1.0), (-np.inf, 0.3), (np.nan, 1.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2.5",
+            "x2",
+            "x1 + x2",
+            "x1 - 3*x2",
+            "x1*x2*x1",
+            "(x1 - 1)*(x2 + 2)",
+            "x1/x2",
+            "(x1*x2 + 1)/(x1 - x2)",
+            "x1^0",
+            "x1^1",
+            "(x1 + x2)^2",
+            "x1^7 - x2^5",
+            "x1^(-1)",
+            "x1^(-3) + x2^(-2)",
+            "(x1*x2)^12",
+            "-x1",
+            "-(x1*x2)^3",
+            "sin(x1*x2)",
+            "cos(x1 - x2^2)",
+            "exp(x1)",
+            "exp(x1*x2/2)",
+            "log(x1)",
+            "log(x1*x2 + 1)",
+            "sin(x1*x1) + cos(x2*x2)",
+            "exp(sin(x1) + log(x2))/(1 + x1^2)",
+            "x2/log(x1)^(-2)",
+        ],
+    )
+    def test_matches_scalar_evaluation(self, text):
+        _check_batch(parse_expression(text, self.names), self.points)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(21)
+        X = np.concatenate(
+            [rng.uniform(-2, 2, size=(12, 3)), [[0.0, 1.0, -1.0], [3.0, -0.0, 0.5]]]
+        )
+        for _ in range(150):
+            _check_batch(_random_tree(rng, 3, 4), X)
+
+    @pytest.mark.parametrize("text", ["exp(x1)", "log(x2)", "sin(x1)", "cos(x2)"])
+    def test_transcendentals_on_many_points(self, text):
+        # numpy's own exp and log differ from libm in the last bit on a
+        # small share of arguments; many arguments make a difference show
+        rng = np.random.default_rng(22)
+        X = np.column_stack(
+            [rng.uniform(-30.0, 30.0, 20000), rng.uniform(1e-3, 60.0, 20000)]
+        )
+        e = parse_expression(text, self.names)
+        v, g, _, bad = eval_batch(e, X)
+        assert not bad.any()
+        assert _bits(v) == _bits([eval_value(e, x) for x in X])
+        assert _bits(g[:2000]) == _bits([eval_gradient(e, x) for x in X[:2000]])
+
+    def test_failures_stay_in_their_lane(self):
+        e = parse_expression("log(x1) + 1/x2", self.names)
+        X = np.array([(1.0, 1.0), (0.0, 1.0), (2.0, 0.0), (3.0, 4.0)])
+        v, _, _, bad = eval_batch(e, X)
+        assert bad.tolist() == [False, True, True, False]
+        assert v[0] == 1.0 and v[3] == math.log(3.0) + 0.25
+
+    def test_empty_batch(self):
+        e = parse_expression("sin(x1)*x2", self.names)
+        v, g, H, bad = eval_batch(e, np.zeros((0, 2)), hessian=True)
+        assert v.shape == (0,) and g.shape == (0, 2) and H.shape == (0, 2, 2)
+        assert bad.shape == (0,)

@@ -5,6 +5,11 @@ import pytest
 
 from switchstat.expr import Add, Const, Mul, Problem, parse_problem
 from switchstat.stationarity import (
+    _batch_jacobian,
+    _batch_residual,
+    _branch_jacobian,
+    _branch_residual,
+    _grid_starts,
     BranchPattern,
     CombinatorialCapError,
     InfeasiblePointError,
@@ -17,6 +22,7 @@ from switchstat.stationarity import (
     feasibility_violation,
     find_stationary_points,
     licq_matrix,
+    newton_solve_batch,
     newton_solve_branch,
     recover_multipliers,
     search_stationary_points,
@@ -24,6 +30,30 @@ from switchstat.stationarity import (
 )
 
 CFG = SolveConfig()
+
+MID3 = """\
+vars: x1 x2 x3
+objective: (x1-1)^2 + (x2-1)^2 + (x3+0.5)^2 + 0.3*x1*x2*x3 + sin(x1)
+ineq: 2 - x1 - x2 - x3
+ineq: x3 + 1
+switch: x1 | x2
+switch: x2 - 0.5 | x3
+"""
+
+# division, log, exp, cos and a negative power; Newton trials leave the
+# domains of log and of the power from some starts
+TRANSCENDENTAL = """\
+vars: x1 x2
+objective: exp(x1/2) - log(x2 + 2.5) + cos(x1*x2) + (x1 + 2.5)^(-2)
+ineq: x2 + 1
+switch: x1 - 0.2 | x2
+"""
+
+LEVELSETS_3D = """\
+vars: x1 x2 x3
+objective: (x1^2-1)^2 + (x2^2-1)^2 + (x3-0.5)^2 + 0.2*x1*x2
+switch: x1 - 0.5 | x3
+"""
 
 
 class TestActiveSets:
@@ -473,3 +503,86 @@ class TestFeasibilityViolation:
         assert feasibility_violation(cross_linear, (2.0, 3.0)) == 6.0
         p = parse_problem("vars: x1\nobjective: x1\nineq: x1\neq: x1 - 1\n")
         assert feasibility_violation(p, (-2.0,)) == 3.0
+
+
+def _outcome_bits(out):
+    """An outcome as bytes: None, or x and every multiplier vector bit for
+    bit."""
+    if out is None:
+        return None
+    x, mult = out
+    vectors = (x, mult.lam, mult.mu, mult.sigma1, mult.sigma2)
+    return tuple(np.array(v, dtype=float).tobytes() for v in vectors), mult.unique
+
+
+class TestBatchedNewton:
+    """Every lane of newton_solve_batch is the single-start solver's run."""
+
+    @pytest.mark.parametrize(
+        "text, seed",
+        [(MID3, 0), (TRANSCENDENTAL, 0), (TRANSCENDENTAL, 5)],
+        ids=["mid3", "transcendental", "transcendental-seed5"],
+    )
+    def test_lanes_match_single_start_solver(self, text, seed):
+        p = parse_problem(text)
+        cfg = SolveConfig(seed=seed)
+        starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
+        batch_diag, scalar_diag = {}, {}
+        converged = 0
+        for pattern in enumerate_branches(p, cfg):
+            outs = newton_solve_batch(p, pattern, starts, cfg, batch_diag)
+            assert len(outs) == len(starts)
+            for start, out in zip(starts, outs):
+                ref = newton_solve_branch(
+                    p, pattern, start, cfg, diagnostics=scalar_diag
+                )
+                assert _outcome_bits(out) == _outcome_bits(ref), (pattern, start)
+                converged += out is not None
+        assert batch_diag == scalar_diag
+        assert 0 < converged < len(starts) * len(enumerate_branches(p, cfg))
+
+    def test_zero_multiplier_skips_the_update(self):
+        # at (1, 0) the objective's gradient and Hessian hold -0.0 entries,
+        # the constraint's -1.0 and -0.0: subtracting 0*g or 0*H instead of
+        # skipping would turn those -0.0 into +0.0
+        p = parse_problem("vars: x1 x2\nobjective: -x1*x2\neq: -x1\n")
+        cons = list(p.equalities)
+        Z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.5, -0.0, 0.0]])
+        R, bad = _batch_residual(p.objective, cons, Z, p.n)
+        J, jbad = _batch_jacobian(p.objective, cons, Z, p.n)
+        assert not bad.any() and not jbad.any()
+        for k, z in enumerate(Z):
+            r = _branch_residual(p.objective, cons, z, p.n)
+            jac = _branch_jacobian(p.objective, cons, z, p.n)
+            assert R[k].tobytes() == r.tobytes()
+            assert J[k].tobytes() == jac.tobytes()
+        assert np.signbit(R[0, 0]) and np.signbit(J[0, 0, 0])
+
+    def test_single_start_batch(self, cross_quadratic):
+        pattern = BranchPattern(("BOTH",), ())
+        (out,) = newton_solve_batch(cross_quadratic, pattern, [(0.3, 0.3)])
+        ref = newton_solve_branch(cross_quadratic, pattern, (0.3, 0.3))
+        assert _outcome_bits(out) == _outcome_bits(ref)
+
+
+class TestSearchDiagnostics:
+    def test_mid3(self):
+        res = search_stationary_points(parse_problem(MID3), (-2.0, 2.0))
+        assert res.diagnostics == {
+            "solves": 4500,
+            "converged": 1125,
+            "singular_jacobian": 6318,
+            "residual_rejected": 0,
+        }
+        assert len(res.points) == 5
+        assert len(res.rejected_sign) == 4
+
+    def test_levelsets_3d_problem(self):
+        res = search_stationary_points(parse_problem(LEVELSETS_3D), (-2.0, 2.0))
+        assert res.diagnostics == {
+            "solves": 375,
+            "converged": 375,
+            "singular_jacobian": 0,
+            "residual_rejected": 0,
+        }
+        assert len(res.points) == 15
