@@ -34,6 +34,8 @@ from .stationarity import (
     LicqViolationError,
     Multipliers,
     SolveConfig,
+    _active_slots,
+    _gradient_rows,
     check_licq,
 )
 
@@ -119,34 +121,21 @@ def tangent_basis(
     """Orthonormal basis of the tangent space of the locally-active manifold
     with inequalities pinned on ``j_star`` (default: all active ones).
 
-    Rows stacked: equality gradients, ``j_star`` inequality gradients, the
-    vanishing member per one-sided switching index, both members per
-    bi-active index.  Raises :class:`LicqViolationError` when those rows are
-    dependent.
+    The rows are the LICQ layout of :func:`licq_matrix` with ``j_star`` in
+    place of J0: equality gradients, alpha first members, gamma second
+    members, ``j_star`` inequality gradients, both members per bi-active
+    index.  Raises :class:`LicqViolationError` when those rows are dependent.
     """
     if j_star is None:
         j_star = idx.j0
     j_star = tuple(sorted(j_star))
     if not set(j_star) <= set(idx.j0):
         raise ValueError(f"j_star {j_star} is not a subset of J0 {idx.j0}")
-    xl = [float(v) for v in x]
-    rows = []
-    for h in p.equalities:
-        rows.append(h.val_grad(xl)[1])
-    for j in j_star:
-        rows.append(p.inequalities[j].val_grad(xl)[1])
-    for m in idx.alpha:
-        rows.append(p.switches[m][0].val_grad(xl)[1])
-    for m in idx.gamma:
-        rows.append(p.switches[m][1].val_grad(xl)[1])
-    for m in idx.beta:
-        rows.append(p.switches[m][0].val_grad(xl)[1])
-        rows.append(p.switches[m][1].val_grad(xl)[1])
-    A = np.array(rows, dtype=float) if rows else np.zeros((0, p.n))
+    A = _gradient_rows(p, x, _active_slots(p, idx, j_star))
     if rank(A, cfg.lin) < A.shape[0]:
         raise LicqViolationError(
-            f"active gradients are dependent at {tuple(xl)}; tangent space"
-            " is not well defined"
+            f"active gradients are dependent at {tuple(float(v) for v in x)};"
+            " tangent space is not well defined"
         )
     return nullspace_basis(A, cfg.lin)
 
@@ -199,6 +188,12 @@ def check_nondegeneracy(
 ) -> NDReport:
     """Evaluate the four nondegeneracy conditions; failures are report
     content, not errors."""
+    return _nondegeneracy(p, x, mult, idx, cfg)[0]
+
+
+def _nondegeneracy(p, x, mult, idx, cfg):
+    """The :class:`NDReport` and the :class:`WIndex` it decides ND4 from
+    (``None`` when LICQ fails)."""
     notes = []
     licq = check_licq(p, x, cfg)
     nd1 = licq.holds
@@ -233,9 +228,10 @@ def check_nondegeneracy(
         if not nd4:
             notes.append("ND4: restricted Lagrangian Hessian is singular")
     else:
+        wi = None
         nd4 = False
         notes.append("ND4: not evaluated (LICQ fails)")
-    return NDReport(nd1, nd2, nd3, nd4, tuple(notes))
+    return NDReport(nd1, nd2, nd3, nd4, tuple(notes)), wi
 
 
 def classify_point(
@@ -244,8 +240,7 @@ def classify_point(
 ) -> Classification:
     """Minimizer/saddle verdict from the W-index; inconclusive when the
     point is degenerate."""
-    nd = check_nondegeneracy(p, x, mult, idx, cfg)
-    wi = quadratic_index(p, x, mult, idx, cfg) if nd.nd1 else None
+    nd, wi = _nondegeneracy(p, x, mult, idx, cfg)
     if not nd.nondegenerate:
         verdict = "degenerate: minimizer test inconclusive"
         is_min = None

@@ -387,7 +387,7 @@ def _path_record(p, seed, path, cfg, lost):
     matched = None
     if path.matched_stationary is not None:
         pt = path.matched_stationary
-        _, cls = _point_record(p, pt, cfg)
+        cls = classify_point(p, pt.x, pt.mult, pt.idx, cfg)
         matched = {
             "x": list(pt.x),
             "f": pt.f_value,

@@ -26,7 +26,8 @@ from .stationarity import (
     Multipliers,
     SolveConfig,
     WStationaryPoint,
-    _pattern_multiplier_vector,
+    _pattern_slots,
+    _slot_values,
     active_sets,
     enumerate_branches,
     feasibility_violation,
@@ -178,7 +179,7 @@ def continue_path(
     while t > t_min:
         t_next = max(rho * t, t_min)
         rp = relax(p, t_next)
-        warm = _pattern_multiplier_vector(rp.problem, pattern, mult_prev)
+        warm = _slot_values(mult_prev, _pattern_slots(rp.problem, pattern))
         step = _accept_step(
             rp,
             newton_solve_branch(rp.problem, pattern, x_prev, cfg, mult_start=warm),
@@ -189,7 +190,7 @@ def continue_path(
             # fall back to trying every pattern and keep the nearest root
             loose = _loose_pattern(rp, x_prev, max(cfg.tol_active, 2.0 * (t - t_next)))
             if loose != pattern:
-                warm = _pattern_multiplier_vector(rp.problem, loose, mult_prev)
+                warm = _slot_values(mult_prev, _pattern_slots(rp.problem, loose))
                 step = _accept_step(
                     rp,
                     newton_solve_branch(

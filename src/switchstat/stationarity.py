@@ -208,10 +208,6 @@ class LicqReport:
 # ---------------------------------------------------------------------------
 
 
-def _values(exprs, xl):
-    return [e.val(xl) for e in exprs]
-
-
 def feasibility_violation(p: Problem, x) -> float:
     """Max-norm violation of equalities, inequalities and switching products."""
     xl = [float(v) for v in x]
@@ -261,76 +257,99 @@ def active_sets(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> IndexSets:
     return IndexSets(j0, tuple(alpha), tuple(beta), tuple(gamma))
 
 
-def licq_matrix(p: Problem, x, idx: IndexSets) -> np.ndarray:
-    """Stack of active constraint gradients, one row each, in the fixed order
-    equalities, alpha first members, gamma second members, active
-    inequalities, then both members per bi-active pair."""
-    xl = [float(v) for v in x]
-    rows = []
-    for h in p.equalities:
-        rows.append(h.val_grad(xl)[1])
-    for m in idx.alpha:
-        rows.append(p.switches[m][0].val_grad(xl)[1])
-    for m in idx.gamma:
-        rows.append(p.switches[m][1].val_grad(xl)[1])
-    for j in idx.j0:
-        rows.append(p.inequalities[j].val_grad(xl)[1])
-    for m in idx.beta:
-        rows.append(p.switches[m][0].val_grad(xl)[1])
-        rows.append(p.switches[m][1].val_grad(xl)[1])
-    if not rows:
+# A slot ``(kind, index)`` names one multiplier by its Multipliers field
+# (lam, mu, sigma1, sigma2) and constraint index; it is at once a gradient row
+# of a stack and an entry of a stacked multiplier vector.  There are two slot
+# orders: the LICQ order (_active_slots) fixes the least-squares bits of the
+# reported multipliers, the Newton unknown order (_pattern_slots) the bits of
+# every Newton iterate.
+
+
+def _slot_expr(p: Problem, slot) -> Expr:
+    """The constraint function that owns ``slot``."""
+    kind, i = slot
+    if kind == "lam":
+        return p.equalities[i]
+    if kind == "mu":
+        return p.inequalities[i]
+    return p.switches[i][0 if kind == "sigma1" else 1]
+
+
+def _active_slots(p: Problem, idx: IndexSets, j_star=None):
+    """Slots of the constraints active under ``idx`` in the LICQ order:
+    equalities, alpha first members, gamma second members, the inequalities
+    ``j_star`` (default J0), then both members per bi-active pair."""
+    if j_star is None:
+        j_star = idx.j0
+    return (
+        [("lam", i) for i in range(len(p.equalities))]
+        + [("sigma1", m) for m in idx.alpha]
+        + [("sigma2", m) for m in idx.gamma]
+        + [("mu", j) for j in j_star]
+        + [s for m in idx.beta for s in (("sigma1", m), ("sigma2", m))]
+    )
+
+
+def _gradient_rows(p: Problem, x, slots) -> np.ndarray:
+    """Gradients of the slots' constraints at ``x``, one row per slot."""
+    if not slots:
         return np.zeros((0, p.n))
-    return np.array(rows, dtype=float)
+    xl = [float(v) for v in x]
+    return np.array([_slot_expr(p, s).val_grad(xl)[1] for s in slots], dtype=float)
 
 
-def check_licq(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> LicqReport:
-    """LICQ holds iff the active gradient stack has full row rank."""
+def _multipliers_from_slots(p: Problem, slots, y, unique=True) -> Multipliers:
+    """Distribute the stacked vector ``y`` (one value per slot) into full
+    multiplier vectors; every other entry is exactly 0.0."""
+    store = {
+        "lam": [0.0] * len(p.equalities),
+        "mu": [0.0] * len(p.inequalities),
+        "sigma1": [0.0] * p.k,
+        "sigma2": [0.0] * p.k,
+    }
+    for (kind, i), v in zip(slots, y):
+        store[kind][i] = float(v) + 0.0
+    return Multipliers(**{k: tuple(v) for k, v in store.items()}, unique=unique)
+
+
+def _slot_values(mult: Multipliers, slots) -> np.ndarray:
+    """The entries of ``mult`` in the slots, in slot order (warm starts)."""
+    return np.array([getattr(mult, kind)[i] for kind, i in slots], dtype=float)
+
+
+def licq_matrix(p: Problem, x, idx: IndexSets) -> np.ndarray:
+    """Stack of active constraint gradients, one row per slot of the LICQ
+    order (:func:`_active_slots`): equalities, alpha first members, gamma
+    second members, active inequalities, then both members per bi-active
+    pair."""
+    return _gradient_rows(p, x, _active_slots(p, idx))
+
+
+def _licq_stack(p: Problem, x, cfg: SolveConfig):
+    """Active sets, their LICQ-order slots, the gradient stack ``G`` and its
+    rank at ``x``; raises :class:`InfeasiblePointError` when ``x`` is
+    infeasible beyond ``tol_feas``."""
     if feasibility_violation(p, x) > cfg.tol_feas:
         raise InfeasiblePointError(
             f"point {tuple(float(v) for v in x)} is infeasible beyond tol_feas"
         )
     idx = active_sets(p, x, cfg)
-    G = licq_matrix(p, x, idx)
-    r = rank(G, cfg.lin)
+    slots = _active_slots(p, idx)
+    G = _gradient_rows(p, x, slots)
+    return idx, slots, G, rank(G, cfg.lin)
+
+
+def check_licq(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> LicqReport:
+    """LICQ holds iff the active gradient stack has full row rank."""
+    _, _, G, r = _licq_stack(p, x, cfg)
     return LicqReport(holds=(r == G.shape[0]), rank=r, rows=G.shape[0])
 
 
-def _assemble_multipliers(p, idx, y, unique=True):
-    """Distribute a stacked multiplier vector (licq_matrix row order) into
-    per-constraint slots, zero everywhere complementarity forces it."""
-    lam = [0.0] * len(p.equalities)
-    mu = [0.0] * len(p.inequalities)
-    s1 = [0.0] * p.k
-    s2 = [0.0] * p.k
-    pos = 0
-    for i in range(len(p.equalities)):
-        lam[i] = float(y[pos]) + 0.0
-        pos += 1
-    for m in idx.alpha:
-        s1[m] = float(y[pos]) + 0.0
-        pos += 1
-    for m in idx.gamma:
-        s2[m] = float(y[pos]) + 0.0
-        pos += 1
-    for j in idx.j0:
-        mu[j] = float(y[pos]) + 0.0
-        pos += 1
-    for m in idx.beta:
-        s1[m] = float(y[pos]) + 0.0
-        s2[m] = float(y[pos + 1]) + 0.0
-        pos += 2
-    return Multipliers(tuple(lam), tuple(mu), tuple(s1), tuple(s2), unique=unique)
-
-
-def _lstsq_multipliers(p, x, idx):
-    """Least-squares multipliers (used verbatim when LICQ holds, as the
-    non-unique representative otherwise)."""
-    G = licq_matrix(p, x, idx)
-    df = eval_gradient(p.objective, x)
-    if G.shape[0] == 0:
-        return np.zeros(0)
-    y, *_ = np.linalg.lstsq(G.T, df, rcond=None)
-    return y
+def _unique_multipliers(p: Problem, slots, G, df, cfg: SolveConfig):
+    """Multipliers solving ``G.T y = df`` for a full-row-rank ``G``; raises
+    :class:`SingularSystemError` on tolerance breakdown."""
+    y = solve_linear(G.T, df, cfg.lin) if slots else np.zeros(0)
+    return _multipliers_from_slots(p, slots, y)
 
 
 def stationarity_residual(p: Problem, x, mult: Multipliers) -> float:
@@ -390,20 +409,13 @@ def recover_multipliers(
     unique), :class:`SingularSystemError` on tolerance breakdown and
     :class:`NotStationaryError` when the point is not W-stationary.
     """
-    rep = check_licq(p, x, cfg)
-    if not rep.holds:
+    _, slots, G, r = _licq_stack(p, x, cfg)
+    if r < G.shape[0]:
         raise LicqViolationError(
             f"LICQ fails at {tuple(float(v) for v in x)}:"
-            f" rank {rep.rank} < {rep.rows} active gradients"
+            f" rank {r} < {G.shape[0]} active gradients"
         )
-    idx = active_sets(p, x, cfg)
-    G = licq_matrix(p, x, idx)
-    df = eval_gradient(p.objective, x)
-    if G.shape[0] == 0:
-        y = np.zeros(0)
-    else:
-        y = solve_linear(G.T, df, cfg.lin)
-    mult = _assemble_multipliers(p, idx, y, unique=True)
+    mult = _unique_multipliers(p, slots, G, eval_gradient(p.objective, x), cfg)
     resid = stationarity_residual(p, x, mult)
     if resid > cfg.tol_resid:
         raise NotStationaryError(
@@ -432,48 +444,18 @@ def enumerate_branches(p: Problem, cfg: SolveConfig = DEFAULT_CONFIG):
     return patterns
 
 
-def _pattern_constraints(p: Problem, pattern: BranchPattern):
-    """Pinned constraint expressions in unknown order: equalities, active
-    inequalities, then selected switching members.  Each pinned constraint
-    owns exactly one multiplier unknown, so the Newton system is square."""
-    cons: list[Expr] = list(p.equalities)
+def _pattern_slots(p: Problem, pattern: BranchPattern):
+    """Slots of the constraints ``pattern`` pins, in the Newton unknown order:
+    equalities, active inequalities, then the selected members per switching
+    index.  Each slot is one multiplier unknown, so the system is square."""
     slots = [("lam", i) for i in range(len(p.equalities))]
-    for j, a in enumerate(pattern.actives):
-        if a:
-            cons.append(p.inequalities[j])
-            slots.append(("mu", j))
+    slots += [("mu", j) for j, a in enumerate(pattern.actives) if a]
     for m, choice in enumerate(pattern.switches):
-        f1, f2 = p.switches[m]
         if choice in (S1, BOTH):
-            cons.append(f1)
             slots.append(("sigma1", m))
         if choice in (S2, BOTH):
-            cons.append(f2)
             slots.append(("sigma2", m))
-    return cons, slots
-
-
-def _pattern_multiplier_vector(p, pattern, mult):
-    """Extract the unknown-slot multiplier values from full vectors (warm
-    starts along continuation paths)."""
-    _, slots = _pattern_constraints(p, pattern)
-    out = np.zeros(len(slots))
-    by_name = {"lam": mult.lam, "mu": mult.mu, "sigma1": mult.sigma1,
-               "sigma2": mult.sigma2}
-    for i, (name, j) in enumerate(slots):
-        out[i] = by_name[name][j]
-    return out
-
-
-def _multipliers_from_slots(p, slots, y):
-    lam = [0.0] * len(p.equalities)
-    mu = [0.0] * len(p.inequalities)
-    s1 = [0.0] * p.k
-    s2 = [0.0] * p.k
-    store = {"lam": lam, "mu": mu, "sigma1": s1, "sigma2": s2}
-    for (name, j), v in zip(slots, y):
-        store[name][j] = float(v) + 0.0
-    return Multipliers(tuple(lam), tuple(mu), tuple(s1), tuple(s2))
+    return slots
 
 
 def _branch_residual(objective, cons, z, n):
@@ -531,7 +513,8 @@ def newton_solve_branch(
     threshold.
     """
     n = p.n
-    cons, slots = _pattern_constraints(p, pattern)
+    slots = _pattern_slots(p, pattern)
+    cons = [_slot_expr(p, s) for s in slots]
     z = np.zeros(n + len(cons))
     z[:n] = np.asarray(start, dtype=float)
     if mult_start is not None:
@@ -696,7 +679,8 @@ def newton_solve_batch(
     """
     n = p.n
     obj = p.objective
-    cons, slots = _pattern_constraints(p, pattern)
+    slots = _pattern_slots(p, pattern)
+    cons = [_slot_expr(p, s) for s in slots]
     starts = np.asarray(starts, dtype=float)
     Z = np.zeros((len(starts), n + len(cons)))
     Z[:, :n] = starts
@@ -818,13 +802,16 @@ def search_stationary_points(
         x, _ = outcome
         if np.any(x < lo - pad) or np.any(x > hi + pad):
             continue
-        if feasibility_violation(p, x) > cfg.tol_feas:
+        try:
+            idx, slots, G, r = _licq_stack(p, x, cfg)
+        except InfeasiblePointError:
             continue
-        idx = active_sets(p, x, cfg)
-        G = licq_matrix(p, x, idx)
-        licq = rank(G, cfg.lin) == G.shape[0]
-        y = _lstsq_multipliers(p, x, idx)
-        mult = _assemble_multipliers(p, idx, y, unique=licq)
+        licq = r == G.shape[0]
+        df = eval_gradient(p.objective, x)
+        # least squares: the unique multipliers under LICQ, a representative
+        # of the multiplier set otherwise
+        y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
+        mult = _multipliers_from_slots(p, slots, y, unique=licq)
         if any(mj < -cfg.tol_sign for mj in mult.mu):
             xt = tuple(float(v) + 0.0 for v in x)
             if all(
@@ -835,16 +822,22 @@ def search_stationary_points(
                 )
             continue
         if licq:
-            # re-verification under LICQ; failures mean the candidate is not
-            # actually stationary at the required residual
+            # re-verification under LICQ: the checked solve of
+            # recover_multipliers on the same stack; failures mean the
+            # candidate is not actually stationary at the required residual
             try:
-                mult = recover_multipliers(p, x, cfg)
-            except (SingularSystemError, NotStationaryError, LicqViolationError):
+                mult = _unique_multipliers(p, slots, G, df, cfg)
+            except SingularSystemError:
                 diagnostics["residual_rejected"] += 1
                 continue
+        resid = stationarity_residual(p, x, mult)
+        # under LICQ the residual is judged first, as in recover_multipliers,
+        # so a candidate failing both checks counts as residual-rejected
+        if licq and resid > cfg.tol_resid:
+            diagnostics["residual_rejected"] += 1
+            continue
         if complementarity_violation(p, x, mult) > cfg.tol_comp:
             continue
-        resid = stationarity_residual(p, x, mult)
         if resid > cfg.tol_resid:
             diagnostics["residual_rejected"] += 1
             continue

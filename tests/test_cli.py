@@ -1,16 +1,20 @@
 """End-to-end CLI behaviour: exit codes, report content, determinism."""
 
+import itertools
 import json
 
 import numpy as np
+import pytest
 
 from switchstat.cli import main, render_json
 from tests.conftest import (
     CROSS_LINEAR,
     CROSS_QUADRATIC,
     INSTABILITY_BOTH,
+    INSTABILITY_ONE,
     STABLE_WITHOUT_ND2,
 )
+from tests.test_stationarity import LEVELSETS_3D, MID3
 
 
 def _write(tmp_path, name, text):
@@ -307,3 +311,60 @@ class TestSeedJitter:
         assert open(out1, "rb").read() == open(out2, "rb").read()
         report = json.loads(open(out1).read())
         assert report["summary"]["num_points"] == 3
+
+
+def _permute_vars(text, order):
+    """``text`` with its ``vars:`` names listed in ``order``."""
+    lines = text.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line.startswith("vars:"))
+    names = lines[i].split()[1:]
+    lines[i] = "vars: " + " ".join(names[j] for j in order) + "\n"
+    return "".join(lines)
+
+
+def _verdicts(tmp_path, text):
+    """What ``analyze`` decides, in terms free of the coordinate order."""
+    src = _write(tmp_path, "p.txt", text)
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", src, "--json", out]) == 0
+    report = json.loads(open(out).read())
+    points = sorted(
+        (
+            round(pt["f"], 6),
+            pt["classification"],
+            None if pt["w_index"] is None else pt["w_index"]["w_index"],
+            pt["strong_stability"].get("strongly_stable"),
+        )
+        for pt in report["points"]
+    )
+    return len(points), points, len(report["rejected_sign"])
+
+
+def _orders(n):
+    return list(itertools.permutations(range(n)))
+
+
+class TestVariablePermutation:
+    """Reordering the variables relabels coordinates and changes no verdict."""
+
+    @pytest.mark.parametrize(
+        "text, orders",
+        [
+            (CROSS_LINEAR, _orders(2)),
+            (CROSS_QUADRATIC, _orders(2)),
+            (INSTABILITY_BOTH, _orders(2)),
+            (INSTABILITY_ONE, _orders(2)),
+            (STABLE_WITHOUT_ND2, _orders(2)),
+            (LEVELSETS_3D, _orders(3)),
+            (MID3, [(1, 2, 0)]),
+        ],
+        ids=[
+            "cross_linear", "cross_quadratic", "instability_both",
+            "instability_one", "stable_without_nd2", "levelsets_3d", "mid3",
+        ],
+    )
+    def test_analyze_verdicts(self, tmp_path, text, orders):
+        expected = _verdicts(tmp_path, text)
+        assert expected[0] > 0
+        for order in orders:
+            assert _verdicts(tmp_path, _permute_vars(text, order)) == expected, order

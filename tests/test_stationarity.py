@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+from switchstat.classify import tangent_basis
 from switchstat.expr import Add, Const, Mul, Problem, parse_problem
 from switchstat.stationarity import (
+    _active_slots,
     _batch_jacobian,
     _batch_residual,
     _branch_jacobian,
     _branch_residual,
+    _gradient_rows,
     _grid_starts,
+    _multipliers_from_slots,
+    _pattern_slots,
+    _slot_values,
     BranchPattern,
     CombinatorialCapError,
     InfeasiblePointError,
     LicqViolationError,
+    Multipliers,
     NotStationaryError,
     SolveConfig,
     active_sets,
@@ -586,3 +593,75 @@ class TestSearchDiagnostics:
             "residual_rejected": 0,
         }
         assert len(res.points) == 15
+
+
+# the problem of TestLicqMatrix.test_full_fixed_order with every active
+# constraint on coordinates of its own, so that LICQ holds at the origin:
+# J0 = (0, 1), alpha = (0,), gamma = (1,), beta = (2,)
+FIXED_ORDER_LIFTED = """\
+vars: x1 x2 x3 x4 x5 x6 x7 x8
+objective: x1
+eq: x8 + x1
+ineq: x2 + x3
+ineq: x3 - x4
+switch: x4 | x5 - 1
+switch: x4 - 1 | x5
+switch: x6 + x7 | x7 - x1
+"""
+
+
+def _subsets(items):
+    return [
+        tuple(j for i, j in enumerate(items) if mask >> i & 1)
+        for mask in range(2 ** len(items))
+    ]
+
+
+class TestSlotLayout:
+    """One slot encoding behind LICQ rows, tangent spaces and multipliers."""
+
+    def test_tangent_basis_on_the_licq_layout(self):
+        p = parse_problem(FIXED_ORDER_LIFTED)
+        x = (0.0,) * p.n
+        idx = active_sets(p, x)
+        assert (idx.j0, idx.alpha, idx.gamma, idx.beta) == ((0, 1), (0,), (1,), (2,))
+        assert np.array_equal(
+            _gradient_rows(p, x, _active_slots(p, idx)), licq_matrix(p, x, idx)
+        )
+        for j_star in [None] + _subsets(idx.j0):
+            A = _gradient_rows(p, x, _active_slots(p, idx, j_star))
+            V = tangent_basis(p, x, idx, j_star)
+            assert V.shape == (p.n, p.n - A.shape[0])
+            assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+            assert np.allclose(A @ V, 0.0, atol=1e-12)
+
+    def test_tangent_basis_shares_the_licq_verdict(self):
+        # the unlifted problem: six active rows in three variables
+        p = parse_problem(
+            "vars: x1 x2 x3\nobjective: x1\neq: x3\nineq: x1 + x2\n"
+            "switch: x1 | x2 - 1\nswitch: x1 - 1 | x2\nswitch: x1 | x2\n"
+        )
+        x = (0.0, 0.0, 0.0)
+        idx = active_sets(p, x)
+        assert not check_licq(p, x).holds
+        for j_star in [None] + _subsets(idx.j0):
+            with pytest.raises(LicqViolationError):
+                tangent_basis(p, x, idx, j_star)
+
+    def test_slot_values_round_trip_every_mid3_pattern(self):
+        p = parse_problem(MID3)
+        rng = np.random.default_rng(4)
+        sizes = {"lam": len(p.equalities), "mu": len(p.inequalities),
+                 "sigma1": p.k, "sigma2": p.k}
+        for pattern in enumerate_branches(p):
+            slots = _pattern_slots(p, pattern)
+            assert len(set(slots)) == len(slots)
+            full = {
+                kind: tuple(
+                    float(rng.normal()) if (kind, i) in slots else 0.0
+                    for i in range(size)
+                )
+                for kind, size in sizes.items()
+            }
+            mult = Multipliers(**full)
+            assert _multipliers_from_slots(p, slots, _slot_values(mult, slots)) == mult
