@@ -12,13 +12,18 @@ are enumerated, each is solved by damped Newton from a uniform grid of
 starting points, and the surviving candidates are filtered by feasibility,
 multiplier signs and an independently re-evaluated stationarity residual.
 
-Each pattern's starts are solved together as one batch
-(:func:`newton_solve_batch`): one tree walk per residual or Jacobian for all
-starts, one stacked linear solve, and damping decided start by start.  Every
-start runs the floating-point operations of the single-start solver
-:func:`newton_solve_branch` in the same order, so each outcome, and with it
-every accepted point, is bitwise the same as solving the starts one at a
-time.  Continuation, which solves from one start at a time, calls
+The search solves every pattern from every start in one batched damped
+Newton run (:func:`newton_solve_batch` is its one-pattern case).  A lane is
+one (pattern, start) pair; each expression is walked once per residual or
+Jacobian for all lanes that need it, each pattern's linear systems are solved
+in one stacked solve, and damping is decided lane by lane.  All lanes share
+one multiplier layout, a column per slot of the problem, and the columns a
+lane's pattern does not pin stay exactly 0.0.  A batch holds at most
+``_LANE_BUDGET`` lanes, so wide searches run as a few batches of whole
+patterns.  Every lane runs the floating-point operations of the single-start
+solver :func:`newton_solve_branch` in the same order, so each outcome, and
+with it every accepted point, is bitwise the same as solving the lanes one at
+a time.  Continuation, which solves from one start at a time, calls
 :func:`newton_solve_branch` directly.
 """
 
@@ -111,6 +116,15 @@ class SolveConfig:
     box_inflation: float = 0.10   # accepted points may exceed the box by this
     seed: int = 0                 # 0 = no multi-start jitter
     lin: ToleranceConfig = DEFAULT_TOLS
+
+    def __post_init__(self):
+        # a negative budget has no meaning, and the batched solver, which
+        # always tries the full step, would not match the single-start one
+        for name in ("max_iter", "max_halvings", "polish_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -444,18 +458,32 @@ def enumerate_branches(p: Problem, cfg: SolveConfig = DEFAULT_CONFIG):
     return patterns
 
 
+def _problem_slots(p: Problem):
+    """Every slot of ``p`` in the Newton unknown order: equalities,
+    inequalities, then ``sigma1`` and ``sigma2`` per switching index."""
+    return (
+        [("lam", i) for i in range(len(p.equalities))]
+        + [("mu", j) for j in range(len(p.inequalities))]
+        + [s for m in range(p.k) for s in (("sigma1", m), ("sigma2", m))]
+    )
+
+
+def _pins(pattern: BranchPattern, slot) -> bool:
+    """Whether ``pattern`` pins the constraint that owns ``slot``."""
+    kind, i = slot
+    if kind == "lam":
+        return True
+    if kind == "mu":
+        return pattern.actives[i]
+    return pattern.switches[i] in ((S1 if kind == "sigma1" else S2), BOTH)
+
+
 def _pattern_slots(p: Problem, pattern: BranchPattern):
     """Slots of the constraints ``pattern`` pins, in the Newton unknown order:
     equalities, active inequalities, then the selected members per switching
-    index.  Each slot is one multiplier unknown, so the system is square."""
-    slots = [("lam", i) for i in range(len(p.equalities))]
-    slots += [("mu", j) for j, a in enumerate(pattern.actives) if a]
-    for m, choice in enumerate(pattern.switches):
-        if choice in (S1, BOTH):
-            slots.append(("sigma1", m))
-        if choice in (S2, BOTH):
-            slots.append(("sigma2", m))
-    return slots
+    index.  Each slot is one multiplier unknown, so the system is square.
+    The list is a subsequence of :func:`_problem_slots`."""
+    return [s for s in _problem_slots(p) if _pins(pattern, s)]
 
 
 def _branch_residual(objective, cons, z, n):
@@ -596,40 +624,84 @@ def newton_solve_branch(
     return x, mult
 
 
-def _batch_residual(objective, cons, Z, n):
-    """_branch_residual for every row of ``Z``; returns (R, failed lanes)."""
+def _lanes(include, i):
+    """The rows of the lanes whose pattern pins ``cons[i]``: a full slice
+    when every lane does (``include`` None means all), None when none does."""
+    if include is None:
+        return slice(None)
+    col = include[:, i]
+    if col.all():
+        return slice(None)
+    rows = np.flatnonzero(col)
+    return rows if rows.size else None
+
+
+def _batch_residual(objective, cons, Z, n, include=None):
+    """_branch_residual for every row of ``Z``; returns (R, failed lanes).
+
+    ``include[k, i]`` says whether lane k pins ``cons[i]`` (default: every
+    lane pins every constraint).  A constraint is walked only over the lanes
+    that pin it, and fails only those; elsewhere its residual entry is 0.0
+    and it leaves the gradient row untouched, as it must where the lane's
+    multiplier column holds 0.0.
+    """
     X = Z[:, :n]
     _, top, _, bad = eval_batch(objective, X)
-    R = np.empty_like(Z)
+    R = np.zeros_like(Z)
     with np.errstate(all="ignore"):  # failed lanes carry inf and nan
         for i, c in enumerate(cons):
-            cv, cg, _, cbad = eval_batch(c, X)
-            yi = Z[:, n + i, None]
+            rows = _lanes(include, i)
+            if rows is None:
+                continue
+            cv, cg, _, cbad = eval_batch(c, X[rows])
+            yi = Z[rows, n + i, None]
             # where y_i == 0 the scalar path skips the update; subtracting
             # 0*g could flip the sign of a zero or turn an infinite g into nan
-            top = np.where(yi != 0.0, top - yi * cg, top)
-            R[:, n + i] = cv
-            bad |= cbad
+            t = top[rows]
+            top[rows] = np.where(yi != 0.0, t - yi * cg, t)
+            R[rows, n + i] = cv
+            bad[rows] |= cbad
     R[:, :n] = top
     return R, bad
 
 
-def _batch_jacobian(objective, cons, Z, n):
-    """_branch_jacobian for every row of ``Z``; returns (J, failed lanes)."""
+def _batch_lagrangian(objective, cons, Z, n, include=None):
+    """Lagrangian Hessians ``H[B, n, n]`` and constraint gradient rows
+    ``G[B, m, n]`` of the branch Jacobian at every row of ``Z``; returns
+    (H, G, failed lanes).  ``include`` as for :func:`_batch_residual`; rows
+    of constraints a lane does not pin are 0.0."""
     X = Z[:, :n]
-    m = len(cons)
-    J = np.zeros((len(Z), n + m, n + m))
+    G = np.zeros((len(Z), len(cons), n))
     _, _, H, bad = eval_batch(objective, X, hessian=True)
     with np.errstate(all="ignore"):
         for i, c in enumerate(cons):
-            _, cg, cH, cbad = eval_batch(c, X, hessian=True)
-            yi = Z[:, n + i, None, None]
-            H = np.where(yi != 0.0, H - yi * cH, H)
-            J[:, n + i, :n] = cg
-            J[:, :n, n + i] = -cg
-            bad |= cbad
+            rows = _lanes(include, i)
+            if rows is None:
+                continue
+            _, cg, cH, cbad = eval_batch(c, X[rows], hessian=True)
+            yi = Z[rows, n + i, None, None]
+            Hr = H[rows]
+            H[rows] = np.where(yi != 0.0, Hr - yi * cH, Hr)
+            G[rows, i] = cg
+            bad[rows] |= cbad
+    return H, G, bad
+
+
+def _branch_jacobians(H, G):
+    """Branch Jacobians ``[[H, -G.T], [G, 0]]``, one per lane."""
+    B, m, n = G.shape
+    J = np.zeros((B, n + m, n + m))
     J[:, :n, :n] = H
-    return J, bad
+    J[:, n:, :n] = G
+    J[:, :n, n:] = -G.transpose(0, 2, 1)
+    return J
+
+
+def _batch_jacobian(objective, cons, Z, n):
+    """_branch_jacobian for every row of ``Z``, every lane pinning every
+    constraint; returns (J, failed lanes)."""
+    H, G, bad = _batch_lagrangian(objective, cons, Z, n)
+    return _branch_jacobians(H, G), bad
 
 
 def _max_norms(A):
@@ -661,30 +733,56 @@ def _newton_steps(J, R, diagnostics=None):
     return steps
 
 
-def newton_solve_batch(
-    p: Problem,
-    pattern: BranchPattern,
-    starts,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-    diagnostics=None,
-):
-    """:func:`newton_solve_branch` from every row of ``starts[B, n]`` at once,
-    multipliers starting at zero.
+# Most lanes (one lane = one (pattern, start) pair) in one multi-pattern
+# Newton batch.  Every lane carries one multiplier column per slot of the
+# problem, and a damping round evaluates several trial points per lane, so a
+# batch's arrays grow with lanes x slots: the budget bounds the memory of wide
+# searches (mid3, 36 patterns x 125 starts, runs as 5 batches), while
+# searches with a few starts per pattern (up to 324 lanes in the criterion-7
+# corpus) still run as one batch, which is where batching across patterns
+# saves tree walks.
+_LANE_BUDGET = 1024
 
-    Returns one outcome per start, ``None`` or ``(x, Multipliers)``, each
-    bitwise equal to what the single-start solver returns for that start:
-    every lane takes the same Newton steps, halvings, step-blow-up test,
-    least-squares fallback and polish steps.  Lanes leave the batch as they
-    converge or fail, so later iterations evaluate only the live ones.
-    """
+
+def _pattern_steps(H, G, R, lane_pattern, cols, diagnostics=None):
+    """Newton steps for lanes sorted by pattern: ``lane_pattern[k]`` is the
+    pattern of lane k (row k of ``H``, ``G`` and ``R``), and ``cols[q]``
+    lists the problem slots pattern q pins.  Each pattern's square systems
+    are solved on their own, so a singular lane sends only its own pattern
+    to the lane-by-lane fallback; the columns of unpinned slots get a step
+    of exactly 0.0."""
+    n = H.shape[1]
+    ends = np.searchsorted(lane_pattern, np.arange(len(cols) + 1))
+    step = np.zeros_like(R)
+    for q, c in enumerate(cols):
+        if ends[q] == ends[q + 1]:
+            continue
+        lanes = slice(ends[q], ends[q + 1])
+        unknowns = np.concatenate([np.arange(n), n + c])
+        J = _branch_jacobians(H[lanes], G[lanes][:, c])
+        step[lanes, unknowns] = _newton_steps(J, R[lanes, unknowns], diagnostics)
+    return step
+
+
+def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
+    """Damped Newton for every (pattern, start) lane of one batch; returns
+    one outcome list per pattern."""
     n = p.n
     obj = p.objective
-    slots = _pattern_slots(p, pattern)
+    slots = _problem_slots(p)
     cons = [_slot_expr(p, s) for s in slots]
-    starts = np.asarray(starts, dtype=float)
-    Z = np.zeros((len(starts), n + len(cons)))
-    Z[:, :n] = starts
-    R, failed = _batch_residual(obj, cons, Z, n)
+    pins = np.array(
+        [[_pins(pattern, s) for s in slots] for pattern in patterns], dtype=bool
+    ).reshape(len(patterns), len(slots))
+    cols = [np.flatnonzero(row) for row in pins]
+    B = len(starts)
+    # lanes are numbered pattern-major, so ``live`` stays sorted by pattern
+    lane_pattern = np.repeat(np.arange(len(patterns)), B)
+    include = pins[lane_pattern]
+    Z = np.zeros((len(lane_pattern), n + len(slots)))
+    Z[:, :n] = np.tile(starts, (len(patterns), 1))
+
+    R, failed = _batch_residual(obj, cons, Z, n, include)
     rnorm = _max_norms(R)
     failed |= ~np.isfinite(rnorm)
     converged = ~failed & (rnorm <= cfg.tol_resid)
@@ -698,10 +796,12 @@ def newton_solve_batch(
         live = np.flatnonzero(~failed & ~converged)
         if not live.size:
             break
-        J, bad = _batch_jacobian(obj, cons, Z[live], n)
+        H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
         failed[live[bad]] = True
-        live, J = live[~bad], J[~bad]
-        step = _newton_steps(J, R[live], diagnostics)
+        live, H, G = live[~bad], H[~bad], G[~bad]
+        step = _pattern_steps(
+            H, G, R[live], lane_pattern[live], cols, diagnostics
+        )
         blown = ~np.all(np.isfinite(step), axis=1) | (
             _max_norms(step) > 1e8 * (1.0 + _max_norms(Z[live]))
         )
@@ -716,7 +816,9 @@ def newton_solve_batch(
             ts = factors[done:done + size]
             k, L = len(ts), live.size
             Z_try = (Z[live] + ts[:, None, None] * step).reshape(k * L, -1)
-            R_try, bad = _batch_residual(obj, cons, Z_try, n)
+            R_try, bad = _batch_residual(
+                obj, cons, Z_try, n, np.tile(include[live], (k, 1))
+            )
             rn_try = _max_norms(R_try)
             ok = (~bad & np.isfinite(rn_try)).reshape(k, L) & (
                 rn_try.reshape(k, L) < rnorm[live]
@@ -736,20 +838,74 @@ def newton_solve_batch(
     for _ in range(cfg.polish_steps):
         if not live.size:
             break
-        J, bad = _batch_jacobian(obj, cons, Z[live], n)
-        live, J = live[~bad], J[~bad]
-        Z_try = Z[live] + _newton_steps(J, R[live])
-        R_try, bad = _batch_residual(obj, cons, Z_try, n)
+        H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
+        live, H, G = live[~bad], H[~bad], G[~bad]
+        Z_try = Z[live] + _pattern_steps(H, G, R[live], lane_pattern[live], cols)
+        R_try, bad = _batch_residual(obj, cons, Z_try, n, include[live])
         rn_try = _max_norms(R_try)
         ok = ~bad & np.isfinite(rn_try) & (rn_try < rnorm[live])
         live = live[ok]
         Z[live], R[live], rnorm[live] = Z_try[ok], R_try[ok], rn_try[ok]
 
-    return [
+    # unpinned columns hold 0.0, which is what the pattern's own slot list
+    # would leave in the multipliers
+    outcomes = [
         None if failed[k]
         else (Z[k, :n].copy(), _multipliers_from_slots(p, slots, Z[k, n:]))
         for k in range(len(Z))
     ]
+    return [outcomes[q * B:(q + 1) * B] for q in range(len(patterns))]
+
+
+def _newton_solve_patterns(
+    p: Problem, patterns, starts, cfg: SolveConfig = DEFAULT_CONFIG,
+    diagnostics=None,
+):
+    """:func:`newton_solve_branch` for every pattern of ``patterns`` from
+    every row of ``starts[B, n]``; returns one outcome list per pattern, in
+    start order.  Consecutive patterns share a batch, at most
+    ``_LANE_BUDGET // B`` (and at least one) per batch."""
+    starts = np.asarray(starts, dtype=float)
+    per_batch = max(1, _LANE_BUDGET // max(1, len(starts)))
+    outcomes = []
+    for b in range(0, len(patterns), per_batch):
+        outcomes += _solve_lanes(
+            p, patterns[b:b + per_batch], starts, cfg, diagnostics
+        )
+    return outcomes
+
+
+def newton_solve_batch(
+    p: Problem,
+    pattern: BranchPattern,
+    starts,
+    cfg: SolveConfig = DEFAULT_CONFIG,
+    diagnostics=None,
+):
+    """:func:`newton_solve_branch` from every row of ``starts[B, n]`` at once,
+    multipliers starting at zero.
+
+    Returns one outcome per start, ``None`` or ``(x, Multipliers)``, each
+    bitwise equal to what the single-start solver returns for that start:
+    every lane takes the same Newton steps, halvings, step-blow-up test,
+    least-squares fallback and polish steps.  Lanes leave the batch as they
+    converge or fail, so later iterations evaluate only the live ones.
+
+    This is the one-pattern case of the search's solver, which puts the
+    lanes of many patterns (one lane per pattern and start) in one batch so
+    that each expression is walked once per residual or Jacobian for all of
+    them.  Every lane then holds one multiplier column per slot of the
+    problem (:func:`_problem_slots`: equalities, inequalities, ``sigma1`` and
+    ``sigma2`` per switch); each pattern's unknowns are a subsequence of
+    that order, so the skipped ``y_i == 0`` updates run in the scalar order,
+    and the columns a pattern does not pin hold exactly 0.0 in the iterate,
+    the residual and the step, which leaves every max norm and step unchanged.
+    Each constraint is walked only over the lanes that pin it, and each
+    pattern's linear systems are solved on their own.  A batch holds at most
+    ``_LANE_BUDGET`` lanes (but always one whole pattern), which bounds its
+    memory on wide searches.
+    """
+    return _newton_solve_patterns(p, [pattern], starts, cfg, diagnostics)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +944,10 @@ def search_stationary_points(
                    "singular_jacobian": 0, "residual_rejected": 0}
     candidates = [
         (pattern, outcome)
-        for pattern in patterns
-        for outcome in newton_solve_batch(p, pattern, starts, cfg, diagnostics)
+        for pattern, outcomes in zip(
+            patterns, _newton_solve_patterns(p, patterns, starts, cfg, diagnostics)
+        )
+        for outcome in outcomes
     ]
 
     pad = cfg.box_inflation * (hi - lo)

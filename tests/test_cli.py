@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ class TestAnalyze:
     def test_unknown_tol_key_exit_2(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_LINEAR)
         assert main(["analyze", src, "--tol", "bogus=1"]) == 2
+
+    def test_negative_budget_exit_2(self, tmp_path, capsys):
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        out = tmp_path / "report.json"
+        assert main(["analyze", src, "--tol", "max_halvings=-1",
+                     "--json", str(out)]) == 2
+        assert "max_halvings" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejected_sign_listed(self, tmp_path):
         src = _write(
@@ -322,11 +331,13 @@ def _permute_vars(text, order):
     return "".join(lines)
 
 
-def _verdicts(tmp_path, text):
-    """What ``analyze`` decides, in terms free of the coordinate order."""
+def _verdicts(tmp_path, text, box=(-2.0, 2.0)):
+    """What ``analyze`` decides in ``box``, in terms free of the coordinate
+    order and origin."""
     src = _write(tmp_path, "p.txt", text)
     out = str(tmp_path / "report.json")
-    assert main(["analyze", src, "--json", out]) == 0
+    box_args = ["--box", str(box[0]), str(box[1])]
+    assert main(["analyze", src, *box_args, "--json", out]) == 0
     report = json.loads(open(out).read())
     points = sorted(
         (
@@ -368,3 +379,39 @@ class TestVariablePermutation:
         assert expected[0] > 0
         for order in orders:
             assert _verdicts(tmp_path, _permute_vars(text, order)) == expected, order
+
+
+def _translate(text, c):
+    """``text`` with every variable ``x`` replaced by ``(x - c)``: the problem
+    moved by ``c`` along every axis."""
+    lines = text.splitlines(keepends=True)
+    names = next(line for line in lines if line.startswith("vars:")).split()[1:]
+    word = re.compile(r"\b(" + "|".join(map(re.escape, names)) + r")\b")
+    shift = f"- {c}" if c > 0 else f"+ {-c}"
+    return "".join(
+        line if line.startswith("vars:")
+        else word.sub(lambda m: f"({m.group(1)} {shift})", line)
+        for line in lines
+    )
+
+
+class TestTranslation:
+    """Moving the problem and the box by c along every axis changes no
+    verdict."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH, INSTABILITY_ONE,
+         STABLE_WITHOUT_ND2, LEVELSETS_3D, MID3],
+        ids=[
+            "cross_linear", "cross_quadratic", "instability_both",
+            "instability_one", "stable_without_nd2", "levelsets_3d", "mid3",
+        ],
+    )
+    def test_analyze_verdicts(self, tmp_path, text):
+        expected = _verdicts(tmp_path, text)
+        assert expected[0] > 0
+        for c in (0.5, 0.25, -1.0):
+            moved = _translate(text, c)
+            assert moved != text
+            assert _verdicts(tmp_path, moved, (-2.0 + c, 2.0 + c)) == expected, c

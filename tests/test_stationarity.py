@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from switchstat import stationarity
 from switchstat.classify import tangent_basis
 from switchstat.expr import Add, Const, Mul, Problem, parse_problem
 from switchstat.stationarity import (
@@ -34,6 +35,7 @@ from switchstat.stationarity import (
     recover_multipliers,
     search_stationary_points,
     stationarity_residual,
+    with_overrides,
 )
 
 CFG = SolveConfig()
@@ -61,6 +63,60 @@ vars: x1 x2 x3
 objective: (x1^2-1)^2 + (x2^2-1)^2 + (x3-0.5)^2 + 0.2*x1*x2
 switch: x1 - 0.5 | x3
 """
+
+# problem 24 of the criterion-7 corpus (seed 20260808): 36 patterns, which it
+# solves from 8 starts each (grid_points=2)
+CORPUS_P024 = """\
+vars: x1 x2 x3
+objective: -0.582*x1 + 0.868*x2 + -1.412*x3 + 0.58*x1^2 + -1.406*x2^2 + 1.079*x3^2 + -1.998*x1*x3^2 + 1.164*x3 + 0.896
+ineq: -1.497*x1 + 0.454*x2 + -1.18*x3 + -0.283
+ineq: -0.341*x1 + -1.304*x2 + 1.249*x3 + 0.567
+switch: -0.906*x1 + 0.709*x2 + -0.505*x3 + -0.33 | 0.243*x1 + 1.166*x2 + 1.308*x3 + 0.486
+switch: -0.972*x1 + 0.932*x2 + -0.624*x3 + -0.601 | -0.217*x1 + 0.183*x2 + -0.708*x3 + 0.979
+"""
+
+# every kind of slot (an equality, two inequalities, two switching pairs) in a
+# search with few starts per pattern
+NARROW = """\
+vars: x1 x2 x3
+objective: x1^2 + 2*x2^2 + (x3 - 1)^2 + x1*x3 - x2
+eq: x1 + x2 + x3 - 1
+ineq: x1 + 1
+ineq: log(x1 + 2.5) - x2*x3
+switch: x1 | x2 - 0.5
+switch: x3 | x1 + x2
+"""
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_iter", -1), ("max_halvings", -1), ("polish_steps", -1),
+         ("grid_points", 0), ("grid_points", -3)],
+    )
+    def test_rejects_out_of_range_budgets(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolveConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            with_overrides(CFG, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["max_iter", "max_halvings", "polish_steps"]
+    )
+    def test_zero_budgets_keep_batch_and_single_start_equal(
+        self, cross_quadratic, name
+    ):
+        cfg = SolveConfig(**{name: 0})
+        starts = _grid_starts(2, (-2.0, 2.0), cfg)
+        for pattern in enumerate_branches(cross_quadratic, cfg):
+            outs = newton_solve_batch(cross_quadratic, pattern, starts, cfg)
+            for start, out in zip(starts, outs):
+                ref = newton_solve_branch(cross_quadratic, pattern, start, cfg)
+                assert _outcome_bits(out) == _outcome_bits(ref), (pattern, start)
+
+    def test_single_grid_point(self, cross_quadratic):
+        starts = _grid_starts(2, (-2.0, 2.0), SolveConfig(grid_points=1))
+        assert starts.tolist() == [[0.0, 0.0]]
 
 
 class TestActiveSets:
@@ -572,6 +628,59 @@ class TestBatchedNewton:
         assert _outcome_bits(out) == _outcome_bits(ref)
 
 
+class TestMultiPatternNewton:
+    """The search's solver puts the lanes of many patterns in one batch;
+    every lane is still the single-start solver's run, however the lane
+    budget splits the patterns into batches."""
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [(MID3, 5), (TRANSCENDENTAL, 5), (NARROW, 2)],
+        ids=["mid3", "transcendental", "narrow"],
+    )
+    def test_lanes_match_single_start_solver(self, monkeypatch, text, grid):
+        p = parse_problem(text)
+        cfg = SolveConfig(grid_points=grid)
+        patterns = enumerate_branches(p, cfg)
+        starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
+        scalar_diag = {}
+        ref = [
+            [
+                _outcome_bits(
+                    newton_solve_branch(p, q, s, cfg, diagnostics=scalar_diag)
+                )
+                for s in starts
+            ]
+            for q in patterns
+        ]
+        converged = sum(out is not None for row in ref for out in row)
+        assert 0 < converged < len(patterns) * len(starts)
+
+        sizes = []
+        solve_lanes = stationarity._solve_lanes
+
+        def spy(p, batch, *args):
+            sizes.append(len(batch))
+            return solve_lanes(p, batch, *args)
+
+        monkeypatch.setattr(stationarity, "_solve_lanes", spy)
+        for per_batch in (1, 5, len(patterns)):
+            monkeypatch.setattr(
+                stationarity, "_LANE_BUDGET", per_batch * len(starts)
+            )
+            sizes.clear()
+            diag = {}
+            outs = stationarity._newton_solve_patterns(
+                p, patterns, starts, cfg, diag
+            )
+            assert sizes == [
+                min(per_batch, len(patterns) - b)
+                for b in range(0, len(patterns), per_batch)
+            ]
+            assert [[_outcome_bits(o) for o in row] for row in outs] == ref
+            assert diag == scalar_diag
+
+
 class TestSearchDiagnostics:
     def test_mid3(self):
         res = search_stationary_points(parse_problem(MID3), (-2.0, 2.0))
@@ -583,6 +692,19 @@ class TestSearchDiagnostics:
         }
         assert len(res.points) == 5
         assert len(res.rejected_sign) == 4
+
+    def test_corpus_problem_with_36_patterns(self):
+        p = parse_problem(CORPUS_P024)
+        assert len(enumerate_branches(p)) == 36
+        res = search_stationary_points(p, (-2.0, 2.0), SolveConfig(grid_points=2))
+        assert res.diagnostics == {
+            "solves": 288,
+            "converged": 128,
+            "singular_jacobian": 0,
+            "residual_rejected": 0,
+        }
+        assert len(res.points) == 3
+        assert len(res.rejected_sign) == 1
 
     def test_levelsets_3d_problem(self):
         res = search_stationary_points(parse_problem(LEVELSETS_3D), (-2.0, 2.0))
