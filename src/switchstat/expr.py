@@ -728,7 +728,6 @@ def parse_problem(text: str) -> Problem:
     var_names = None
     names = {}
     objective = None
-    objective_line = None
     equalities = []
     inequalities = []
     switches = []
@@ -786,7 +785,6 @@ def parse_problem(text: str) -> Problem:
             if objective is not None:
                 raise ParseError("duplicate 'objective' declaration", line_no, 1)
             objective = parse_expression(body, names, line_no, col_offset)
-            objective_line = line_no
         elif directive == "eq":
             equalities.append(parse_expression(body, names, line_no, col_offset))
         elif directive == "ineq":
@@ -805,7 +803,6 @@ def parse_problem(text: str) -> Problem:
 
     if objective is None:
         raise ParseError("missing 'objective' declaration")
-    del objective_line
 
     return Problem(
         n=len(var_names),

@@ -697,13 +697,6 @@ def _branch_jacobians(H, G):
     return J
 
 
-def _batch_jacobian(objective, cons, Z, n):
-    """_branch_jacobian for every row of ``Z``, every lane pinning every
-    constraint; returns (J, failed lanes)."""
-    H, G, bad = _batch_lagrangian(objective, cons, Z, n)
-    return _branch_jacobians(H, G), bad
-
-
 def _max_norms(A):
     return np.abs(A).max(axis=1, initial=0.0)
 

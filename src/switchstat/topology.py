@@ -4,13 +4,16 @@ The feasible set of a switching program has measure zero wherever a product
 constraint is active, so a raw grid sampling would miss it.  The mask
 therefore thickens every constraint to one grid cell, scaled by the local
 gradient magnitude: a node passes when each constraint residual is within
-``feas_scale * spacing * (1 + |grad|)``.  Connected components of
-``{feasible, f <= a}`` are labelled with ``scipy.ndimage.label`` under full
-diagonal adjacency (8 neighbours in 2-D, 26 in 3-D) so one-cell-wide bands
-never fragment.  Sweeping the level and comparing the count changes against
-the stationary values gives a desk-scale check of the deformation and
-cell-attachment behaviour, and counting minimizers against index-one
-saddles checks the mountain-pass inequality.
+``feas_scale * spacing * (1 + |grad|)``.  The mask and the objective are
+evaluated slab by slab along the first axis, one expression-tree walk per
+slab, so their temporaries stay a few MiB at any grid size.  Connected
+components of ``{feasible, f <= a}`` are labelled with
+``scipy.ndimage.label`` under full diagonal adjacency (8 neighbours in 2-D,
+26 in 3-D) so one-cell-wide bands never fragment.  Sweeping the level and
+comparing the count changes against the stationary values gives a
+desk-scale check of the deformation and cell-attachment behaviour, and
+counting minimizers against index-one saddles checks the mountain-pass
+inequality.
 
 Dimensions above 3 are rejected; the grid cost grows like resolution^n and
 the probe exists for verification, not scale.
@@ -86,9 +89,6 @@ class GridSpec:
     def axes(self):
         return [np.linspace(lo, hi, self.resolution) for lo, hi in self.box]
 
-    def mesh(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     @staticmethod
     def for_problem(p: Problem, box, resolution=None, feas_scale=1.0):
         """Default grid for a problem: the scalar box pair on every axis,
@@ -108,94 +108,91 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _mesh_value(e: Expr, mesh):
-    if isinstance(e, Const):
-        return np.full(mesh[0].shape, e.value)
-    if isinstance(e, Var):
-        return mesh[e.index]
-    if isinstance(e, Add):
-        return _mesh_value(e.a, mesh) + _mesh_value(e.b, mesh)
-    if isinstance(e, Sub):
-        return _mesh_value(e.a, mesh) - _mesh_value(e.b, mesh)
-    if isinstance(e, Mul):
-        return _mesh_value(e.a, mesh) * _mesh_value(e.b, mesh)
-    if isinstance(e, Div):
-        return _mesh_value(e.a, mesh) / _mesh_value(e.b, mesh)
-    if isinstance(e, Pow):
-        base = _mesh_value(e.base, mesh)
-        with np.errstate(divide="ignore"):
-            return base ** float(e.exponent)
-    if isinstance(e, Neg):
-        return -_mesh_value(e.a, mesh)
-    if isinstance(e, Func):
-        arg = _mesh_value(e.arg, mesh)
-        if e.name == "sin":
-            return np.sin(arg)
-        if e.name == "cos":
-            return np.cos(arg)
-        if e.name == "exp":
-            return np.exp(arg)
-        if e.name == "log":
-            return np.log(np.where(arg > 0, arg, np.nan))
-    raise TypeError(f"unknown node {type(e).__name__}")  # pragma: no cover
+# Nodes per slab: the mask and the objective are evaluated over slabs of
+# whole rows of the first axis, each holding about this many nodes, so the
+# walker's temporaries stay small however large the grid is.
+_SLAB_NODES = 1 << 16
 
 
-def _mesh_value_grad(e: Expr, mesh):
-    """(value array, list of partial-derivative arrays) over the mesh."""
-    n = len(mesh)
+# name -> (numpy function, derivative from the argument u and value w); the
+# argument of log is first set to NaN where it is not positive
+_MESH_FUNCTIONS = {
+    "sin": (np.sin, lambda u, w: np.cos(u)),
+    "cos": (np.cos, lambda u, w: -np.sin(u)),
+    "exp": (np.exp, lambda u, w: w),
+    "log": (np.log, lambda u, w: 1.0 / u),
+}
+
+
+def _mesh_eval(e: Expr, mesh, grad):
+    """(value array, list of partial-derivative arrays or None) over the
+    mesh; the caller sets the numpy error state."""
+    n, shape = len(mesh), mesh[0].shape
     if isinstance(e, Const):
-        z = np.zeros(mesh[0].shape)
-        return np.full(mesh[0].shape, e.value), [z] * n
+        return np.full(shape, e.value), [np.zeros(shape)] * n if grad else None
     if isinstance(e, Var):
-        g = [np.zeros(mesh[0].shape) for _ in range(n)]
-        g[e.index] = np.ones(mesh[0].shape)
+        if not grad:
+            return mesh[e.index], None
+        g = [np.zeros(shape) for _ in range(n)]
+        g[e.index] = np.ones(shape)
         return mesh[e.index], g
-    if isinstance(e, (Add, Sub)):
-        sign = 1.0 if isinstance(e, Add) else -1.0
-        va, ga = _mesh_value_grad(e.a, mesh)
-        vb, gb = _mesh_value_grad(e.b, mesh)
-        return va + sign * vb, [ga[i] + sign * gb[i] for i in range(n)]
-    if isinstance(e, Mul):
-        va, ga = _mesh_value_grad(e.a, mesh)
-        vb, gb = _mesh_value_grad(e.b, mesh)
-        return va * vb, [va * gb[i] + vb * ga[i] for i in range(n)]
-    if isinstance(e, Div):
-        va, ga = _mesh_value_grad(e.a, mesh)
-        vb, gb = _mesh_value_grad(e.b, mesh)
-        w = va / vb
-        return w, [(ga[i] - w * gb[i]) / vb for i in range(n)]
     if isinstance(e, Pow):
-        u, gu = _mesh_value_grad(e.base, mesh)
+        u, gu = _mesh_eval(e.base, mesh, grad)
         m = e.exponent
+        v = u ** float(m)
+        if not grad:
+            return v, None
         if m == 0:
-            z = np.zeros(mesh[0].shape)
-            return np.ones(mesh[0].shape), [z] * n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = m * u ** float(m - 1)
-            return u ** float(m), [a * gu[i] for i in range(n)]
+            return v, [np.zeros(shape)] * n
+        a = m * u ** float(m - 1)
+        return v, [a * gi for gi in gu]
     if isinstance(e, Neg):
-        v, g = _mesh_value_grad(e.a, mesh)
-        return -v, [-gi for gi in g]
+        v, g = _mesh_eval(e.a, mesh, grad)
+        return -v, [-gi for gi in g] if grad else None
     if isinstance(e, Func):
-        u, gu = _mesh_value_grad(e.arg, mesh)
-        if e.name == "sin":
-            w, d = np.sin(u), np.cos(u)
-        elif e.name == "cos":
-            w, d = np.cos(u), -np.sin(u)
-        elif e.name == "exp":
-            w = np.exp(u)
-            d = w
-        else:  # log
-            safe = np.where(u > 0, u, np.nan)
-            w, d = np.log(safe), 1.0 / safe
-        return w, [d * gu[i] for i in range(n)]
-    raise TypeError(f"unknown node {type(e).__name__}")  # pragma: no cover
+        u, gu = _mesh_eval(e.arg, mesh, grad)
+        if e.name == "log":
+            u = np.where(u > 0, u, np.nan)
+        f, df = _MESH_FUNCTIONS[e.name]
+        w = f(u)
+        if not grad:
+            return w, None
+        d = df(u, w)
+        return w, [d * gi for gi in gu]
+    if not isinstance(e, (Add, Sub, Mul, Div)):  # pragma: no cover
+        raise TypeError(f"unknown node {type(e).__name__}")
+    va, ga = _mesh_eval(e.a, mesh, grad)
+    vb, gb = _mesh_eval(e.b, mesh, grad)
+    if isinstance(e, Add):
+        v, rule = va + vb, lambda x, y: x + y
+    elif isinstance(e, Sub):
+        v, rule = va - vb, lambda x, y: x - y
+    elif isinstance(e, Mul):
+        v, rule = va * vb, lambda x, y: va * y + vb * x
+    else:
+        v, rule = va / vb, lambda x, y: (x - v * y) / vb
+    return v, [rule(x, y) for x, y in zip(ga, gb)] if grad else None
+
+
+def _by_slabs(grid: GridSpec, dtype, fill):
+    """Lattice array whose slabs of the first axis are ``fill(mesh)`` for
+    that slab's mesh, all under one ``np.errstate(all="ignore")``."""
+    axes = grid.axes()
+    out = np.empty(tuple(len(a) for a in axes), dtype=dtype)
+    rows = max(1, _SLAB_NODES // (out.size // len(out)))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(out), rows):
+            mesh = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
+            out[lo : lo + rows] = fill(mesh)
+    return out
 
 
 def objective_values(p: Problem, grid: GridSpec) -> np.ndarray:
     """Objective sampled over the grid (NaN where undefined)."""
-    with np.errstate(all="ignore"):
-        return np.asarray(_mesh_value(p.objective, grid.mesh()), dtype=float)
+    def fill(mesh):
+        return _mesh_eval(p.objective, mesh, False)[0]
+
+    return _by_slabs(grid, float, fill)
 
 
 def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
@@ -205,25 +202,25 @@ def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
         raise ValueError(f"grid has {grid.n} axes but the problem has n={p.n}")
     if p.n > MAX_GRID_DIM:
         raise DimensionError(f"feasibility masks need n <= {MAX_GRID_DIM}")
-    mesh = grid.mesh()
-    mask = np.ones(mesh[0].shape, dtype=bool)
     scale = grid.feas_scale * grid.spacing
+    # (constraint, two-sided): equalities and switch products must be near
+    # zero, inequalities only not far below it
+    checks = (
+        [(h, True) for h in p.equalities]
+        + [(g, False) for g in p.inequalities]
+        + [(Mul(f1, f2), True) for f1, f2 in p.switches]
+    )
 
-    def tolerance(grads):
-        norm = np.sqrt(sum(g * g for g in grads))
-        return scale * (1.0 + norm)
+    def fill(mesh):
+        mask = np.ones(mesh[0].shape, dtype=bool)
+        for e, two_sided in checks:
+            v, g = _mesh_eval(e, mesh, True)
+            tol = scale * (1.0 + np.sqrt(sum(gi * gi for gi in g)))
+            near = np.abs(v) <= tol if two_sided else v >= -tol
+            mask &= np.isfinite(v) & near
+        return mask
 
-    with np.errstate(all="ignore"):
-        for h in p.equalities:
-            v, g = _mesh_value_grad(h, mesh)
-            mask &= np.isfinite(v) & (np.abs(v) <= tolerance(g))
-        for gexpr in p.inequalities:
-            v, g = _mesh_value_grad(gexpr, mesh)
-            mask &= np.isfinite(v) & (v >= -tolerance(g))
-        for f1, f2 in p.switches:
-            v, g = _mesh_value_grad(Mul(f1, f2), mesh)
-            mask &= np.isfinite(v) & (np.abs(v) <= tolerance(g))
-    return mask
+    return _by_slabs(grid, bool, fill)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ class TestAnalyze:
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--box", "-2", "2", "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["summary"]["num_points"] == 3
         points = report["points"]
         assert [pt["x"] for pt in points] == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
@@ -45,7 +46,7 @@ class TestAnalyze:
         src = _write(tmp_path, "p.txt", INSTABILITY_BOTH)
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["summary"]["num_points"] == 1
         stab = report["points"][0]["strong_stability"]
         assert stab["strongly_stable"] is False
@@ -70,7 +71,7 @@ class TestAnalyze:
         src = _write(tmp_path, "p.txt", CROSS_LINEAR)
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out, "--tol", "tol_resid=1e-9"]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["config"]["tol_resid"] == 1e-9
 
     def test_unknown_tol_key_exit_2(self, tmp_path):
@@ -91,7 +92,7 @@ class TestAnalyze:
         )
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["summary"]["num_points"] == 0
         assert report["summary"]["num_rejected_sign"] == 1
         assert report["rejected_sign"][0]["reason"] == "sign condition"
@@ -104,7 +105,7 @@ class TestAnalyze:
         )
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         pts = report["points"]
         assert len(pts) == 1
         assert pts[0]["licq"] is False
@@ -118,7 +119,7 @@ class TestAnalyze:
         )
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out, "--tol", "subset_cap=1"]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["summary"]["num_points"] == 1
         pt = report["points"][0]
         assert pt["x"] == [0.0, 0.0]
@@ -149,7 +150,7 @@ class TestRelaxCommand:
             ["relax", src, "--box", "-1", "2", "--t0", "0.1", "--json", out]
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         limits = sorted(tuple(path["limit"]) for path in report["paths"])
         assert limits == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
         assert all(path["matched"] is not None for path in report["paths"])
@@ -170,7 +171,7 @@ class TestRelaxCommand:
         out = str(tmp_path / "report.json")
         code = main(["relax", src, "--t0", "2.0", "--json", out])
         assert code == 4
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         lost = [p for p in report["paths"] if p["lost"]]
         assert lost
         assert len(lost[0]["samples"]) >= 2
@@ -179,7 +180,7 @@ class TestRelaxCommand:
         src = _write(tmp_path, "p.txt", "vars: x1\nobjective: (x1-1)^2\n")
         out = str(tmp_path / "report.json")
         assert main(["relax", src, "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert len(report["paths"]) == 1
         xs = {tuple(s["x"]) for s in report["paths"][0]["samples"]}
         assert xs == {(1.0,)}
@@ -193,7 +194,7 @@ class TestLevelsetsCommand:
             ["levelsets", src, "--box", "-2", "2", "--levels=-1,1", "--json", out]
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["counts"] == [2, 1]
         assert report["mountain_pass"]["holds"] is True
 
@@ -201,7 +202,7 @@ class TestLevelsetsCommand:
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
         out = str(tmp_path / "report.json")
         assert main(["levelsets", src, "--auto", "8", "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         counts = report["counts"]
         # transitions 0 -> 2 -> 1 across the sweep
         compact = [counts[0]]
@@ -222,7 +223,7 @@ class TestLevelsetsCommand:
         src = _write(tmp_path, "p.txt", INSTABILITY_BOTH)
         out = str(tmp_path / "report.json")
         assert main(["levelsets", src, "--levels", "0.5,1.5", "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert "skipped" in report["mountain_pass"]
 
     def test_emit_labels(self, tmp_path):
@@ -242,7 +243,7 @@ class TestLevelsetsCommand:
             ]
         )
         assert code == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         labels = report["labels_by_level"][0]["labels"]
         assert len(labels) == 21 * 21
         assert set(labels) <= {-1, 0, 1}
@@ -259,14 +260,14 @@ class TestDeterminism:
         for i in range(2):
             out = str(tmp_path / f"report{i}.json")
             assert main(["analyze", src, "--json", out]) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     def test_json_is_key_sorted(self, tmp_path):
         src = _write(tmp_path, "p.txt", STABLE_WITHOUT_ND2)
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         parsed = json.loads(text)
 
         def canon(obj):
@@ -306,7 +307,7 @@ class TestRangeErrors:
         )
         out = str(tmp_path / "report.json")
         assert main(["analyze", src, "--json", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert [pt["x"] for pt in report["points"]] == [[0.0, 0.0]]
 
 
@@ -317,8 +318,8 @@ class TestSeedJitter:
         out2 = str(tmp_path / "b.json")
         assert main(["analyze", src, "--seed", "42", "--json", out1]) == 0
         assert main(["analyze", src, "--seed", "42", "--json", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        report = json.loads(open(out1).read())
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        report = json.loads(Path(out1).read_text())
         assert report["summary"]["num_points"] == 3
 
 
@@ -338,7 +339,7 @@ def _verdicts(tmp_path, text, box=(-2.0, 2.0)):
     out = str(tmp_path / "report.json")
     box_args = ["--box", str(box[0]), str(box[1])]
     assert main(["analyze", src, *box_args, "--json", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     points = sorted(
         (
             round(pt["f"], 6),

@@ -8,9 +8,10 @@ from switchstat.classify import tangent_basis
 from switchstat.expr import Add, Const, Mul, Problem, parse_problem
 from switchstat.stationarity import (
     _active_slots,
-    _batch_jacobian,
+    _batch_lagrangian,
     _batch_residual,
     _branch_jacobian,
+    _branch_jacobians,
     _branch_residual,
     _gradient_rows,
     _grid_starts,
@@ -612,7 +613,8 @@ class TestBatchedNewton:
         cons = list(p.equalities)
         Z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.5, -0.0, 0.0]])
         R, bad = _batch_residual(p.objective, cons, Z, p.n)
-        J, jbad = _batch_jacobian(p.objective, cons, Z, p.n)
+        H, G, jbad = _batch_lagrangian(p.objective, cons, Z, p.n)
+        J = _branch_jacobians(H, G)
         assert not bad.any() and not jbad.any()
         for k, z in enumerate(Z):
             r = _branch_residual(p.objective, cons, z, p.n)

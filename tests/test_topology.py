@@ -4,14 +4,30 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
 import switchstat
+from switchstat import topology
 from switchstat.classify import classify_point
-from switchstat.expr import parse_problem
+from switchstat.expr import (
+    Add,
+    Const,
+    Div,
+    EvalDomainError,
+    Func,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    eval_gradient,
+    eval_value,
+    parse_problem,
+)
 from switchstat.stationarity import find_stationary_points
 from switchstat.topology import (
     DegenerateInputError,
@@ -19,6 +35,7 @@ from switchstat.topology import (
     GridSpec,
     LevelSweep,
     _active_labels,
+    _mesh_eval,
     critical_level_report,
     feasibility_mask,
     mountain_pass_check,
@@ -57,7 +74,7 @@ class TestFeasibilityMask:
     def test_cross_is_axis_bands(self, cross_linear):
         grid = _grid(cross_linear)
         mask = feasibility_mask(cross_linear, grid)
-        X1, X2 = grid.mesh()
+        X1, X2 = np.meshgrid(*grid.axes(), indexing="ij")
         # every node on either axis is feasible
         on_axis = (np.abs(X1) < 1e-12) | (np.abs(X2) < 1e-12)
         assert mask[on_axis].all()
@@ -78,7 +95,7 @@ class TestFeasibilityMask:
     def test_band_thickness_tracks_gradient(self, cross_linear):
         grid = _grid(cross_linear)
         mask = feasibility_mask(cross_linear, grid)
-        X1, X2 = grid.mesh()
+        X1, X2 = np.meshgrid(*grid.axes(), indexing="ij")
         # one grid row above the axis the product constraint still passes
         row = np.abs(X2 - grid.spacing) < 1e-12
         assert mask[row].all()
@@ -367,3 +384,165 @@ def test_cli_import_does_not_load_ndimage():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# Every node type in the objective and again across the constraints, with
+# log of negative values and exact divisions by zero on the grid nodes
+# (x1 = 0 and x1 = x2 are nodes of a 41-point axis over [-2, 2]).
+MESH_1D = """\
+vars: x1
+objective: log(x1 + 1) + 1/x1 - exp(x1)*sin(x1) + cos(-x1) + x1^(-2) + (x1 - 3)^0
+eq: sin(x1 - 0.3)/(x1 - 0.3)^0
+ineq: log(x1 + 1.5) + cos(-x1)*x1^(-2) - exp(x1)/x1 + 5
+switch: x1 - 0.3 | 2 - x1
+"""
+
+MESH_2D = """\
+vars: x1 x2
+objective: log(x1*x2) + x2/x1 - 2*exp(x2)*sin(x1) + cos(-x2) + (x1 - x2)^(-2) + (x1 + x2)^0
+eq: sin(x1 - x2)/(x1 + 3)^0
+ineq: log(x1 + 1.5) + cos(-x2)*x1^(-2) - exp(x2)/x1 + 5
+switch: x1 - 0.3 | x2 + 0.5
+"""
+
+MESH_3D = """\
+vars: x1 x2 x3
+objective: log(x1*x3) + x2/x1 - 2*exp(x3)*sin(x2) + cos(-x3) + (x1 - x2)^(-2) + (x2 + x3)^0
+eq: sin(x1 - x3)/(x2 + 3)^0
+ineq: log(x2 + 1.5) + cos(-x3)*x1^(-2) - exp(x2)/x1 + 5
+switch: x1 - 0.3 | x2 + 0.5*x3
+"""
+
+MESH_TEXTS = pytest.mark.parametrize(
+    "text", [MESH_1D, MESH_2D, MESH_3D], ids=["1d", "2d", "3d"]
+)
+
+ALL_KINDS = {
+    "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow^0", "Pow^-2", "Neg",
+    "sin", "cos", "exp", "log",
+}
+
+
+def _node_kinds(e):
+    if isinstance(e, Const):
+        return {"Const"}
+    if isinstance(e, Var):
+        return {"Var"}
+    if isinstance(e, Pow):
+        return {f"Pow^{e.exponent}"} | _node_kinds(e.base)
+    if isinstance(e, Neg):
+        return {"Neg"} | _node_kinds(e.a)
+    if isinstance(e, Func):
+        return {e.name} | _node_kinds(e.arg)
+    return {type(e).__name__} | _node_kinds(e.a) | _node_kinds(e.b)
+
+
+def _mesh_exprs(p):
+    """Every expression the mask and the objective walk."""
+    members = [f for pair in p.switches for f in pair]
+    products = [Mul(f1, f2) for f1, f2 in p.switches]
+    return [p.objective, *p.equalities, *p.inequalities, *members, *products]
+
+
+def _full_mesh(grid):
+    return np.meshgrid(*grid.axes(), indexing="ij")
+
+
+class TestMeshSlabs:
+    """The mask and the objective do not depend on how the first axis is cut
+    into slabs."""
+
+    @MESH_TEXTS
+    def test_fixtures_cover_every_node_and_nonfinite_values(self, text):
+        p = parse_problem(text)
+        assert _node_kinds(p.objective) == ALL_KINDS
+        cons = [*p.equalities, *p.inequalities, *p.switches[0]]
+        assert set().union(*map(_node_kinds, cons)) == ALL_KINDS
+        grid = _grid(p, res=41)
+        with np.errstate(all="ignore"):
+            v, g = _mesh_eval(p.inequalities[0], _full_mesh(grid), True)
+        assert np.isnan(v).any()
+        assert not all(np.isfinite(gi).all() for gi in g)
+        fvals = objective_values(p, grid)
+        assert np.isnan(fvals).any() and np.isinf(fvals).any()
+        mask = feasibility_mask(p, grid)
+        assert mask.any() and not mask.all()
+
+    @MESH_TEXTS
+    def test_slab_size_does_not_change_a_bit(self, text, monkeypatch):
+        p = parse_problem(text)
+        grid = _grid(p, res=41)
+        row = 41 ** (p.n - 1)
+        results = []
+        # one row per slab, 3 rows (41 is not a multiple), the whole grid
+        for nodes in (1, 3 * row, 41 * row):
+            monkeypatch.setattr(topology, "_SLAB_NODES", nodes)
+            mask = feasibility_mask(p, grid)
+            fvals = objective_values(p, grid)
+            assert mask.dtype == bool and fvals.dtype == np.float64
+            assert mask.shape == fvals.shape == (41,) * p.n
+            results.append((mask.tobytes(), fvals.tobytes()))
+        assert results[0] == results[1] == results[2]
+
+
+class TestMeshEval:
+    """The mesh walker against the scalar evaluator.  numpy's exp, log and
+    power round differently from libm, so values agree to rounding, not
+    bitwise."""
+
+    @MESH_TEXTS
+    def test_matches_scalar_value_and_gradient(self, text):
+        p = parse_problem(text)
+        grid = _grid(p, res=41)
+        mesh = _full_mesh(grid)
+        rng = np.random.default_rng(3)
+        nodes = rng.integers(0, 41, size=(300, p.n))
+        checked = 0
+        for e in _mesh_exprs(p):
+            with np.errstate(all="ignore"):
+                v, g = _mesh_eval(e, mesh, True)
+            for node in map(tuple, nodes):
+                x = [m[node] for m in mesh]
+                try:
+                    ref_v = eval_value(e, x)
+                    ref_g = eval_gradient(e, x)
+                except EvalDomainError:
+                    continue
+                np.testing.assert_allclose(v[node], ref_v, rtol=1e-12, atol=0)
+                got_g = [gi[node] for gi in g]
+                np.testing.assert_allclose(got_g, ref_g, rtol=1e-12, atol=0)
+                checked += 1
+        assert checked > 300
+
+    @MESH_TEXTS
+    def test_value_only_walk_keeps_the_value_bits(self, text):
+        p = parse_problem(text)
+        mesh = _full_mesh(_grid(p, res=41))
+        with np.errstate(all="ignore"):
+            for e in _mesh_exprs(p):
+                v, g = _mesh_eval(e, mesh, False)
+                vg, gg = _mesh_eval(e, mesh, True)
+                assert g is None and len(gg) == p.n
+                assert v.tobytes() == vg.tobytes()
+
+
+# perfbench's levelsets-3d problem, walked at its default 101^3 grid
+LEVELSETS_3D = """\
+vars: x1 x2 x3
+objective: (x1^2-1)^2 + (x2^2-1)^2 + (x3-0.5)^2 + 0.2*x1*x2
+switch: x1 - 0.5 | x3
+"""
+
+
+def test_feasibility_mask_memory_at_101_cubed():
+    p = parse_problem(LEVELSETS_3D)
+    grid = GridSpec.for_problem(p, (-2.0, 2.0))
+    assert grid.resolution == 101
+    tracemalloc.start()
+    try:
+        mask = feasibility_mask(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (101,) * 3 and mask.any()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
