@@ -96,6 +96,18 @@ def solve_linear(A, b, tols: ToleranceConfig = DEFAULT_TOLS) -> np.ndarray:
     under the tolerance policy, or when a square solve fails its residual
     sanity bound (ill-conditioning that slipped past the rank test).
     """
+    return _checked_lstsq(A, b, None, tols)
+
+
+def _checked_lstsq(A, b, x, tols: ToleranceConfig) -> np.ndarray:
+    """:func:`solve_linear` on a solution ``x`` the caller already holds.
+
+    ``x`` must be ``np.linalg.lstsq(A, b, rcond=None)[0]`` for the same
+    ``A`` and ``b``, or None to compute it here.  The rank test and the
+    square residual test run as in :func:`solve_linear`, so ``x`` is
+    returned, or :class:`SingularSystemError` raised, exactly where
+    :func:`solve_linear` would return or raise.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
@@ -103,7 +115,8 @@ def solve_linear(A, b, tols: ToleranceConfig = DEFAULT_TOLS) -> np.ndarray:
         raise SingularSystemError(
             f"column rank of the {m}x{n} system is deficient"
         )
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if x is None:
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
     if m == n:
         scale = 1.0 + float(np.abs(A).max(initial=0.0)) * float(
             np.abs(x).max(initial=0.0)

@@ -25,13 +25,21 @@ solver :func:`newton_solve_branch` in the same order, so each outcome, and
 with it every accepted point, is bitwise the same as solving the lanes one at
 a time.  Continuation, which solves from one start at a time, calls
 :func:`newton_solve_branch` directly.
+
+The accept filter runs once per bitwise-distinct converged ``x``: many lanes
+converge to the same bits (on the benchmark's mid3 problem, 1125 converged
+lanes hold 493 distinct ``x``).  Its verdict reads nothing of a lane but
+``x``, so a lane that repeats an earlier ``x`` bit for bit takes that
+verdict, and counting and deduplication still run per lane: the result is
+exactly that of filtering every lane.  A point where a constraint function
+is undefined is infeasible, and is dropped like any other.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .linalg import (
     DEFAULT_TOLS,
     SingularSystemError,
     ToleranceConfig,
+    _checked_lstsq,
     rank,
     solve_linear,
 )
@@ -923,11 +932,91 @@ def _grid_starts(n, box, cfg):
     return starts
 
 
+class _Verdict(NamedTuple):
+    """The accept filter's verdict on one candidate: ``kind`` is "drop"
+    (outside the inflated box, infeasible, undefined there, or violating
+    complementarity), "residual" (stationarity residual too large), "sign"
+    (a negative inequality multiplier) or "accept"."""
+
+    kind: str
+    mult: Optional[Multipliers] = None
+    idx: Optional[IndexSets] = None
+    resid: float = 0.0
+    licq: bool = False
+
+
+_DROP = _Verdict("drop")
+_RESIDUAL = _Verdict("residual")
+
+
+def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
+    """The accept filter on one converged candidate ``x``, inside the
+    inflated box ``[lo, hi]`` per axis: feasibility, the index sets, the LICQ
+    rank, least-squares multipliers and their sign, then an independent
+    residual.  It reads nothing of the candidate but ``x``."""
+    if np.any(x < lo) or np.any(x > hi):
+        return _DROP
+    try:
+        idx, slots, G, r = _licq_stack(p, x, cfg)
+    except (InfeasiblePointError, EvalDomainError):
+        # a point where a constraint function is undefined is infeasible
+        return _DROP
+    licq = r == G.shape[0]
+    df = eval_gradient(p.objective, x)
+    # least squares: the unique multipliers under LICQ, a representative of
+    # the multiplier set otherwise
+    y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
+    mult = _multipliers_from_slots(p, slots, y, unique=licq)
+    if any(mj < -cfg.tol_sign for mj in mult.mu):
+        return _Verdict("sign", mult, idx)
+    if licq and slots:
+        # re-verification under LICQ: the checks of recover_multipliers'
+        # solve on the same stack, whose least squares ``y`` already is; a
+        # failure means the candidate is not stationary at the required
+        # residual
+        try:
+            _checked_lstsq(G.T, df, y, cfg.lin)
+        except SingularSystemError:
+            return _RESIDUAL
+    resid = stationarity_residual(p, x, mult)
+    # under LICQ the residual is judged first, as in recover_multipliers, so
+    # a candidate failing both checks counts as residual-rejected
+    if licq and resid > cfg.tol_resid:
+        return _RESIDUAL
+    if complementarity_violation(p, x, mult) > cfg.tol_comp:
+        return _DROP
+    if resid > cfg.tol_resid:
+        return _RESIDUAL
+    return _Verdict("accept", mult, idx, resid, licq)
+
+
+def _per_distinct_x(verdict):
+    """``verdict(x)`` run once per bitwise-distinct ``x``: later calls with
+    the same bytes return the first result.  The key is ``x.tobytes()``, so
+    ``-0.0`` and ``0.0`` stay apart."""
+    memo = {}
+
+    def cached(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = verdict(x)
+        return memo[key]
+
+    return cached
+
+
 def search_stationary_points(
     p: Problem, box, cfg: SolveConfig = DEFAULT_CONFIG
 ) -> SearchResult:
     """Full multi-start search returning accepted points, the sign-condition
-    reject list and solver diagnostics."""
+    reject list and solver diagnostics.
+
+    The accept filter runs once per bitwise-distinct converged ``x``.  Its
+    verdict depends on nothing but ``x``, so a repeat takes the first
+    verdict, and the counting and the deduplication that follow run for
+    every candidate as before: ``points``, ``rejected_sign`` and
+    ``diagnostics`` are those of filtering every candidate.
+    """
     lo, hi = float(box[0]), float(box[1])
     if not hi > lo:
         raise ValueError(f"empty box [{lo}, {hi}]")
@@ -944,6 +1033,9 @@ def search_stationary_points(
     ]
 
     pad = cfg.box_inflation * (hi - lo)
+    verdict_of = _per_distinct_x(
+        lambda x: _accept_verdict(p, x, lo - pad, hi + pad, cfg)
+    )
     accepted: list[WStationaryPoint] = []
     rejected: list[Rejection] = []
     for pattern, outcome in candidates:
@@ -951,58 +1043,29 @@ def search_stationary_points(
             continue
         diagnostics["converged"] += 1
         x, _ = outcome
-        if np.any(x < lo - pad) or np.any(x > hi + pad):
+        v = verdict_of(x)
+        if v.kind == "drop":
             continue
-        try:
-            idx, slots, G, r = _licq_stack(p, x, cfg)
-        except InfeasiblePointError:
+        if v.kind == "residual":
+            diagnostics["residual_rejected"] += 1
             continue
-        licq = r == G.shape[0]
-        df = eval_gradient(p.objective, x)
-        # least squares: the unique multipliers under LICQ, a representative
-        # of the multiplier set otherwise
-        y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
-        mult = _multipliers_from_slots(p, slots, y, unique=licq)
-        if any(mj < -cfg.tol_sign for mj in mult.mu):
-            xt = tuple(float(v) + 0.0 for v in x)
-            if all(
-                _dist(xt, r.x) > cfg.dedup_radius for r in rejected
-            ):
+        xt = tuple(float(c) + 0.0 for c in x)
+        if v.kind == "sign":
+            if all(_dist(xt, r.x) > cfg.dedup_radius for r in rejected):
                 rejected.append(
-                    Rejection(xt, mult, idx, reason="sign condition")
+                    Rejection(xt, v.mult, v.idx, reason="sign condition")
                 )
             continue
-        if licq:
-            # re-verification under LICQ: the checked solve of
-            # recover_multipliers on the same stack; failures mean the
-            # candidate is not actually stationary at the required residual
-            try:
-                mult = _unique_multipliers(p, slots, G, df, cfg)
-            except SingularSystemError:
-                diagnostics["residual_rejected"] += 1
-                continue
-        resid = stationarity_residual(p, x, mult)
-        # under LICQ the residual is judged first, as in recover_multipliers,
-        # so a candidate failing both checks counts as residual-rejected
-        if licq and resid > cfg.tol_resid:
-            diagnostics["residual_rejected"] += 1
-            continue
-        if complementarity_violation(p, x, mult) > cfg.tol_comp:
-            continue
-        if resid > cfg.tol_resid:
-            diagnostics["residual_rejected"] += 1
-            continue
-        xt = tuple(float(v) + 0.0 for v in x)
         if any(_dist(xt, a.x) <= cfg.dedup_radius for a in accepted):
             continue
         accepted.append(
             WStationaryPoint(
                 x=xt,
                 f_value=eval_value(p.objective, x),
-                mult=mult,
-                idx=idx,
-                residual=resid,
-                licq=licq,
+                mult=v.mult,
+                idx=v.idx,
+                residual=v.resid,
+                licq=v.licq,
                 source_pattern=pattern,
             )
         )

@@ -310,6 +310,28 @@ class TestRangeErrors:
         report = json.loads(Path(out).read_text())
         assert [pt["x"] for pt in report["points"]] == [[0.0, 0.0]]
 
+    # lanes whose pattern leaves the log inequality unpinned converge to
+    # x1 < -0.5, where the inequality is undefined: such a candidate is
+    # infeasible, not an error
+    UNDEFINED_CONSTRAINT = (
+        "vars: x1 x2\nobjective: (x1+1)^2 + (x2-1)^2\nineq: log(x1+0.5)\n"
+        "switch: x1 | x2\n"
+    )
+
+    def test_undefined_constraint_at_a_candidate_is_contained(self, tmp_path):
+        src = _write(tmp_path, "p.txt", self.UNDEFINED_CONSTRAINT)
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", src, "--json", out]) == 0
+        report = json.loads(Path(out).read_text())
+        (pt,) = report["points"]
+        assert pt["x"] == [0.5, 0.0]
+        assert pt["f"] == 3.25
+        assert pt["w_index"]["w_index"] == 0
+        assert pt["classification"] == "minimizer"
+        assert pt["strong_stability"]["strongly_stable"] is True
+        assert main(["relax", src]) == 0
+        assert main(["levelsets", src, "--auto", "4"]) == 0
+
 
 class TestSeedJitter:
     def test_seeded_runs_are_reproducible(self, tmp_path):

@@ -6,6 +6,13 @@ import pytest
 from switchstat import stationarity
 from switchstat.classify import tangent_basis
 from switchstat.expr import Add, Const, Mul, Problem, parse_problem
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
+)
 from switchstat.stationarity import (
     _active_slots,
     _batch_lagrangian,
@@ -74,6 +81,15 @@ ineq: -1.497*x1 + 0.454*x2 + -1.18*x3 + -0.283
 ineq: -0.341*x1 + -1.304*x2 + 1.249*x3 + 0.567
 switch: -0.906*x1 + 0.709*x2 + -0.505*x3 + -0.33 | 0.243*x1 + 1.166*x2 + 1.308*x3 + 0.486
 switch: -0.972*x1 + 0.932*x2 + -0.624*x3 + -0.601 | -0.217*x1 + 0.183*x2 + -0.708*x3 + 0.979
+"""
+
+# problem 76 of the same corpus: at tol_resid=1e-13 its search rejects one
+# candidate on the residual
+CORPUS_P076 = """\
+vars: x1 x2 x3
+objective: -1.609*x1 + -1.062*x2 + -0.37*x3 + -1.997*x1^2 + 0.67*x2^2 + 0.52*x3^2 + 1.25*x3
+switch: 0.946*x1 + 1.427*x2 + 0.194*x3 + 0.024 | 0.906*x1 + 0.689*x2 + 0.096*x3 + 0.902
+switch: -0.63*x1 + 0.573*x2 + -1.463*x3 + -0.239 | 0.53*x1 + 1.248*x2 + -0.925*x3 + 0.746
 """
 
 # every kind of slot (an equality, two inequalities, two switching pairs) in a
@@ -717,6 +733,93 @@ class TestSearchDiagnostics:
             "residual_rejected": 0,
         }
         assert len(res.points) == 15
+
+
+def _count_verdicts(monkeypatch):
+    """Count the accept filter's runs from here on."""
+    runs = []
+    verdict = stationarity._accept_verdict
+
+    def spy(*args):
+        runs.append(args[1].tobytes())
+        return verdict(*args)
+
+    monkeypatch.setattr(stationarity, "_accept_verdict", spy)
+    return runs
+
+
+class TestAcceptFilterOncePerX:
+    """The accept filter runs once per bitwise-distinct candidate x, and the
+    search result is the one of filtering every candidate."""
+
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [
+            (MID3, SolveConfig()),
+            (MID3, SolveConfig(seed=7)),
+            (CROSS_LINEAR, SolveConfig()),
+            (CROSS_QUADRATIC, SolveConfig()),
+            (INSTABILITY_BOTH, SolveConfig()),
+            (INSTABILITY_ONE, SolveConfig()),
+            (STABLE_WITHOUT_ND2, SolveConfig()),
+            (LEVELSETS_3D, SolveConfig()),
+            (CORPUS_P024, SolveConfig(grid_points=2)),
+            (CORPUS_P076, SolveConfig(grid_points=2, tol_resid=1e-13)),
+        ],
+        ids=["mid3", "mid3-seed7", "cross_linear", "cross_quadratic",
+             "instability_both", "instability_one", "stable_without_nd2",
+             "levelsets-3d", "corpus-p024", "corpus-p076-tight"],
+    )
+    def test_equals_filtering_every_candidate(self, monkeypatch, text, cfg):
+        p = parse_problem(text)
+        once = search_stationary_points(p, (-2.0, 2.0), cfg)
+        monkeypatch.setattr(stationarity, "_per_distinct_x", lambda verdict: verdict)
+        every = search_stationary_points(p, (-2.0, 2.0), cfg)
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        assert repr(once) == repr(every)
+        assert once.points or once.rejected_sign
+
+    def test_tight_residual_rejection_is_counted(self):
+        cfg = SolveConfig(grid_points=2, tol_resid=1e-13)
+        res = search_stationary_points(parse_problem(CORPUS_P076), (-2.0, 2.0), cfg)
+        assert res.diagnostics["residual_rejected"] == 1
+
+    def test_mid3_runs_once_per_distinct_x(self, monkeypatch):
+        runs = _count_verdicts(monkeypatch)
+        res = search_stationary_points(parse_problem(MID3), (-2.0, 2.0))
+        assert res.diagnostics["converged"] == 1125
+        assert len(runs) == len(set(runs)) == 493
+
+    @staticmethod
+    def _lanes_at(monkeypatch, xs):
+        """Make the search's Newton solver return one converged lane per row
+        of ``xs``, all from the first pattern, and no other."""
+
+        def fake(p, patterns, starts, cfg, diagnostics):
+            zero = _multipliers_from_slots(p, [], [])
+            out = [[None] * len(starts) for _ in patterns]
+            out[0][:len(xs)] = [(np.array(x, dtype=float), zero) for x in xs]
+            return out
+
+        monkeypatch.setattr(stationarity, "_newton_solve_patterns", fake)
+
+    def test_repeats_count_every_residual_rejection(self, monkeypatch, cross_quadratic):
+        # (0, 0.5) is feasible but not stationary: the objective gradient
+        # (-2, -1) has a component along x2, which carries no multiplier
+        self._lanes_at(monkeypatch, [(0.0, 0.5)] * 3)
+        runs = _count_verdicts(monkeypatch)
+        res = search_stationary_points(cross_quadratic, (-2.0, 2.0))
+        assert res.diagnostics["converged"] == 3
+        assert res.diagnostics["residual_rejected"] == 3
+        assert res.points == [] and res.rejected_sign == []
+        assert len(runs) == 1
+
+    def test_signed_zeros_are_distinct_candidates(self, monkeypatch, cross_quadratic):
+        self._lanes_at(monkeypatch, [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)])
+        runs = _count_verdicts(monkeypatch)
+        res = search_stationary_points(cross_quadratic, (-2.0, 2.0))
+        assert len(runs) == 2
+        assert [pt.x for pt in res.points] == [(0.0, 1.0)]
 
 
 # the problem of TestLicqMatrix.test_full_fixed_order with every active
