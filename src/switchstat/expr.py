@@ -19,6 +19,9 @@ so all derivatives are exact up to floating rounding; no finite differences
 are involved.  Hessians are assembled so that transposed entries are the
 bitwise-identical floats.  ``eval_batch`` walks the tree once for a whole
 array of points and reproduces the scalar results bit for bit, lane by lane.
+``_StraightLine`` compiles the same derivatives of a tree's shape (its nodes
+without their constant values) into straight-line Python, again bit for bit,
+for callers that evaluate one point at a time many times.
 Expressions and problems are immutable after construction and all
 evaluation entry points are reentrant.
 """
@@ -26,6 +29,7 @@ evaluation entry points are reentrant.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -269,29 +273,32 @@ class Div(Expr):
         return max(self.a.max_var_index(), self.b.max_var_index())
 
 
+def _pow(u, m):
+    """``u ** m`` for an integer ``m``, raising EvalDomainError for zero to a
+    negative power and for an overflowing result."""
+    if u == 0.0 and m < 0:
+        raise EvalDomainError("zero raised to a negative power")
+    try:
+        return u ** m
+    except OverflowError:
+        raise EvalDomainError("power overflows") from None
+
+
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
 
-    def _pow(self, u, m):
-        if u == 0.0 and m < 0:
-            raise EvalDomainError("zero raised to a negative power")
-        try:
-            return u ** m
-        except OverflowError:
-            raise EvalDomainError("power overflows") from None
-
     def val(self, x):
-        return self._pow(self.base.val(x), self.exponent)
+        return _pow(self.base.val(x), self.exponent)
 
     def val_grad(self, x):
         m = self.exponent
         u, gu = self.base.val_grad(x)
         if m == 0:
             return 1.0, _zeros(len(x))
-        a = m * self._pow(u, m - 1)
-        return self._pow(u, m), [a * gu[i] for i in range(len(x))]
+        a = m * _pow(u, m - 1)
+        return _pow(u, m), [a * gu[i] for i in range(len(x))]
 
     def val_grad_hess(self, x):
         n = len(x)
@@ -299,14 +306,14 @@ class Pow(Expr):
         u, gu, Hu = self.base.val_grad_hess(x)
         if m == 0:
             return 1.0, _zeros(n), _zmat(n)
-        a = m * self._pow(u, m - 1)
-        b = 0.0 if m * (m - 1) == 0 else m * (m - 1) * self._pow(u, m - 2)
+        a = m * _pow(u, m - 1)
+        b = 0.0 if m * (m - 1) == 0 else m * (m - 1) * _pow(u, m - 2)
         g = [a * gu[i] for i in range(n)]
         H = [
             [a * Hu[i][j] + b * (gu[i] * gu[j]) for j in range(n)]
             for i in range(n)
         ]
-        return self._pow(u, m), g, H
+        return _pow(u, m), g, H
 
     def max_var_index(self):
         return self.base.max_var_index()
@@ -560,6 +567,265 @@ def _walk(e, X, hess, bad):
             H = ((Ha - w[:, None, None] * Hb) - _cross(g, gb)) / vb[:, None, None]
         return w, g, H
     raise TypeError(f"unknown node {t.__name__}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# straight-line code: a tree's derivatives compiled to Python statements
+# ---------------------------------------------------------------------------
+
+
+def _expr_shape(e: Expr, consts: list):
+    """The shape of ``e``: a nested tuple of node classes with their variable
+    indices, exponents and function names, holding no constant value.  The
+    values of the ``Const`` nodes are appended to ``consts`` in the order
+    :class:`_StraightLine` numbers them, so trees that differ only in their
+    constants share one shape and one compiled function."""
+    t = type(e)
+    if t is Const:
+        consts.append(e.value)
+        return (Const,)
+    if t is Var:
+        return (Var, operator.index(e.index))
+    if t is Neg:
+        return (Neg, _expr_shape(e.a, consts))
+    if t is Pow:
+        return (Pow, _expr_shape(e.base, consts), operator.index(e.exponent))
+    if t is Func:
+        return (Func, e.name, _expr_shape(e.arg, consts))
+    if t in (Add, Sub, Mul, Div):
+        return (t, _expr_shape(e.a, consts), _expr_shape(e.b, consts))
+    raise TypeError(f"unknown node {t.__name__}")
+
+
+def _negative_zero(c):
+    return c == 0.0 and math.copysign(1.0, c) < 0.0
+
+
+class _StraightLine:
+    """Writes functions ``name(Z, C)`` of straight-line Python that compute
+    the values, gradients and Hessians of expression shapes.
+
+    ``Z`` holds the point ``x0 .. x{n-1}`` followed by ``extra`` further
+    floats ``y0 ..``; ``C`` holds the shapes' constants in the order of
+    :func:`_expr_shape`.  Every node runs the floating-point operations of
+    ``val_grad`` (or ``val_grad_hess``) and raises :class:`EvalDomainError`
+    where they raise: powers go through the same checked power, functions
+    through the same :data:`FUNCTIONS` entries, and a division checks its
+    divisor first.  An operation whose operands are all derivative constants
+    of the node types (the 0.0 and 1.0 of leaves) is done while writing, and
+    ``a + (-0.0)``, ``a - 0.0`` and ``a * 1.0``, which give ``a`` bit for
+    bit, are not written; every other operation is written as it is, once
+    for all its uses with the same operands.  Only entries on and above a
+    Hessian's diagonal are computed, because the tree methods give
+    transposed entries the same bits.
+
+    The source holds node operations, integer variable indices and
+    exponents, and the names of :data:`FUNCTIONS`; constants of the trees
+    arrive in ``C`` and the derivative constants as names bound at compile
+    time, so no float is ever written as text.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._pool = {}  # float.hex() -> (name, value)
+        self._functions = []
+        self._lines = None
+
+    # -- functions ----------------------------------------------------------
+
+    def begin(self, name: str, extra: int = 0):
+        """Start the function ``name`` of ``n + extra`` values in ``Z``."""
+        self._name = name
+        self._lines = []
+        self._temps = 0
+        self._consts = 0
+        self._extra = extra
+        self._written = {}  # right-hand side -> the temporary holding it
+
+    def end(self, result: str):
+        """Finish the function, returning the expression ``result``."""
+        names = [f"x{i}" for i in range(self.n)] + [
+            f"y{i}" for i in range(self._extra)
+        ]
+        head = [f"def {self._name}(Z, C):", f"    {', '.join(names)}, = Z"]
+        if self._consts:
+            consts = ", ".join(f"c{k}" for k in range(self._consts))
+            head.append(f"    {consts}, = C")
+        self._functions.append(
+            "\n".join(head + self._lines + [f"    return {result}"])
+        )
+        self._lines = None
+
+    def line(self, text: str, depth: int = 1):
+        self._lines.append("    " * depth + text)
+
+    def source(self) -> str:
+        """The source text of the finished functions."""
+        return "\n\n".join(self._functions) + "\n"
+
+    def compile(self):
+        """The finished functions by name."""
+        namespace = {
+            "_pow": _pow,
+            "EvalDomainError": EvalDomainError,
+            **{f"_f_{name}": fn for name, fn in FUNCTIONS.items()},
+            **dict(self._pool.values()),
+        }
+        exec(compile(self.source(), "<straight-line code>", "exec"), namespace)
+        return namespace
+
+    # -- terms: a float is a derivative constant, a str a name in the code --
+
+    def ref(self, term) -> str:
+        """The source text of a term."""
+        if isinstance(term, str):
+            return term
+        key = term.hex()
+        if key not in self._pool:
+            self._pool[key] = (f"k{len(self._pool)}", term)
+        return self._pool[key][0]
+
+    def _temp(self, text, width=1):
+        """The temporary (``width`` > 1: a tuple of them) holding ``text``;
+        a right-hand side already written is not written again."""
+        if text not in self._written:
+            names = [f"t{self._temps + k}" for k in range(width)]
+            self._temps += width
+            self.line(f"{', '.join(names)} = {text}")
+            self._written[text] = names[0] if width == 1 else names
+        return self._written[text]
+
+    def add(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return a + b
+        if isinstance(b, float) and _negative_zero(b):
+            return a
+        if isinstance(a, float) and _negative_zero(a):
+            return b
+        return self._temp(f"{self.ref(a)} + {self.ref(b)}")
+
+    def sub(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return a - b
+        if isinstance(b, float) and b == 0.0 and not _negative_zero(b):
+            return a
+        return self._temp(f"{self.ref(a)} - {self.ref(b)}")
+
+    def mul(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return a * b
+        if isinstance(a, float) and a == 1.0:
+            return b
+        if isinstance(b, float) and b == 1.0:
+            return a
+        return self._temp(f"{self.ref(a)} * {self.ref(b)}")
+
+    def neg(self, a):
+        if isinstance(a, float):
+            return -a
+        return self._temp(f"-{a}")
+
+    def div(self, a, b):
+        return self._temp(f"{self.ref(a)} / {self.ref(b)}")
+
+    # -- trees --------------------------------------------------------------
+
+    def _sym(self, entry):
+        """An n x n matrix of terms from ``entry(i, j)`` on and above the
+        diagonal."""
+        n = self.n
+        H = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                H[i][j] = H[j][i] = entry(i, j)
+        return H
+
+    def derivatives(self, shape, hess: bool):
+        """Write the code of one tree; returns the terms of its value, its
+        gradient and (when ``hess``) its Hessian, else None."""
+        n = self.n
+        tag = shape[0]
+        zeros = [[0.0] * n for _ in range(n)] if hess else None
+        if tag is Const:
+            self._consts += 1
+            return f"c{self._consts - 1}", [0.0] * n, zeros
+        if tag is Var:
+            # the list indexing of Var.val_grad, negative indices included
+            i = shape[1]
+            if not -n <= i < n:
+                raise IndexError(f"variable index {i} out of range for n={n}")
+            i %= n
+            g = [0.0] * n
+            g[i] = 1.0
+            return f"x{i}", g, zeros
+        if tag is Neg:
+            v, g, H = self.derivatives(shape[1], hess)
+            Hn = self._sym(lambda i, j: self.neg(H[i][j])) if hess else None
+            return self.neg(v), [self.neg(gi) for gi in g], Hn
+        if tag is Func:
+            FUNCTIONS[shape[1]]  # only the table's names reach the source
+            u, gu, Hu = self.derivatives(shape[2], hess)
+            w, d1, d2 = self._temp(f"_f_{shape[1]}({self.ref(u)})", width=3)
+            g = [self.mul(d1, gi) for gi in gu]
+            H = None
+            if hess:
+                H = self._sym(lambda i, j: self.add(
+                    self.mul(d1, Hu[i][j]), self.mul(d2, self.mul(gu[i], gu[j]))
+                ))
+            return w, g, H
+        if tag is Pow:
+            m = shape[2]
+            u, gu, Hu = self.derivatives(shape[1], hess)
+            if m == 0:
+                return 1.0, [0.0] * n, zeros
+            ur = self.ref(u)
+            a = self._temp(f"({m}) * _pow({ur}, ({m - 1}))")
+            H = None
+            if hess:
+                b = 0.0
+                if m * (m - 1) != 0:
+                    b = self._temp(f"({m * (m - 1)}) * _pow({ur}, ({m - 2}))")
+                H = self._sym(lambda i, j: self.add(
+                    self.mul(a, Hu[i][j]), self.mul(b, self.mul(gu[i], gu[j]))
+                ))
+            g = [self.mul(a, gi) for gi in gu]
+            return self._temp(f"_pow({ur}, ({m}))"), g, H
+
+        va, ga, Ha = self.derivatives(shape[1], hess)
+        vb, gb, Hb = self.derivatives(shape[2], hess)
+        H = None
+        if tag is Add:
+            if hess:
+                H = self._sym(lambda i, j: self.add(Ha[i][j], Hb[i][j]))
+            return self.add(va, vb), [self.add(x, y) for x, y in zip(ga, gb)], H
+        if tag is Sub:
+            if hess:
+                H = self._sym(lambda i, j: self.sub(Ha[i][j], Hb[i][j]))
+            return self.sub(va, vb), [self.sub(x, y) for x, y in zip(ga, gb)], H
+        if tag is Mul:
+            g = [self.add(self.mul(va, gb[i]), self.mul(vb, ga[i])) for i in range(n)]
+            if hess:
+                # the parenthesisation of Mul.val_grad_hess
+                H = self._sym(lambda i, j: self.add(
+                    self.add(self.mul(va, Hb[i][j]), self.mul(vb, Ha[i][j])),
+                    self.add(self.mul(ga[i], gb[j]), self.mul(gb[i], ga[j])),
+                ))
+            return self.mul(va, vb), g, H
+        if tag is Div:
+            self.line(f"if not {self.ref(vb)}:")
+            self.line('raise EvalDomainError("division by zero")', depth=2)
+            w = self.div(va, vb)
+            g = [self.div(self.sub(ga[i], self.mul(w, gb[i])), vb) for i in range(n)]
+            if hess:
+                H = self._sym(lambda i, j: self.div(
+                    self.sub(
+                        self.sub(Ha[i][j], self.mul(w, Hb[i][j])),
+                        self.add(self.mul(g[i], gb[j]), self.mul(gb[i], g[j])),
+                    ),
+                    vb,
+                ))
+            return w, g, H
+        raise TypeError(f"unknown node {tag}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ patterns.  Every lane runs the floating-point operations of the single-start
 solver :func:`newton_solve_branch` in the same order, so each outcome, and
 with it every accepted point, is bitwise the same as solving the lanes one at
 a time.  Continuation, which solves from one start at a time, calls
-:func:`newton_solve_branch` directly.
+:func:`newton_solve_branch` directly.  Its residual and Jacobian run as
+straight-line code compiled once per shape of the branch system (the
+objective and the pinned constraints without their constant values), bitwise
+equal to the tree methods' ``val_grad`` and ``val_grad_hess``; the relaxed
+problems along a continuation path differ only in constants and share it.
 
 The accept filter runs once per bitwise-distinct converged ``x``: many lanes
 converge to the same bits (on the benchmark's mid3 problem, 1125 converged
@@ -37,7 +41,9 @@ is undefined is infeasible, and is dropped like any other.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -47,6 +53,8 @@ from .expr import (
     EvalDomainError,
     Expr,
     Problem,
+    _expr_shape,
+    _StraightLine,
     eval_batch,
     eval_gradient,
     eval_value,
@@ -232,15 +240,19 @@ class LicqReport:
 
 
 def feasibility_violation(p: Problem, x) -> float:
-    """Max-norm violation of equalities, inequalities and switching products."""
+    """Max-norm violation of equalities, inequalities and switching products;
+    ``inf`` where a constraint function is undefined."""
     xl = [float(v) for v in x]
     worst = 0.0
-    for h in p.equalities:
-        worst = max(worst, abs(h.val(xl)))
-    for g in p.inequalities:
-        worst = max(worst, max(0.0, -g.val(xl)))
-    for f1, f2 in p.switches:
-        worst = max(worst, abs(f1.val(xl) * f2.val(xl)))
+    try:
+        for h in p.equalities:
+            worst = max(worst, abs(h.val(xl)))
+        for g in p.inequalities:
+            worst = max(worst, max(0.0, -g.val(xl)))
+        for f1, f2 in p.switches:
+            worst = max(worst, abs(f1.val(xl) * f2.val(xl)))
+    except EvalDomainError:
+        return math.inf
     return worst
 
 
@@ -363,7 +375,9 @@ def _licq_stack(p: Problem, x, cfg: SolveConfig):
 
 
 def check_licq(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> LicqReport:
-    """LICQ holds iff the active gradient stack has full row rank."""
+    """LICQ holds iff the active gradient stack has full row rank.  Raises
+    :class:`InfeasiblePointError` at a point infeasible beyond ``tol_feas``,
+    one where a constraint function is undefined included."""
     _, _, G, r = _licq_stack(p, x, cfg)
     return LicqReport(holds=(r == G.shape[0]), rank=r, rows=G.shape[0])
 
@@ -428,7 +442,8 @@ def recover_multipliers(
 
     Solves the multiplier rule against the stacked active gradients and
     verifies the full stationarity residual.  Raises
-    :class:`LicqViolationError` when LICQ fails (multipliers would not be
+    :class:`InfeasiblePointError` at an infeasible point (as
+    :func:`check_licq`), :class:`LicqViolationError` when LICQ fails (multipliers would not be
     unique), :class:`SingularSystemError` on tolerance breakdown and
     :class:`NotStationaryError` when the point is not W-stationary.
     """
@@ -531,6 +546,97 @@ def _branch_jacobian(objective, cons, z, n):
     return J
 
 
+# Most branch-system shapes whose compiled code is kept: continuation on the
+# five example problems meets 10 shapes.
+_BRANCH_CODE_CACHE = 256
+
+
+def _branch_shape(objective, cons, n):
+    """The shape of a branch system, ``(n, objective shape, constraint
+    shapes)``, and its constants in the order the compiled code reads them."""
+    consts = []
+    shape = (
+        n,
+        _expr_shape(objective, consts),
+        tuple(_expr_shape(c, consts) for c in cons),
+    )
+    return shape, consts
+
+
+@functools.lru_cache(maxsize=_BRANCH_CODE_CACHE)
+def _branch_code(shape):
+    """The compiled ``residual`` and ``jacobian`` of
+    :func:`_branch_program`, kept per shape."""
+    functions = _branch_program(shape).compile()
+    return functions["residual"], functions["jacobian"]
+
+
+def _branch_program(shape):
+    """Straight-line ``residual(Z, C)`` and ``jacobian(Z, C)`` of the branch
+    systems of one shape, with ``Z`` the list of z = (x, multipliers) and
+    ``C`` the constants from :func:`_branch_shape`.  They return lists
+    bitwise equal to :func:`_branch_residual` and :func:`_branch_jacobian`
+    (a nested list for the Jacobian) and raise where those raise: each tree
+    is :class:`expr._StraightLine` code, the updates by multiplier ``y_i``
+    are skipped when ``y_i`` is zero, and they subtract ``y_i * gradient``
+    and ``y_i * Hessian`` entry by entry as the reference's arrays do."""
+    n, objective, cons = shape
+    m = len(cons)
+    code = _StraightLine(n)
+
+    code.begin("residual", extra=m)
+    _, gf, _ = code.derivatives(objective, hess=False)
+    for t in range(n):
+        code.line(f"r{t} = {code.ref(gf[t])}")
+    values = []
+    for i, c in enumerate(cons):
+        cv, cg, _ = code.derivatives(c, hess=False)
+        values.append(code.ref(cv))
+        code.line(f"if y{i}:")
+        for t in range(n):
+            code.line(f"r{t} = r{t} - {_times(f'y{i}', cg[t], code)}", depth=2)
+    code.end(f"[{', '.join([f'r{t}' for t in range(n)] + values)}]")
+
+    code.begin("jacobian", extra=m)
+    _, _, Hf = code.derivatives(objective, hess=True)
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    for a, b in upper:
+        code.line(f"h{a}_{b} = {code.ref(Hf[a][b])}")
+    grads = []
+    for i, c in enumerate(cons):
+        _, cg, cH = code.derivatives(c, hess=True)
+        grads.append(cg)
+        code.line(f"if y{i}:")
+        for a, b in upper:
+            code.line(
+                f"h{a}_{b} = h{a}_{b} - {_times(f'y{i}', cH[a][b], code)}", depth=2
+            )
+    zero = code.ref(0.0)
+    rows = [
+        [f"h{min(a, b)}_{max(a, b)}" for b in range(n)]
+        + [code.ref(code.neg(cg[a])) for cg in grads]
+        for a in range(n)
+    ] + [[code.ref(gi) for gi in cg] + [zero] * m for cg in grads]
+    code.end("[" + ", ".join(f"[{', '.join(r)}]" for r in rows) + "]")
+    return code
+
+
+def _times(y, term, code):
+    """Source of ``y * term`` for a multiplier name ``y``; ``y * 1.0`` is
+    ``y`` bit for bit."""
+    if isinstance(term, float) and term == 1.0:
+        return y
+    return f"{y} * {code.ref(term)}"
+
+
+def _max_norm(r):
+    """``np.abs(r).max()`` of a nonempty list of floats, nan when an entry
+    is nan."""
+    if any(map(math.isnan, r)):
+        return math.nan
+    return max(map(abs, r))
+
+
 def newton_solve_branch(
     p: Problem,
     pattern: BranchPattern,
@@ -548,24 +654,35 @@ def newton_solve_branch(
     ``tol_resid`` a few extra full steps polish the root while they keep
     improving, so converged points are accurate well beyond the acceptance
     threshold.
+
+    The residual and the Jacobian run as straight-line code compiled once
+    per shape of the branch system (:func:`_branch_code`), bitwise equal to
+    :func:`_branch_residual` and :func:`_branch_jacobian` on the tree
+    methods; the constants of the problem are arguments, so the relaxed
+    problems along a continuation path share the code of each pattern.
     """
     n = p.n
     slots = _pattern_slots(p, pattern)
     cons = [_slot_expr(p, s) for s in slots]
+    shape, consts = _branch_shape(p.objective, cons, n)
+    residual_code, jacobian_code = _branch_code(shape)
     z = np.zeros(n + len(cons))
     z[:n] = np.asarray(start, dtype=float)
     if mult_start is not None:
         z[n:] = np.asarray(mult_start, dtype=float)
 
     def residual(zv):
-        r = _branch_residual(p.objective, cons, zv, n)
-        return r, float(np.abs(r).max(initial=0.0))
+        r = residual_code(zv.tolist(), consts)
+        return r, _max_norm(r)
+
+    def jacobian(zv):
+        return np.array(jacobian_code(zv.tolist(), consts))
 
     try:
         r, rnorm = residual(z)
     except EvalDomainError:
         return None
-    if not np.isfinite(rnorm):
+    if not math.isfinite(rnorm):
         return None
 
     converged = rnorm <= cfg.tol_resid
@@ -573,11 +690,11 @@ def newton_solve_branch(
         if converged:
             break
         try:
-            J = _branch_jacobian(p.objective, cons, z, n)
+            J = jacobian(z)
         except EvalDomainError:
             return None
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(J, -np.array(r))
         except np.linalg.LinAlgError:
             # patterns can pin the same function twice (switching pairs that
             # share a member), leaving the square system singular but
@@ -587,7 +704,7 @@ def newton_solve_branch(
                 diagnostics["singular_jacobian"] = (
                     diagnostics.get("singular_jacobian", 0) + 1
                 )
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            step = np.linalg.lstsq(J, -np.array(r), rcond=None)[0]
         if not np.all(np.isfinite(step)) or np.abs(step).max(initial=0.0) > 1e8 * (
             1.0 + float(np.abs(z).max(initial=0.0))
         ):
@@ -600,7 +717,7 @@ def newton_solve_branch(
                 r_try, rn_try = residual(z_try)
             except EvalDomainError:
                 rn_try = np.inf
-            if np.isfinite(rn_try) and rn_try < rnorm:
+            if math.isfinite(rn_try) and rn_try < rnorm:
                 z, r, rnorm = z_try, r_try, rn_try
                 improved = True
                 break
@@ -614,16 +731,16 @@ def newton_solve_branch(
     # polish: extra full steps while they strictly improve the residual
     for _ in range(cfg.polish_steps):
         try:
-            J = _branch_jacobian(p.objective, cons, z, n)
+            J = jacobian(z)
             try:
-                step = np.linalg.solve(J, -r)
+                step = np.linalg.solve(J, -np.array(r))
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(J, -r, rcond=None)[0]
+                step = np.linalg.lstsq(J, -np.array(r), rcond=None)[0]
             z_try = z + step
             r_try, rn_try = residual(z_try)
         except EvalDomainError:
             break
-        if np.isfinite(rn_try) and rn_try < rnorm:
+        if math.isfinite(rn_try) and rn_try < rnorm:
             z, r, rnorm = z_try, r_try, rn_try
         else:
             break
@@ -959,7 +1076,9 @@ def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
     try:
         idx, slots, G, r = _licq_stack(p, x, cfg)
     except (InfeasiblePointError, EvalDomainError):
-        # a point where a constraint function is undefined is infeasible
+        # infeasible, a constraint function undefined there included; or an
+        # active constraint defined there whose gradient is not (x2*x1^(-1)
+        # at (1e-300, 0)), which leaves no gradient stack to judge
         return _DROP
     licq = r == G.shape[0]
     df = eval_gradient(p.objective, x)

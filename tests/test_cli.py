@@ -404,6 +404,69 @@ class TestVariablePermutation:
             assert _verdicts(tmp_path, _permute_vars(text, order)) == expected, order
 
 
+def _relax_paths(tmp_path, text, order):
+    """The exit code of ``relax --box -1 2`` on ``text`` with its variables
+    listed in ``order``, and its paths sorted by limit: the limit and the
+    matched point's x mapped back to the original order, the matched
+    point's f, classification and W-index, and whether the path was lost."""
+    src = _write(tmp_path, "p.txt", _permute_vars(text, order))
+    out = str(tmp_path / "report.json")
+    code = main(["relax", src, "--box", "-1", "2", "--json", out])
+    report = json.loads(Path(out).read_text())
+
+    def back(x):
+        original = [0.0] * len(x)
+        for k, j in enumerate(order):
+            original[j] = x[k]
+        return np.array(original)
+
+    paths = []
+    for path in report["paths"]:
+        m = path["matched"]
+        paths.append((
+            back(path["limit"]),
+            None if m is None else (back(m["x"]), m["f"], m["classification"],
+                                    m["w_index"]),
+            path["lost"],
+        ))
+    paths.sort(key=lambda path: tuple(np.round(path[0], 4)))
+    return code, paths
+
+
+class TestRelaxVariablePermutation:
+    """Reversing the variables relabels the continuation paths' coordinates
+    and changes no limit, match or loss."""
+
+    # instability_one has no relaxed KKT point in the box, so no path
+    @pytest.mark.parametrize(
+        "text, count",
+        [(CROSS_LINEAR, 1), (CROSS_QUADRATIC, 3), (INSTABILITY_BOTH, 1),
+         (INSTABILITY_ONE, 0), (STABLE_WITHOUT_ND2, 1)],
+        ids=[
+            "cross_linear", "cross_quadratic", "instability_both",
+            "instability_one", "stable_without_nd2",
+        ],
+    )
+    def test_relax_paths(self, tmp_path, text, count):
+        n = len(next(line for line in text.splitlines()
+                     if line.startswith("vars:")).split()) - 1
+        code, expected = _relax_paths(tmp_path, text, tuple(range(n)))
+        assert (code, len(expected)) == (0, count)
+        got_code, got = _relax_paths(tmp_path, text, tuple(reversed(range(n))))
+        assert got_code == code
+        assert len(got) == len(expected)
+        for (limit, matched, lost), (ref_limit, ref_matched, ref_lost) in zip(
+            got, expected
+        ):
+            assert np.allclose(limit, ref_limit, rtol=0.0, atol=1e-6)
+            assert lost == ref_lost
+            assert (matched is None) == (ref_matched is None)
+            if matched is not None:
+                assert np.allclose(matched[0], ref_matched[0], rtol=0.0, atol=1e-6)
+                assert matched[1] == pytest.approx(ref_matched[1], abs=1e-6)
+                assert matched[2:] == ref_matched[2:]
+
+
 def _translate(text, c):
     """``text`` with every variable ``x`` replaced by ``(x - c)``: the problem
     moved by ``c`` along every axis."""

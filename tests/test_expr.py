@@ -1,6 +1,7 @@
 """Parser, printer and forward-mode derivative tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from switchstat.expr import (
     Pow,
     Sub,
     Var,
+    _expr_shape,
+    _StraightLine,
     eval_batch,
     eval_gradient,
     eval_hessian,
@@ -381,6 +384,38 @@ def _check_batch(e, points):
                 assert _bits(H[k]) == _bits(H[k].T)
 
 
+# expressions over x1, x2 with every node type, for the evaluators compared
+# with the tree methods
+TEXTS = [
+    "2.5",
+    "x2",
+    "x1 + x2",
+    "x1 - 3*x2",
+    "x1*x2*x1",
+    "(x1 - 1)*(x2 + 2)",
+    "x1/x2",
+    "(x1*x2 + 1)/(x1 - x2)",
+    "x1^0",
+    "x1^1",
+    "(x1 + x2)^2",
+    "x1^7 - x2^5",
+    "x1^(-1)",
+    "x1^(-3) + x2^(-2)",
+    "(x1*x2)^12",
+    "-x1",
+    "-(x1*x2)^3",
+    "sin(x1*x2)",
+    "cos(x1 - x2^2)",
+    "exp(x1)",
+    "exp(x1*x2/2)",
+    "log(x1)",
+    "log(x1*x2 + 1)",
+    "sin(x1*x1) + cos(x2*x2)",
+    "exp(sin(x1) + log(x2))/(1 + x1^2)",
+    "x2/log(x1)^(-2)",
+]
+
+
 class TestBatchedEvaluation:
     names = {"x1": 0, "x2": 1}
     # points in and out of every partial function's domain
@@ -391,37 +426,7 @@ class TestBatchedEvaluation:
         (1e155, -1e155), (np.inf, 1.0), (-np.inf, 0.3), (np.nan, 1.0),
     ]
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "2.5",
-            "x2",
-            "x1 + x2",
-            "x1 - 3*x2",
-            "x1*x2*x1",
-            "(x1 - 1)*(x2 + 2)",
-            "x1/x2",
-            "(x1*x2 + 1)/(x1 - x2)",
-            "x1^0",
-            "x1^1",
-            "(x1 + x2)^2",
-            "x1^7 - x2^5",
-            "x1^(-1)",
-            "x1^(-3) + x2^(-2)",
-            "(x1*x2)^12",
-            "-x1",
-            "-(x1*x2)^3",
-            "sin(x1*x2)",
-            "cos(x1 - x2^2)",
-            "exp(x1)",
-            "exp(x1*x2/2)",
-            "log(x1)",
-            "log(x1*x2 + 1)",
-            "sin(x1*x1) + cos(x2*x2)",
-            "exp(sin(x1) + log(x2))/(1 + x1^2)",
-            "x2/log(x1)^(-2)",
-        ],
-    )
+    @pytest.mark.parametrize("text", TEXTS)
     def test_matches_scalar_evaluation(self, text):
         _check_batch(parse_expression(text, self.names), self.points)
 
@@ -459,3 +464,84 @@ class TestBatchedEvaluation:
         v, g, H, bad = eval_batch(e, np.zeros((0, 2)), hessian=True)
         assert v.shape == (0,) and g.shape == (0, 2) and H.shape == (0, 2, 2)
         assert bad.shape == (0,)
+
+
+def _straight_line(e, n, hess):
+    """``e`` as one compiled straight-line function of a point returning
+    (value, gradient) or (value, gradient, Hessian), and its source."""
+    consts = []
+    code = _StraightLine(n)
+    code.begin("f")
+    v, g, H = code.derivatives(_expr_shape(e, consts), hess)
+    parts = [code.ref(v), "[" + ", ".join(map(code.ref, g)) + "]"]
+    if hess:
+        rows = ("[" + ", ".join(map(code.ref, row)) + "]" for row in H)
+        parts.append("[" + ", ".join(rows) + "]")
+    code.end(", ".join(parts))
+    f = code.compile()["f"]
+    return (lambda x: f(list(x), consts)), code.source()
+
+
+def _outcome(fn, x):
+    """What ``fn(x)`` gives: the exception type it raises, or the bytes of
+    every float it returns."""
+    try:
+        out = fn(x)
+    except (EvalDomainError, ZeroDivisionError) as exc:
+        return type(exc)
+    v, g, *H = out
+    return _bits([v, *g, *(np.ravel(H) if H else [])])
+
+
+def _check_straight_line(e, n, points):
+    """The compiled code of ``e`` against val_grad and val_grad_hess: the
+    same failures, and bitwise-equal results elsewhere."""
+    grad, _ = _straight_line(e, n, hess=False)
+    hess, _ = _straight_line(e, n, hess=True)
+    raised = 0
+    for x in points:
+        x = [float(v) for v in x]
+        assert _outcome(grad, x) == _outcome(e.val_grad, x), (e, x)
+        assert _outcome(hess, x) == _outcome(e.val_grad_hess, x), (e, x)
+        raised += not isinstance(_outcome(grad, x), bytes)
+    return raised
+
+
+class TestStraightLine:
+    """The code compiled from an expression's shape runs the tree methods'
+    operations: equal bits, and the same failures at the same points."""
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_tree_methods(self, text):
+        e = parse_expression(text, TestBatchedEvaluation.names)
+        _check_straight_line(e, 2, TestBatchedEvaluation.points)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(23)
+        # signed zeros, and points outside the domains of log, division,
+        # negative powers, exp and sin/cos
+        special = [0.0, -0.0, 1e-160, -2.5, 710.0, 1e200, np.inf, np.nan]
+        points = [tuple(rng.uniform(-2, 2, 3)) for _ in range(10)] + [
+            tuple(rng.choice(special + [0.5, -1.0], 3)) for _ in range(12)
+        ]
+        raised = 0
+        for _ in range(150):
+            raised += _check_straight_line(_random_tree(rng, 3, 4), 3, points)
+        assert raised > 100
+
+    def test_negative_variable_index_wraps_as_in_the_walk(self):
+        e = Mul(Pow(Var(-1), 2), Add(Var(0), Const(0.5)))
+        assert _check_straight_line(e, 2, TestBatchedEvaluation.points) > 0
+        with pytest.raises(IndexError):
+            _straight_line(Var(-3), 2, hess=False)
+
+    def test_constants_are_arguments(self):
+        names = {"x1": 0, "x2": 1}
+        a = parse_expression("0.375*x1^2 - exp(1.625*x2)/(x1 + 2.75)", names)
+        b = parse_expression("4.5*x1^2 - exp(0.125*x2)/(x1 + 8.25)", names)
+        ca, cb = [], []
+        assert _expr_shape(a, ca) == _expr_shape(b, cb)
+        assert (ca, cb) == ([0.375, 1.625, 2.75], [4.5, 0.125, 8.25])
+        _, source = _straight_line(a, 2, hess=True)
+        assert not any(repr(c) in source for c in ca)
+        assert not re.search(r"\d\.|\.\d|\d[eE]", source)  # no float literal

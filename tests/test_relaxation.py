@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from switchstat.expr import eval_value, parse_problem
-from switchstat.relaxation import continue_path, kkt_points_relaxed, relax
-from switchstat.stationarity import SolveConfig, find_stationary_points
+from switchstat.relaxation import (
+    _accept_step,
+    continue_path,
+    kkt_points_relaxed,
+    relax,
+)
+from switchstat.stationarity import Multipliers, SolveConfig, find_stationary_points
+from tests.test_stationarity import UNDEFINED_CONSTRAINT
 
 CFG = SolveConfig()
 
@@ -193,3 +199,13 @@ class TestContinuePath:
         )
         with pytest.raises(ValueError, match="residual"):
             continue_path(cross_quadratic, fake, 0.1, 0.5, 1e-10)
+
+
+class TestAcceptStep:
+    def test_undefined_constraint_rejects_the_step(self):
+        # log(x1 + 0.5) is undefined at x1 = -1: the step is infeasible
+        rp = relax(parse_problem(UNDEFINED_CONSTRAINT), 0.1)
+        mult = Multipliers(lam=(), mu=(0.0, 0.0, 0.0), sigma1=(), sigma2=())
+        assert _accept_step(rp, (np.array([-1.0, 0.0]), mult), CFG) is None
+        (seed,) = kkt_points_relaxed(rp, (-1.0, 2.0), CFG)
+        assert _accept_step(rp, (np.array(seed.x), seed.mult), CFG) is not None

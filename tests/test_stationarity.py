@@ -1,11 +1,22 @@
 """Index sets, LICQ, multiplier recovery and the branch-Newton search."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
-from switchstat import stationarity
+from switchstat import relaxation, stationarity
 from switchstat.classify import tangent_basis
-from switchstat.expr import Add, Const, Mul, Problem, parse_problem
+from switchstat.expr import (
+    Add,
+    Const,
+    EvalDomainError,
+    Mul,
+    Problem,
+    parse_problem,
+)
+from switchstat.relaxation import continue_path, kkt_points_relaxed, relax
 from tests.conftest import (
     CROSS_LINEAR,
     CROSS_QUADRATIC,
@@ -13,17 +24,23 @@ from tests.conftest import (
     INSTABILITY_ONE,
     STABLE_WITHOUT_ND2,
 )
+from tests.test_expr import _random_tree
 from switchstat.stationarity import (
     _active_slots,
     _batch_lagrangian,
     _batch_residual,
+    _branch_code,
     _branch_jacobian,
     _branch_jacobians,
+    _branch_program,
     _branch_residual,
+    _branch_shape,
+    _max_norm,
     _gradient_rows,
     _grid_starts,
     _multipliers_from_slots,
     _pattern_slots,
+    _slot_expr,
     _slot_values,
     BranchPattern,
     CombinatorialCapError,
@@ -585,6 +602,39 @@ class TestFeasibilityViolation:
         assert feasibility_violation(p, (-2.0,)) == 3.0
 
 
+# log(x1 + 0.5) is undefined at x1 <= -0.5
+UNDEFINED_CONSTRAINT = """\
+vars: x1 x2
+objective: (x1+1)^2 + (x2-1)^2
+ineq: log(x1+0.5)
+switch: x1 | x2
+"""
+
+
+class TestUndefinedConstraint:
+    """A point where a constraint function is undefined is infeasible."""
+
+    def test_public_api_calls_it_infeasible(self):
+        p = parse_problem(UNDEFINED_CONSTRAINT)
+        assert feasibility_violation(p, (-1.0, 0.0)) == math.inf
+        with pytest.raises(InfeasiblePointError):
+            check_licq(p, (-1.0, 0.0))
+        with pytest.raises(InfeasiblePointError):
+            recover_multipliers(p, (-1.0, 0.0))
+        assert check_licq(p, (0.5, 0.0)).holds
+
+    def test_defined_constraint_with_undefined_gradient_is_dropped(self):
+        # x2*x1^(-1) is 0 and active at (1e-300, 0), but its gradient holds
+        # x1^(-2), which overflows
+        p = parse_problem("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2*x1^(-1)\n")
+        x = np.array([1e-300, 0.0])
+        assert feasibility_violation(p, x) == 0.0
+        with pytest.raises(EvalDomainError):
+            check_licq(p, x)
+        lo, hi = np.full(2, -3.0), np.full(2, 3.0)
+        assert stationarity._accept_verdict(p, x, lo, hi, CFG).kind == "drop"
+
+
 def _outcome_bits(out):
     """An outcome as bytes: None, or x and every multiplier vector bit for
     bit."""
@@ -632,11 +682,15 @@ class TestBatchedNewton:
         H, G, jbad = _batch_lagrangian(p.objective, cons, Z, p.n)
         J = _branch_jacobians(H, G)
         assert not bad.any() and not jbad.any()
+        shape, consts = _branch_shape(p.objective, cons, p.n)
+        residual, jacobian = _branch_code(shape)
         for k, z in enumerate(Z):
             r = _branch_residual(p.objective, cons, z, p.n)
             jac = _branch_jacobian(p.objective, cons, z, p.n)
             assert R[k].tobytes() == r.tobytes()
             assert J[k].tobytes() == jac.tobytes()
+            assert np.array(residual(z.tolist(), consts)).tobytes() == r.tobytes()
+            assert np.array(jacobian(z.tolist(), consts)).tobytes() == jac.tobytes()
         assert np.signbit(R[0, 0]) and np.signbit(J[0, 0, 0])
 
     def test_single_start_batch(self, cross_quadratic):
@@ -892,3 +946,122 @@ class TestSlotLayout:
             }
             mult = Multipliers(**full)
             assert _multipliers_from_slots(p, slots, _slot_values(mult, slots)) == mult
+
+
+def _system_outcome(fn, *args):
+    """The exception type ``fn`` raises, or the bytes of the array it
+    returns, with every nan made the same nan."""
+    try:
+        with np.errstate(all="ignore"):
+            a = np.array(fn(*args), dtype=float)
+    except (EvalDomainError, ZeroDivisionError) as exc:
+        return type(exc)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _check_branch_code(objective, cons, n, Z):
+    """The compiled residual and Jacobian of a branch system against
+    _branch_residual and _branch_jacobian at every row of ``Z``: the same
+    failures and the same bits; returns how many rows failed."""
+    shape, consts = _branch_shape(objective, cons, n)
+    residual, jacobian = _branch_code(shape)
+    raised = 0
+    for z in np.asarray(Z, dtype=float):
+        ref = _system_outcome(_branch_residual, objective, cons, z, n)
+        assert _system_outcome(residual, z.tolist(), consts) == ref, z
+        ref_jac = _system_outcome(_branch_jacobian, objective, cons, z, n)
+        assert _system_outcome(jacobian, z.tolist(), consts) == ref_jac, z
+        raised += not isinstance(ref, bytes)
+    return raised
+
+
+def _branch_points(rng, n, m, xs, count):
+    """``count`` rows z = (x, y) with x drawn from ``xs`` and multipliers
+    from signed zeros and nonzero values."""
+    ys = [0.0, -0.0, 1.5, -2.0, 0.0]
+    return [
+        [float(rng.choice(xs)) for _ in range(n)]
+        + [float(rng.choice(ys)) for _ in range(m)]
+        for _ in range(count)
+    ]
+
+
+EXAMPLES = [CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH, INSTABILITY_ONE,
+            STABLE_WITHOUT_ND2]
+EXAMPLE_IDS = ["cross_linear", "cross_quadratic", "instability_both",
+               "instability_one", "stable_without_nd2"]
+
+
+class TestBranchCode:
+    """newton_solve_branch's compiled residual and Jacobian are the tree
+    methods' _branch_residual and _branch_jacobian, bit for bit."""
+
+    def test_random_branch_systems(self):
+        rng = np.random.default_rng(24)
+        xs = [0.7, -1.2, 0.0, -0.0, 2.0, 1e-160, -2.5, 710.0, 1e200, np.inf,
+              np.nan, 0.5, -1.0, 1.0]
+        raised = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 4))
+            m = int(rng.integers(1, 4))
+            objective = _random_tree(rng, n, 3)
+            cons = [_random_tree(rng, n, 3) for _ in range(m)]
+            Z = _branch_points(rng, n, m, xs, 12)
+            raised += _check_branch_code(objective, cons, n, Z)
+        assert raised > 100
+
+    @pytest.mark.parametrize("text", EXAMPLES, ids=EXAMPLE_IDS)
+    def test_every_pattern_of_the_relaxed_examples(self, text):
+        p = parse_problem(text)
+        rng = np.random.default_rng(25)
+        xs = [-1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 0.1, -1e-9]
+        for t in (0.1, 0.05, 1.6e-3):
+            q = relax(p, t).problem
+            for pattern in enumerate_branches(q):
+                cons = [q.inequalities[j] for j, on in enumerate(pattern.actives)
+                        if on]
+                Z = _branch_points(rng, q.n, len(cons), xs, 20)
+                assert _check_branch_code(q.objective, cons, q.n, Z) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        EXAMPLES + [MID3, NARROW, TRANSCENDENTAL],
+        ids=EXAMPLE_IDS + ["mid3", "narrow", "transcendental"],
+    )
+    def test_constants_never_reach_the_source(self, text):
+        p = parse_problem(text)
+        for t in (0.1, 0.05):
+            q = relax(p, t).problem
+            for pattern in enumerate_branches(q):
+                cons = [_slot_expr(q, s) for s in _pattern_slots(q, pattern)]
+                shape, consts = _branch_shape(q.objective, cons, q.n)
+                source = _branch_program(shape).source()
+                assert not re.search(r"\d\.|\.\d|\d[eE]", source)
+                assert not any(repr(float(c)) in source for c in consts)
+
+    def test_one_compile_per_pattern_along_a_path(self, monkeypatch,
+                                                  cross_quadratic):
+        seeds = kkt_points_relaxed(relax(cross_quadratic, 0.1), (-1.0, 2.0), CFG)
+        patterns = []
+
+        def spy(p, pattern, *args, **kwargs):
+            patterns.append(pattern)
+            return newton_solve_branch(p, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "newton_solve_branch", spy)
+        _branch_code.cache_clear()
+        continue_path(cross_quadratic, seeds[0], 0.1, 0.5, 1e-6, CFG)
+        assert len(patterns) > 10
+        assert _branch_code.cache_info().misses == len(set(patterns))
+
+    @pytest.mark.parametrize(
+        "r",
+        [[1.0, -3.0], [-0.0, 0.0], [2.0, math.nan], [math.nan, 2.0],
+         [0.5, -math.inf, 1.0], [math.inf, math.nan], [1e-300, -1e300, 7.0],
+         [3.0]],
+    )
+    def test_max_norm_is_numpys(self, r):
+        # a nan anywhere must reject a damping trial as numpy's max does
+        ref = float(np.abs(np.array(r)).max(initial=0.0))
+        assert repr(_max_norm(r)) == repr(ref)
