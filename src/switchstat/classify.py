@@ -36,6 +36,7 @@ from .stationarity import (
     SolveConfig,
     _active_slots,
     _gradient_rows,
+    _weighted_slots,
     check_licq,
 )
 
@@ -141,19 +142,11 @@ def tangent_basis(
 
 
 def lagrangian_hessian(p: Problem, x, mult: Multipliers) -> np.ndarray:
-    """Hessian of objective minus multiplier-weighted constraints at ``x``."""
+    """Hessian of objective minus multiplier-weighted constraints at ``x``,
+    summed in the Newton unknown order (:func:`_weighted_slots`)."""
     H = eval_hessian(p.objective, x)
-    for lam, h in zip(mult.lam, p.equalities):
-        if lam != 0.0:
-            H = H - lam * eval_hessian(h, x)
-    for mu, g in zip(mult.mu, p.inequalities):
-        if mu != 0.0:
-            H = H - mu * eval_hessian(g, x)
-    for m, (f1, f2) in enumerate(p.switches):
-        if mult.sigma1[m] != 0.0:
-            H = H - mult.sigma1[m] * eval_hessian(f1, x)
-        if mult.sigma2[m] != 0.0:
-            H = H - mult.sigma2[m] * eval_hessian(f2, x)
+    for _, c, y in _weighted_slots(p, mult):
+        H = H - y * eval_hessian(c, x)
     return H
 
 

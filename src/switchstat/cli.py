@@ -31,6 +31,7 @@ from .stationarity import (
     LicqViolationError,
     NotStationaryError,
     SolveConfig,
+    config_fields,
     search_stationary_points,
     with_overrides,
 )
@@ -51,30 +52,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 EXIT_DIMENSION = 5
-
-_INT_CONFIG_FIELDS = {
-    "grid_points",
-    "max_iter",
-    "max_halvings",
-    "polish_steps",
-    "pattern_cap",
-    "subset_cap",
-    "seed",
-}
-_FLOAT_CONFIG_FIELDS = {
-    "tol_active",
-    "tol_feas",
-    "tol_resid",
-    "tol_sign",
-    "tol_comp",
-    "dedup_radius",
-    "match_radius",
-    "box_inflation",
-    "rank_scale",
-    "rank_floor",
-    "eig_zero",
-    "solve_residual",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +133,6 @@ def render_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # report fragments
 # ---------------------------------------------------------------------------
-
-
-def _config_record(cfg: SolveConfig):
-    rec = {
-        name: getattr(cfg, name)
-        for name in sorted(
-            (_INT_CONFIG_FIELDS | _FLOAT_CONFIG_FIELDS)
-            - {"rank_scale", "rank_floor", "eig_zero", "solve_residual"}
-        )
-    }
-    rec.update(
-        {
-            "rank_scale": cfg.lin.rank_scale,
-            "rank_floor": cfg.lin.rank_floor,
-            "eig_zero": cfg.lin.eig_zero,
-            "solve_residual": cfg.lin.solve_residual,
-        }
-    )
-    return rec
 
 
 def _problem_record(p: Problem):
@@ -261,7 +219,7 @@ def _base_report(command, p, cfg):
         "artifact": {"name": "switchstat", "version": __version__},
         "command": command,
         "problem": _problem_record(p),
-        "config": _config_record(cfg),
+        "config": config_fields(cfg),
     }
 
 
@@ -530,18 +488,17 @@ def _load_problem(path) -> Problem:
 
 
 def _config_from_args(args) -> SolveConfig:
+    defaults = config_fields(DEFAULT_CONFIG)
     overrides = {}
     for pair in args.tol or []:
         key, sep, value = pair.partition("=")
         key = key.strip()
         if not sep:
             raise ValueError(f"--tol needs key=value, got {pair!r}")
-        if key in _INT_CONFIG_FIELDS:
-            overrides[key] = int(value)
-        elif key in _FLOAT_CONFIG_FIELDS:
-            overrides[key] = float(value)
-        else:
+        if key not in defaults:
             raise ValueError(f"unknown --tol key {key!r}")
+        # int or float, as the field's default
+        overrides[key] = type(defaults[key])(value)
     if args.seed != 0:
         overrides["seed"] = args.seed
     return with_overrides(DEFAULT_CONFIG, **overrides)

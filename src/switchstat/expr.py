@@ -365,7 +365,9 @@ def _fn_exp(u):
 def _fn_log(u):
     if u <= 0.0:
         raise EvalDomainError("log of a nonpositive value")
-    return math.log(u), 1.0 / u, -1.0 / (u * u)
+    uu = u * u
+    # below about 1.5e-154 u*u underflows to 0.0, where IEEE -1.0/0.0 is -inf
+    return math.log(u), 1.0 / u, -1.0 / uu if uu else -math.inf
 
 
 # name -> function of the argument value returning (value, d/du, d2/du2)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -257,14 +257,13 @@ def feasibility_violation(p: Problem, x) -> float:
 
 
 def complementarity_violation(p: Problem, x, mult: Multipliers) -> float:
-    """Largest multiplier-times-constraint product magnitude."""
+    """Largest multiplier-times-constraint product magnitude over the
+    inequality and switching slots."""
     xl = [float(v) for v in x]
     worst = 0.0
-    for j, g in enumerate(p.inequalities):
-        worst = max(worst, abs(mult.mu[j] * g.val(xl)))
-    for m, (f1, f2) in enumerate(p.switches):
-        worst = max(worst, abs(mult.sigma1[m] * f1.val(xl)))
-        worst = max(worst, abs(mult.sigma2[m] * f2.val(xl)))
+    for (kind, _), c, y in _weighted_slots(p, mult):
+        if kind != "lam":
+            worst = max(worst, abs(y * c.val(xl)))
     return worst
 
 
@@ -296,8 +295,9 @@ def active_sets(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> IndexSets:
 # (lam, mu, sigma1, sigma2) and constraint index; it is at once a gradient row
 # of a stack and an entry of a stacked multiplier vector.  There are two slot
 # orders: the LICQ order (_active_slots) fixes the least-squares bits of the
-# reported multipliers, the Newton unknown order (_pattern_slots) the bits of
-# every Newton iterate.
+# reported multipliers, the Newton unknown order (_problem_slots, of which
+# _pattern_slots is a subsequence) the bits of every Newton iterate and of
+# the multiplier-rule and Lagrangian sums.
 
 
 def _slot_expr(p: Problem, slot) -> Expr:
@@ -308,6 +308,26 @@ def _slot_expr(p: Problem, slot) -> Expr:
     if kind == "mu":
         return p.inequalities[i]
     return p.switches[i][0 if kind == "sigma1" else 1]
+
+
+def _problem_slots(p: Problem):
+    """Every slot of ``p`` in the Newton unknown order: equalities,
+    inequalities, then ``sigma1`` and ``sigma2`` per switching index."""
+    return (
+        [("lam", i) for i in range(len(p.equalities))]
+        + [("mu", j) for j in range(len(p.inequalities))]
+        + [s for m in range(p.k) for s in (("sigma1", m), ("sigma2", m))]
+    )
+
+
+def _weighted_slots(p: Problem, mult: Multipliers):
+    """``(slot, constraint, multiplier)`` for every slot of ``p`` in the
+    Newton unknown order whose multiplier is nonzero (nan included): the
+    terms of the multiplier rule and of the Lagrangian."""
+    for slot in _problem_slots(p):
+        y = getattr(mult, slot[0])[slot[1]]
+        if y != 0.0:
+            yield slot, _slot_expr(p, slot), y
 
 
 def _active_slots(p: Problem, idx: IndexSets, j_star=None):
@@ -392,47 +412,24 @@ def _unique_multipliers(p: Problem, slots, G, df, cfg: SolveConfig):
 def stationarity_residual(p: Problem, x, mult: Multipliers) -> float:
     """Independent max-norm residual of the full W-stationarity system:
     multiplier rule, feasibility, complementarity and the inequality
-    multiplier sign condition."""
+    multiplier sign condition; ``inf`` where a constraint function is
+    undefined, as :func:`feasibility_violation`."""
+    worst = feasibility_violation(p, x)
+    if worst == math.inf:
+        return worst
+    worst = max(
+        worst,
+        complementarity_violation(p, x, mult),
+        max([0.0] + [-mu for mu in mult.mu]),
+    )
     xl = [float(v) for v in x]
-    n = p.n
     _, df = p.objective.val_grad(xl)
     acc = list(df)
-    worst = 0.0
-
-    for i, h in enumerate(p.equalities):
-        lam = mult.lam[i]
-        if lam != 0.0:
-            _, gh = h.val_grad(xl)
-            for t in range(n):
-                acc[t] -= lam * gh[t]
-        worst = max(worst, abs(h.val(xl)))
-    for j, g in enumerate(p.inequalities):
-        mu = mult.mu[j]
-        gv = g.val(xl)
-        if mu != 0.0:
-            _, gg = g.val_grad(xl)
-            for t in range(n):
-                acc[t] -= mu * gg[t]
-        worst = max(worst, max(0.0, -gv))       # feasibility
-        worst = max(worst, abs(mu * gv))        # complementarity
-        worst = max(worst, max(0.0, -mu))       # sign condition
-    for m, (f1, f2) in enumerate(p.switches):
-        v1 = f1.val(xl)
-        v2 = f2.val(xl)
-        s1v = mult.sigma1[m]
-        s2v = mult.sigma2[m]
-        if s1v != 0.0:
-            _, g1 = f1.val_grad(xl)
-            for t in range(n):
-                acc[t] -= s1v * g1[t]
-        if s2v != 0.0:
-            _, g2 = f2.val_grad(xl)
-            for t in range(n):
-                acc[t] -= s2v * g2[t]
-        worst = max(worst, abs(v1 * v2))        # switching feasibility
-        worst = max(worst, abs(s1v * v1), abs(s2v * v2))  # complementarity
-    worst = max(worst, max(abs(a) for a in acc) if acc else 0.0)
-    return worst
+    for _, c, y in _weighted_slots(p, mult):
+        _, g = c.val_grad(xl)
+        for t in range(p.n):
+            acc[t] -= y * g[t]
+    return max(worst, max(abs(a) for a in acc))
 
 
 def recover_multipliers(
@@ -480,16 +477,6 @@ def enumerate_branches(p: Problem, cfg: SolveConfig = DEFAULT_CONFIG):
         for act in itertools.product((True, False), repeat=len(p.inequalities)):
             patterns.append(BranchPattern(sw, act))
     return patterns
-
-
-def _problem_slots(p: Problem):
-    """Every slot of ``p`` in the Newton unknown order: equalities,
-    inequalities, then ``sigma1`` and ``sigma2`` per switching index."""
-    return (
-        [("lam", i) for i in range(len(p.equalities))]
-        + [("mu", j) for j in range(len(p.inequalities))]
-        + [s for m in range(p.k) for s in (("sigma1", m), ("sigma2", m))]
-    )
 
 
 def _pins(pattern: BranchPattern, slot) -> bool:
@@ -1205,12 +1192,23 @@ def find_stationary_points(
     return search_stationary_points(p, box, cfg).points
 
 
+def config_fields(cfg: SolveConfig = DEFAULT_CONFIG) -> dict:
+    """Every scalar setting of ``cfg`` by name: the :class:`SolveConfig`
+    fields but ``lin``, then the :class:`ToleranceConfig` fields of
+    ``cfg.lin``.  These are the keys :func:`with_overrides` takes."""
+    return {
+        f.name: getattr(record, f.name)
+        for record in (cfg, cfg.lin)
+        for f in fields(record)
+        if f.name != "lin"
+    }
+
+
 def with_overrides(cfg: SolveConfig, **kwargs) -> SolveConfig:
-    """Copy of ``cfg`` with scalar fields replaced; linear-algebra tolerance
-    names are routed into the nested policy record."""
-    lin_fields = {"rank_scale", "rank_floor", "eig_zero", "solve_residual"}
-    lin_kwargs = {k: v for k, v in kwargs.items() if k in lin_fields}
-    top_kwargs = {k: v for k, v in kwargs.items() if k not in lin_fields}
-    if lin_kwargs:
-        top_kwargs["lin"] = replace(cfg.lin, **lin_kwargs)
-    return replace(cfg, **top_kwargs)
+    """Copy of ``cfg`` with the settings of :func:`config_fields` replaced;
+    linear-algebra tolerance names are routed into the nested policy
+    record."""
+    lin = {f.name: kwargs.pop(f.name) for f in fields(cfg.lin) if f.name in kwargs}
+    if lin:
+        kwargs["lin"] = replace(cfg.lin, **lin)
+    return replace(cfg, **kwargs)

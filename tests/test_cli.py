@@ -3,12 +3,15 @@
 import itertools
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchstat.cli import main, render_json
+from switchstat.linalg import ToleranceConfig
+from switchstat.stationarity import SolveConfig, config_fields
 from tests.conftest import (
     CROSS_LINEAR,
     CROSS_QUADRATIC,
@@ -77,6 +80,32 @@ class TestAnalyze:
     def test_unknown_tol_key_exit_2(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_LINEAR)
         assert main(["analyze", src, "--tol", "bogus=1"]) == 2
+
+    def test_config_record_holds_every_flattened_field(self, tmp_path):
+        src = _write(tmp_path, "p.txt", CROSS_LINEAR)
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", src, "--json", out]) == 0
+        names = [f.name for f in fields(SolveConfig) if f.name != "lin"] + [
+            f.name for f in fields(ToleranceConfig)
+        ]
+        config = json.loads(Path(out).read_text())["config"]
+        assert sorted(config) == sorted(names)
+        assert config == config_fields()
+
+    @pytest.mark.parametrize("key", sorted(config_fields()))
+    def test_tol_at_the_default_changes_no_byte(self, tmp_path, key):
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        plain, tol = str(tmp_path / "plain.json"), str(tmp_path / "tol.json")
+        assert main(["analyze", src, "--json", plain]) == 0
+        value = config_fields()[key]
+        assert main(["analyze", src, "--json", tol, "--tol", f"{key}={value!r}"]) == 0
+        assert Path(tol).read_bytes() == Path(plain).read_bytes()
+
+    @pytest.mark.parametrize("pair", ["lin=1", "grid_points=2.5", "seed=x"])
+    def test_tol_key_or_value_outside_the_fields_exit_2(self, tmp_path, capsys, pair):
+        src = _write(tmp_path, "p.txt", CROSS_LINEAR)
+        assert main(["analyze", src, "--tol", pair]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_negative_budget_exit_2(self, tmp_path, capsys):
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
@@ -331,6 +360,16 @@ class TestRangeErrors:
         assert pt["strong_stability"]["strongly_stable"] is True
         assert main(["relax", src]) == 0
         assert main(["levelsets", src, "--auto", "4"]) == 0
+
+    def test_log_of_an_underflowing_square(self, tmp_path):
+        # the grid start at x1 = 0 evaluates log at 1e-310, whose square
+        # underflows to 0.0 in the second derivative
+        src = _write(
+            tmp_path,
+            "p.txt",
+            "vars: x1 x2\nobjective: log(x1^2 + 1e-310) + x2^2\nswitch: x1 | x2\n",
+        )
+        assert main(["analyze", src, "--json", str(tmp_path / "r.json")]) == 0
 
 
 class TestSeedJitter:

@@ -12,6 +12,7 @@ from switchstat.expr import (
     Div,
     EvalDomainError,
     Func,
+    FUNCTIONS,
     Mul,
     Neg,
     ParseError,
@@ -483,12 +484,12 @@ def _straight_line(e, n, hess):
 
 
 def _outcome(fn, x):
-    """What ``fn(x)`` gives: the exception type it raises, or the bytes of
-    every float it returns."""
+    """What ``fn(x)`` gives: EvalDomainError, or the bytes of every float it
+    returns; any other exception propagates."""
     try:
         out = fn(x)
-    except (EvalDomainError, ZeroDivisionError) as exc:
-        return type(exc)
+    except EvalDomainError:
+        return EvalDomainError
     v, g, *H = out
     return _bits([v, *g, *(np.ravel(H) if H else [])])
 
@@ -545,3 +546,56 @@ class TestStraightLine:
         _, source = _straight_line(a, 2, hess=True)
         assert not any(repr(c) in source for c in ca)
         assert not re.search(r"\d\.|\.\d|\d[eE]", source)  # no float literal
+
+
+# signed zeros, the smallest subnormal, values whose square underflows to
+# 0.0 (1e-200) or just does not (1.5e-154), values whose square or cube
+# overflows, the infinities and nan
+FLOAT_EDGES = [0.0, -0.0, 5e-324, 1e-200, 1.5e-154, 1e154, 1e308,
+               math.inf, -math.inf, math.nan]
+
+
+def _node_trees():
+    """Every node type over x1 and x2, the unary ones (powers of several
+    exponents and every function) also over the product x1*x2, whose
+    derivatives are not constants."""
+    x1, x2 = Var(0), Var(1)
+    trees = [Const(2.5), x2, Add(x1, x2), Sub(x1, x2), Mul(x1, x2), Div(x1, x2)]
+    for u in (x1, Mul(x1, x2)):
+        trees += [Neg(u)] + [Pow(u, m) for m in range(-3, 4)]
+        trees += [Func(name, u) for name in FUNCTIONS]
+    return trees
+
+
+def _leaves(out):
+    """The entries of nested tuples and lists, in order."""
+    if isinstance(out, (tuple, list)):
+        return [v for item in out for v in _leaves(item)]
+    return [out]
+
+
+class TestFloatEdges:
+    """At the edges of the float range every evaluator returns floats or
+    raises EvalDomainError, never another exception, and the tree methods,
+    eval_batch and the straight-line code agree bit for bit on the values
+    and on where they raise."""
+
+    points = [(a, b) for a in FLOAT_EDGES for b in FLOAT_EDGES]
+
+    @pytest.mark.parametrize("e", _node_trees(), ids=repr)
+    def test_every_node_type(self, e):
+        for x in self.points:
+            for method in (e.val, e.val_grad, e.val_grad_hess):
+                try:
+                    out = method(list(x))
+                except EvalDomainError:
+                    continue
+                assert all(type(v) is float for v in _leaves(out)), (e, x, out)
+        _check_batch(e, self.points)
+        _check_straight_line(e, 2, self.points)
+
+    def test_log_of_a_value_whose_square_underflows(self):
+        e = parse_expression("log(x1)", {"x1": 0})
+        assert eval_value(e, [1e-200]) == math.log(1e-200)
+        _, g, H = e.val_grad_hess([1e-200])
+        assert g == [1.0 / 1e-200] and H == [[-math.inf]]

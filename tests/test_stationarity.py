@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from switchstat import relaxation, stationarity
-from switchstat.classify import tangent_basis
+from switchstat.classify import lagrangian_hessian, tangent_basis
 from switchstat.expr import (
     Add,
     Const,
     EvalDomainError,
     Mul,
     Problem,
+    eval_hessian,
     parse_problem,
 )
 from switchstat.relaxation import continue_path, kkt_points_relaxed, relax
@@ -623,6 +624,28 @@ class TestUndefinedConstraint:
             recover_multipliers(p, (-1.0, 0.0))
         assert check_licq(p, (0.5, 0.0)).holds
 
+    @pytest.mark.parametrize("kind", ["eq", "ineq"])
+    def test_residual_is_inf_where_a_constraint_is_undefined(self, kind):
+        p = parse_problem(UNDEFINED_CONSTRAINT.replace("ineq:", f"{kind}:"))
+        for y in (0.0, 2.0):
+            # the undefined constraint's multiplier is 0.0 or not
+            mult = Multipliers((y,) * len(p.equalities),
+                               (y,) * len(p.inequalities), (0.0,), (1.0,))
+            assert stationarity_residual(p, (-1.0, 0.0), mult) == math.inf
+        zero = Multipliers((0.0,) * len(p.equalities),
+                           (0.0,) * len(p.inequalities), (0.0,), (0.0,))
+        assert math.isfinite(stationarity_residual(p, (0.5, 0.0), zero))
+
+    def test_residual_raises_where_only_a_gradient_is_undefined(self):
+        # x2*x1^(-1) is defined and 0 at (1e-300, 0), so the point is
+        # feasible, but its gradient holds x1^(-2), which overflows; only a
+        # nonzero multiplier needs that gradient
+        p = parse_problem("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2*x1^(-1)\n")
+        x = (1e-300, 0.0)
+        assert stationarity_residual(p, x, Multipliers((), (0.0,), (), ())) == 2e-300
+        with pytest.raises(EvalDomainError):
+            stationarity_residual(p, x, Multipliers((), (1.0,), (), ()))
+
     def test_defined_constraint_with_undefined_gradient_is_dropped(self):
         # x2*x1^(-1) is 0 and active at (1e-300, 0), but its gradient holds
         # x1^(-2), which overflows
@@ -949,13 +972,14 @@ class TestSlotLayout:
 
 
 def _system_outcome(fn, *args):
-    """The exception type ``fn`` raises, or the bytes of the array it
-    returns, with every nan made the same nan."""
+    """EvalDomainError when ``fn`` raises it, else the bytes of the array it
+    returns, with every nan made the same nan; any other exception
+    propagates."""
     try:
         with np.errstate(all="ignore"):
             a = np.array(fn(*args), dtype=float)
-    except (EvalDomainError, ZeroDivisionError) as exc:
-        return type(exc)
+    except EvalDomainError:
+        return EvalDomainError
     a[np.isnan(a)] = np.nan
     return a.tobytes()
 
@@ -1065,3 +1089,123 @@ class TestBranchCode:
         # a nan anywhere must reject a damping trial as numpy's max does
         ref = float(np.abs(np.array(r)).max(initial=0.0))
         assert repr(_max_norm(r)) == repr(ref)
+
+
+def _residual_by_kind(p, x, mult):
+    """The stationarity residual written one multiplier kind at a time, with
+    its feasibility, complementarity and sign terms inline: the reference
+    the slot-order residual must match bit for bit."""
+    xl = [float(v) for v in x]
+    n = p.n
+    _, df = p.objective.val_grad(xl)
+    acc = list(df)
+    worst = 0.0
+    for i, h in enumerate(p.equalities):
+        lam = mult.lam[i]
+        if lam != 0.0:
+            _, gh = h.val_grad(xl)
+            for t in range(n):
+                acc[t] -= lam * gh[t]
+        worst = max(worst, abs(h.val(xl)))
+    for j, g in enumerate(p.inequalities):
+        mu = mult.mu[j]
+        gv = g.val(xl)
+        if mu != 0.0:
+            _, gg = g.val_grad(xl)
+            for t in range(n):
+                acc[t] -= mu * gg[t]
+        worst = max(worst, max(0.0, -gv))
+        worst = max(worst, abs(mu * gv))
+        worst = max(worst, max(0.0, -mu))
+    for m, (f1, f2) in enumerate(p.switches):
+        v1 = f1.val(xl)
+        v2 = f2.val(xl)
+        s1v = mult.sigma1[m]
+        s2v = mult.sigma2[m]
+        if s1v != 0.0:
+            _, g1 = f1.val_grad(xl)
+            for t in range(n):
+                acc[t] -= s1v * g1[t]
+        if s2v != 0.0:
+            _, g2 = f2.val_grad(xl)
+            for t in range(n):
+                acc[t] -= s2v * g2[t]
+        worst = max(worst, abs(v1 * v2))
+        worst = max(worst, abs(s1v * v1), abs(s2v * v2))
+    return max(worst, max(abs(a) for a in acc) if acc else 0.0)
+
+
+def _hessian_by_kind(p, x, mult):
+    """The Lagrangian Hessian summed one multiplier kind at a time: the
+    reference of classify.lagrangian_hessian."""
+    H = eval_hessian(p.objective, x)
+    for lam, h in zip(mult.lam, p.equalities):
+        if lam != 0.0:
+            H = H - lam * eval_hessian(h, x)
+    for mu, g in zip(mult.mu, p.inequalities):
+        if mu != 0.0:
+            H = H - mu * eval_hessian(g, x)
+    for m, (f1, f2) in enumerate(p.switches):
+        if mult.sigma1[m] != 0.0:
+            H = H - mult.sigma1[m] * eval_hessian(f1, x)
+        if mult.sigma2[m] != 0.0:
+            H = H - mult.sigma2[m] * eval_hessian(f2, x)
+    return H
+
+
+def _with_specials(p, mult):
+    """``mult``, and copies of it with one slot, or every slot, set to 0.0,
+    -0.0 and nan in turn."""
+    slots = stationarity._problem_slots(p)
+    y = _slot_values(mult, slots)
+    out = [mult]
+    for special in (0.0, -0.0, math.nan):
+        for k in range(len(slots)):
+            z = y.copy()
+            z[k] = special
+            out.append(_multipliers_from_slots(p, slots, z))
+        out.append(_multipliers_from_slots(p, slots, np.full(len(slots), special)))
+    return out
+
+
+class TestSlotOrderSums:
+    """stationarity_residual and lagrangian_hessian sum over the slots in
+    the Newton unknown order and give the bits of summing kind by kind."""
+
+    @staticmethod
+    def _check(p, x, mult):
+        assert repr(stationarity_residual(p, x, mult)) == repr(
+            _residual_by_kind(p, x, mult)
+        ), (x, mult)
+        assert lagrangian_hessian(p, x, mult).tobytes() == (
+            _hessian_by_kind(p, x, mult).tobytes()
+        ), (x, mult)
+
+    def test_every_converged_mid3_candidate(self):
+        p = parse_problem(MID3)
+        patterns = enumerate_branches(p)
+        starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
+        outcomes = [
+            out
+            for outs in stationarity._newton_solve_patterns(p, patterns, starts, CFG)
+            for out in outs
+            if out is not None
+        ]
+        assert len(outcomes) == 1125
+        for x, mult in outcomes:
+            self._check(p, x, mult)
+
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [(text, CFG) for text in EXAMPLES]
+        + [(CORPUS_P024, SolveConfig(grid_points=2)),
+           (CORPUS_P076, SolveConfig(grid_points=2))],
+        ids=EXAMPLE_IDS + ["corpus-p024", "corpus-p076"],
+    )
+    def test_accepted_points_with_special_multipliers(self, text, cfg):
+        p = parse_problem(text)
+        points = search_stationary_points(p, (-2.0, 2.0), cfg).points
+        assert points
+        for pt in points:
+            for mult in _with_specials(p, pt.mult):
+                self._check(p, pt.x, mult)
