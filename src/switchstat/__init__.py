@@ -52,7 +52,6 @@ from .stationarity import (
     feasibility_violation,
     find_stationary_points,
     licq_matrix,
-    newton_solve_batch,
     newton_solve_branch,
     recover_multipliers,
     search_stationary_points,

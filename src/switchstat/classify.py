@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import Problem, eval_hessian, eval_value
-from .linalg import det_sign, inertia, nullspace_basis, rank
+from .linalg import det_sign, inertia, nullspace_basis
 from .stationarity import (
     DEFAULT_CONFIG,
     CombinatorialCapError,
@@ -133,12 +133,14 @@ def tangent_basis(
     if not set(j_star) <= set(idx.j0):
         raise ValueError(f"j_star {j_star} is not a subset of J0 {idx.j0}")
     A = _gradient_rows(p, x, _active_slots(p, idx, j_star))
-    if rank(A, cfg.lin) < A.shape[0]:
+    V = nullspace_basis(A, cfg.lin)
+    # the rank nullspace_basis decided is n minus its columns
+    if p.n - V.shape[1] < A.shape[0]:
         raise LicqViolationError(
             f"active gradients are dependent at {tuple(float(v) for v in x)};"
             " tangent space is not well defined"
         )
-    return nullspace_basis(A, cfg.lin)
+    return V
 
 
 def lagrangian_hessian(p: Problem, x, mult: Multipliers) -> np.ndarray:
@@ -148,6 +150,23 @@ def lagrangian_hessian(p: Problem, x, mult: Multipliers) -> np.ndarray:
     for _, c, y in _weighted_slots(p, mult):
         H = H - y * eval_hessian(c, x)
     return H
+
+
+def _j_plus(mult: Multipliers, idx: IndexSets, cfg: SolveConfig):
+    """J+: the active inequalities whose multiplier is strictly positive
+    beyond ``tol_sign``.  ND2 holds when J+ is all of J0; a nan multiplier
+    is outside J+."""
+    return tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
+
+
+def _nd3_failures(mult: Multipliers, idx: IndexSets, cfg: SolveConfig):
+    """The bi-active indices with a vanishing multiplier (within
+    ``tol_sign`` of zero, or nan); ND3 holds when there are none."""
+    return [
+        m for m in idx.beta
+        if not (abs(mult.sigma1[m]) > cfg.tol_sign
+                and abs(mult.sigma2[m]) > cfg.tol_sign)
+    ]
 
 
 def _restricted(H, V):
@@ -194,18 +213,15 @@ def _nondegeneracy(p, x, mult, idx, cfg):
         notes.append(
             f"ND1: active gradient stack has rank {licq.rank} < {licq.rows}"
         )
-    bad_mu = [j for j in idx.j0 if mult.mu[j] <= cfg.tol_sign]
+    j_plus = _j_plus(mult, idx, cfg)
+    bad_mu = [j for j in idx.j0 if j not in j_plus]
     nd2 = not bad_mu
     if bad_mu:
         notes.append(
             "ND2: active inequality multipliers not strictly positive at "
             + ", ".join(f"j={j} (mu={mult.mu[j]:.3e})" for j in bad_mu)
         )
-    bad_sigma = [
-        m
-        for m in idx.beta
-        if abs(mult.sigma1[m]) <= cfg.tol_sign or abs(mult.sigma2[m]) <= cfg.tol_sign
-    ]
+    bad_sigma = _nd3_failures(mult, idx, cfg)
     nd3 = not bad_sigma
     if bad_sigma:
         notes.append(
@@ -275,7 +291,7 @@ def check_strong_stability(
             "strong-stability characterization requires LICQ"
             f" (rank {licq.rank} < {licq.rows})"
         )
-    j_plus = tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
+    j_plus = _j_plus(mult, idx, cfg)
     free = [j for j in idx.j0 if j not in j_plus]
     count = 2 ** len(free)
     if count > cfg.subset_cap:
@@ -292,10 +308,7 @@ def check_strong_stability(
         subsets.append(
             SubsetResult(j_star, V.shape[1], det_sign(_restricted(H, V), cfg.lin))
         )
-    nd3 = all(
-        abs(mult.sigma1[m]) > cfg.tol_sign and abs(mult.sigma2[m]) > cfg.tol_sign
-        for m in idx.beta
-    )
+    nd3 = not _nd3_failures(mult, idx, cfg)
     signs = {s.det_sign for s in subsets}
     if not nd3:
         reason = ND3_FAILS

@@ -13,10 +13,10 @@ starting points, and the surviving candidates are filtered by feasibility,
 multiplier signs and an independently re-evaluated stationarity residual.
 
 The search solves every pattern from every start in one batched damped
-Newton run (:func:`newton_solve_batch` is its one-pattern case).  A lane is
-one (pattern, start) pair; each expression is walked once per residual or
-Jacobian for all lanes that need it, each pattern's linear systems are solved
-in one stacked solve, and damping is decided lane by lane.  All lanes share
+Newton run (:func:`_newton_solve_patterns`).  A lane is one (pattern, start)
+pair; each expression is walked once per residual or Jacobian for all lanes
+that need it, each pattern's linear systems are solved in one stacked solve,
+and damping is decided lane by lane.  All lanes share
 one multiplier layout, a column per slot of the problem, and the columns a
 lane's pattern does not pin stay exactly 0.0.  A batch holds at most
 ``_LANE_BUDGET`` lanes, so wide searches run as a few batches of whole
@@ -90,7 +90,6 @@ __all__ = [
     "complementarity_violation",
     "enumerate_branches",
     "newton_solve_branch",
-    "newton_solve_batch",
     "find_stationary_points",
     "search_stationary_points",
 ]
@@ -258,12 +257,16 @@ def feasibility_violation(p: Problem, x) -> float:
 
 def complementarity_violation(p: Problem, x, mult: Multipliers) -> float:
     """Largest multiplier-times-constraint product magnitude over the
-    inequality and switching slots."""
+    inequality and switching slots; ``inf`` where a constraint with a
+    nonzero multiplier is undefined, as :func:`feasibility_violation`."""
     xl = [float(v) for v in x]
     worst = 0.0
-    for (kind, _), c, y in _weighted_slots(p, mult):
-        if kind != "lam":
-            worst = max(worst, abs(y * c.val(xl)))
+    try:
+        for (kind, _), c, y in _weighted_slots(p, mult):
+            if kind != "lam":
+                worst = max(worst, abs(y * c.val(xl)))
+    except EvalDomainError:
+        return math.inf
     return worst
 
 
@@ -624,6 +627,29 @@ def _max_norm(r):
     return max(map(abs, r))
 
 
+# A Newton step whose max norm exceeds this factor times 1 + max|z| ends the
+# lane's solve as a blow-up.
+_BLOW_UP = 1e8
+
+
+def _newton_step(J, r, diagnostics):
+    """The Newton step ``-J^-1 r``.  A singular ``J`` takes the minimum-norm
+    least-squares step instead, counted as ``singular_jacobian`` in
+    ``diagnostics`` unless that is None: patterns can pin the same function
+    twice (switching pairs that share a member), leaving the square system
+    singular but consistent; the minimum-norm step still converges there,
+    while genuinely inconsistent branches keep failing to improve."""
+    b = -np.asarray(r)
+    try:
+        return np.linalg.solve(J, b)
+    except np.linalg.LinAlgError:
+        if diagnostics is not None:
+            diagnostics["singular_jacobian"] = (
+                diagnostics.get("singular_jacobian", 0) + 1
+            )
+        return np.linalg.lstsq(J, b, rcond=None)[0]
+
+
 def newton_solve_branch(
     p: Problem,
     pattern: BranchPattern,
@@ -680,20 +706,10 @@ def newton_solve_branch(
             J = jacobian(z)
         except EvalDomainError:
             return None
-        try:
-            step = np.linalg.solve(J, -np.array(r))
-        except np.linalg.LinAlgError:
-            # patterns can pin the same function twice (switching pairs that
-            # share a member), leaving the square system singular but
-            # consistent; the minimum-norm step still converges there, while
-            # genuinely inconsistent branches keep failing to improve below
-            if diagnostics is not None:
-                diagnostics["singular_jacobian"] = (
-                    diagnostics.get("singular_jacobian", 0) + 1
-                )
-            step = np.linalg.lstsq(J, -np.array(r), rcond=None)[0]
-        if not np.all(np.isfinite(step)) or np.abs(step).max(initial=0.0) > 1e8 * (
-            1.0 + float(np.abs(z).max(initial=0.0))
+        step = _newton_step(J, r, diagnostics)
+        if not np.all(np.isfinite(step)) or (
+            np.abs(step).max(initial=0.0)
+            > _BLOW_UP * (1.0 + float(np.abs(z).max(initial=0.0)))
         ):
             return None
         t = 1.0
@@ -715,15 +731,11 @@ def newton_solve_branch(
     if not converged:
         return None
 
-    # polish: extra full steps while they strictly improve the residual
+    # polish: extra full steps while they strictly improve the residual; its
+    # singular Jacobians are not counted
     for _ in range(cfg.polish_steps):
         try:
-            J = jacobian(z)
-            try:
-                step = np.linalg.solve(J, -np.array(r))
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(J, -np.array(r), rcond=None)[0]
-            z_try = z + step
+            z_try = z + _newton_step(jacobian(z), r, None)
             r_try, rn_try = residual(z_try)
         except EvalDomainError:
             break
@@ -739,9 +751,7 @@ def newton_solve_branch(
 
 def _lanes(include, i):
     """The rows of the lanes whose pattern pins ``cons[i]``: a full slice
-    when every lane does (``include`` None means all), None when none does."""
-    if include is None:
-        return slice(None)
+    when every lane does, None when none does."""
     col = include[:, i]
     if col.all():
         return slice(None)
@@ -749,14 +759,13 @@ def _lanes(include, i):
     return rows if rows.size else None
 
 
-def _batch_residual(objective, cons, Z, n, include=None):
+def _batch_residual(objective, cons, Z, n, include):
     """_branch_residual for every row of ``Z``; returns (R, failed lanes).
 
-    ``include[k, i]`` says whether lane k pins ``cons[i]`` (default: every
-    lane pins every constraint).  A constraint is walked only over the lanes
-    that pin it, and fails only those; elsewhere its residual entry is 0.0
-    and it leaves the gradient row untouched, as it must where the lane's
-    multiplier column holds 0.0.
+    ``include[k, i]`` says whether lane k pins ``cons[i]``.  A constraint is
+    walked only over the lanes that pin it, and fails only those; elsewhere
+    its residual entry is 0.0 and it leaves the gradient row untouched, as it
+    must where the lane's multiplier column holds 0.0.
     """
     X = Z[:, :n]
     _, top, _, bad = eval_batch(objective, X)
@@ -778,7 +787,7 @@ def _batch_residual(objective, cons, Z, n, include=None):
     return R, bad
 
 
-def _batch_lagrangian(objective, cons, Z, n, include=None):
+def _batch_lagrangian(objective, cons, Z, n, include):
     """Lagrangian Hessians ``H[B, n, n]`` and constraint gradient rows
     ``G[B, m, n]`` of the branch Jacobian at every row of ``Z``; returns
     (H, G, failed lanes).  ``include`` as for :func:`_batch_residual`; rows
@@ -815,28 +824,12 @@ def _max_norms(A):
 
 
 def _newton_steps(J, R, diagnostics=None):
-    """``np.linalg.solve(J[k], -R[k])`` for every lane k.
-
-    One stacked solve when every Jacobian is regular.  Otherwise the lanes
-    are solved one by one, and a singular lane takes the minimum-norm
-    least-squares step (counted in ``diagnostics`` when given), exactly as
-    :func:`newton_solve_branch` does.
-    """
+    """``_newton_step(J[k], R[k], diagnostics)`` for every lane k: one
+    stacked solve when every Jacobian is regular, else lane by lane."""
     try:
         return np.linalg.solve(J, -R[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        pass
-    steps = np.empty_like(R)
-    for k in range(len(J)):
-        try:
-            steps[k] = np.linalg.solve(J[k], -R[k])
-        except np.linalg.LinAlgError:
-            if diagnostics is not None:
-                diagnostics["singular_jacobian"] = (
-                    diagnostics.get("singular_jacobian", 0) + 1
-                )
-            steps[k] = np.linalg.lstsq(J[k], -R[k], rcond=None)[0]
-    return steps
+        return np.array([_newton_step(Jk, r, diagnostics) for Jk, r in zip(J, R)])
 
 
 # Most lanes (one lane = one (pattern, start) pair) in one multi-pattern
@@ -909,7 +902,7 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
             H, G, R[live], lane_pattern[live], cols, diagnostics
         )
         blown = ~np.all(np.isfinite(step), axis=1) | (
-            _max_norms(step) > 1e8 * (1.0 + _max_norms(Z[live]))
+            _max_norms(step) > _BLOW_UP * (1.0 + _max_norms(Z[live]))
         )
         failed[live[blown]] = True
         live, step = live[~blown], step[~blown]
@@ -968,9 +961,17 @@ def _newton_solve_patterns(
     diagnostics=None,
 ):
     """:func:`newton_solve_branch` for every pattern of ``patterns`` from
-    every row of ``starts[B, n]``; returns one outcome list per pattern, in
-    start order.  Consecutive patterns share a batch, at most
-    ``_LANE_BUDGET // B`` (and at least one) per batch."""
+    every row of ``starts[B, n]``, multipliers starting at zero; returns one
+    outcome list per pattern, in start order, each outcome ``None`` or
+    ``(x, Multipliers)`` bitwise equal to the single-start solver's.
+
+    Every lane takes the same Newton steps, halvings, step-blow-up test,
+    least-squares fallback and polish steps.  Each pattern's unknowns are a
+    subsequence of :func:`_problem_slots`, so the skipped ``y_i == 0``
+    updates run in the scalar order, and the columns a pattern does not pin
+    hold exactly 0.0 in the iterate, the residual and the step, which leaves
+    every max norm and step unchanged.  Consecutive patterns share a batch,
+    at most ``_LANE_BUDGET // B`` (and at least one) per batch."""
     starts = np.asarray(starts, dtype=float)
     per_batch = max(1, _LANE_BUDGET // max(1, len(starts)))
     outcomes = []
@@ -979,39 +980,6 @@ def _newton_solve_patterns(
             p, patterns[b:b + per_batch], starts, cfg, diagnostics
         )
     return outcomes
-
-
-def newton_solve_batch(
-    p: Problem,
-    pattern: BranchPattern,
-    starts,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-    diagnostics=None,
-):
-    """:func:`newton_solve_branch` from every row of ``starts[B, n]`` at once,
-    multipliers starting at zero.
-
-    Returns one outcome per start, ``None`` or ``(x, Multipliers)``, each
-    bitwise equal to what the single-start solver returns for that start:
-    every lane takes the same Newton steps, halvings, step-blow-up test,
-    least-squares fallback and polish steps.  Lanes leave the batch as they
-    converge or fail, so later iterations evaluate only the live ones.
-
-    This is the one-pattern case of the search's solver, which puts the
-    lanes of many patterns (one lane per pattern and start) in one batch so
-    that each expression is walked once per residual or Jacobian for all of
-    them.  Every lane then holds one multiplier column per slot of the
-    problem (:func:`_problem_slots`: equalities, inequalities, ``sigma1`` and
-    ``sigma2`` per switch); each pattern's unknowns are a subsequence of
-    that order, so the skipped ``y_i == 0`` updates run in the scalar order,
-    and the columns a pattern does not pin hold exactly 0.0 in the iterate,
-    the residual and the step, which leaves every max norm and step unchanged.
-    Each constraint is walked only over the lanes that pin it, and each
-    pattern's linear systems are solved on their own.  A batch holds at most
-    ``_LANE_BUDGET`` lanes (but always one whole pattern), which bounds its
-    memory on wide searches.
-    """
-    return _newton_solve_patterns(p, [pattern], starts, cfg, diagnostics)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,6 @@ def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
     feasible set."""
     if p.n != grid.n:
         raise ValueError(f"grid has {grid.n} axes but the problem has n={p.n}")
-    if p.n > MAX_GRID_DIM:
-        raise DimensionError(f"feasibility masks need n <= {MAX_GRID_DIM}")
     scale = grid.feas_scale * grid.spacing
     # (constraint, two-sided): equalities and switch products must be near
     # zero, inequalities only not far below it

@@ -1,7 +1,12 @@
 """Nondegeneracy, W-index, minimizer verdicts and strong stability."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+
+from switchstat import linalg
 
 from switchstat.classify import (
     ND3_FAILS,
@@ -18,6 +23,8 @@ from switchstat.expr import parse_problem
 from switchstat.linalg import det_sign, inertia
 from switchstat.stationarity import (
     LicqViolationError,
+    Multipliers,
+    SolveConfig,
     active_sets,
     find_stationary_points,
     recover_multipliers,
@@ -60,6 +67,28 @@ class TestTangentBasis:
         idx = active_sets(p, (0.0, 0.0))
         with pytest.raises(LicqViolationError):
             tangent_basis(p, (0.0, 0.0), idx)
+
+    def test_one_rank_per_basis(self, monkeypatch, cross_linear):
+        # the dependence test reads the rank the nullspace basis decided
+        calls = []
+        rank = linalg.rank
+
+        def spy(*args):
+            calls.append(args)
+            return rank(*args)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        dependent = parse_problem(
+            "vars: x1 x2\nobjective: x1\nineq: x1 + x2\nswitch: x1 | x2\n"
+        )
+        for p, x in [(cross_linear, (0.0, 0.0)), (cross_linear, (1.0, 0.0)),
+                     (dependent, (0.0, 0.0))]:
+            calls.clear()
+            try:
+                tangent_basis(p, x, active_sets(p, x))
+            except LicqViolationError:
+                assert p is dependent
+            assert len(calls) == 1, x
 
 
 class TestLagrangianHessian:
@@ -381,3 +410,51 @@ class TestMinimizerCorollaryOnGrid:
                     if fy + 1e-9 < pt.f_value:
                         is_min = False
             assert is_min == (cls.w.w == 0)
+
+
+TOL_SIGN = SolveConfig().tol_sign
+SPECIAL_MULTIPLIERS = [math.nan, 0.0, -0.0, TOL_SIGN, -TOL_SIGN, 2 * TOL_SIGN]
+
+
+class TestSignRules:
+    """ND2 and J+ read one strict-positivity rule, ND3 and the stability
+    verdict one non-vanishing rule, so ``check_nondegeneracy`` and
+    ``check_strong_stability`` agree on every multiplier, nan included."""
+
+    @pytest.mark.parametrize("v", SPECIAL_MULTIPLIERS, ids=repr)
+    def test_nd2_fails_exactly_outside_j_plus(self, v):
+        p = parse_problem(
+            "vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2\nineq: x1\n"
+        )
+        x = (0.0, 0.0)
+        idx = active_sets(p, x)
+        assert idx.j0 == (0, 1)
+        mult = Multipliers((), (v, 1.0), (), ())
+        nd = check_nondegeneracy(p, x, mult, idx)
+        stab = check_strong_stability(p, x, mult, idx)
+        j_plus = min((s.j_star for s in stab.subsets), key=len)
+        assert j_plus == ((0, 1) if v > TOL_SIGN else (1,))
+        outside = [j for j in idx.j0 if j not in j_plus]
+        assert nd.nd2 == (not outside)
+        named = [
+            int(j) for note in nd.notes if note.startswith("ND2")
+            for j in re.findall(r"j=(\d+)", note)
+        ]
+        assert named == outside
+
+    @pytest.mark.parametrize("member", [0, 1])
+    @pytest.mark.parametrize("v", SPECIAL_MULTIPLIERS, ids=repr)
+    def test_nd3_agrees_with_the_stability_verdict(
+        self, cross_quadratic, v, member
+    ):
+        x = (0.0, 0.0)
+        idx = active_sets(cross_quadratic, x)
+        assert idx.beta == (0,)
+        pair = [-2.0, -2.0]
+        pair[member] = v
+        mult = Multipliers((), (), (pair[0],), (pair[1],))
+        nd = check_nondegeneracy(cross_quadratic, x, mult, idx)
+        stab = check_strong_stability(cross_quadratic, x, mult, idx)
+        assert stab.nd3_holds == (abs(v) > TOL_SIGN)
+        assert nd.nd3 == stab.nd3_holds
+        assert (stab.failure_reason == ND3_FAILS) == (not stab.nd3_holds)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -540,3 +541,43 @@ class TestTranslation:
             moved = _translate(text, c)
             assert moved != text
             assert _verdicts(tmp_path, moved, (-2.0 + c, 2.0 + c)) == expected, c
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks(section):
+    """(language, text) of each fenced block in README's ``## section``."""
+    text = README.read_text()
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```(\w*)\n(.*?)```", body, re.S)
+
+
+class TestReadme:
+    """The entry points README documents keep working as written."""
+
+    def test_library_block_runs(self, capsys):
+        (block,) = [code for lang, code in _readme_blocks("Library")
+                    if lang == "python"]
+        exec(compile(block, str(README), "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert sum("minimizer" in line for line in lines) == 2
+
+    def test_cli_examples_run(self, tmp_path):
+        # the problem file README shows, under the name its examples use
+        (problem,) = [code for lang, code in _readme_blocks("Problem files")
+                      if not lang]
+        src = _write(tmp_path, "problem.txt", problem)
+        out = str(tmp_path / "report.json")
+        (examples,) = [code for lang, code in _readme_blocks("CLI") if lang == "sh"]
+        lines = [line for line in examples.splitlines() if line.strip()]
+        assert len(lines) == 4
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "switchstat"
+            argv = [{"problem.txt": src, "report.json": out}.get(a, a)
+                    for a in argv[1:]]
+            Path(out).unlink(missing_ok=True)
+            assert main(argv) == 0, line
+            assert json.loads(Path(out).read_text())["command"] == argv[0]

@@ -40,6 +40,7 @@ from switchstat.stationarity import (
     _gradient_rows,
     _grid_starts,
     _multipliers_from_slots,
+    _newton_solve_patterns,
     _pattern_slots,
     _slot_expr,
     _slot_values,
@@ -52,11 +53,11 @@ from switchstat.stationarity import (
     SolveConfig,
     active_sets,
     check_licq,
+    complementarity_violation,
     enumerate_branches,
     feasibility_violation,
     find_stationary_points,
     licq_matrix,
-    newton_solve_batch,
     newton_solve_branch,
     recover_multipliers,
     search_stationary_points,
@@ -65,6 +66,14 @@ from switchstat.stationarity import (
 )
 
 CFG = SolveConfig()
+
+# two switching pairs that share the member x2
+CHAINED_SWITCHES = """\
+vars: x1 x2 x3
+objective: (x1-1)^2 + (x2-1)^2 + (x3-1)^2
+switch: x1 | x2
+switch: x2 | x3
+"""
 
 MID3 = """\
 vars: x1 x2 x3
@@ -144,7 +153,9 @@ class TestSolveConfig:
         cfg = SolveConfig(**{name: 0})
         starts = _grid_starts(2, (-2.0, 2.0), cfg)
         for pattern in enumerate_branches(cross_quadratic, cfg):
-            outs = newton_solve_batch(cross_quadratic, pattern, starts, cfg)
+            outs = _newton_solve_patterns(
+                cross_quadratic, [pattern], starts, cfg, None
+            )[0]
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(cross_quadratic, pattern, start, cfg)
                 assert _outcome_bits(out) == _outcome_bits(ref), (pattern, start)
@@ -335,14 +346,27 @@ class TestNewtonSolveBranch:
         assert out is None
 
     def test_singular_jacobian_flag(self):
-        p = parse_problem("vars: x1\nobjective: x1^3\n")
-        diag = {}
-        out = newton_solve_branch(
-            p, BranchPattern((), ()), (0.0,), diagnostics=diag
-        )
-        assert out is None or out is not None  # either outcome is acceptable
-        # starting exactly at the degenerate point the Hessian is singular
-        assert diag.get("singular_jacobian", 0) >= 0
+        # (S2, S1) pins the shared member x2 twice, so every Jacobian of the
+        # branch system is singular; the first iteration's minimum-norm step
+        # lands on the root, and the polish's singular steps are not counted
+        p = parse_problem(CHAINED_SWITCHES)
+        pattern = BranchPattern(("S2", "S1"), ())
+        start = (0.5, 0.5, 0.5)
+        for polish_steps in (4, 0):
+            cfg = SolveConfig(polish_steps=polish_steps)
+            diag, batch_diag = {}, {}
+            out = newton_solve_branch(p, pattern, start, cfg, diagnostics=diag)
+            assert diag == {"singular_jacobian": 1}, polish_steps
+            x, mult = out
+            assert x == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+            # the minimum-norm split of the doubly pinned x2's multiplier
+            assert mult.sigma2 == pytest.approx((-1.0, 0.0), abs=1e-12)
+            assert mult.sigma1 == pytest.approx((0.0, -1.0), abs=1e-12)
+            ((lane,),) = _newton_solve_patterns(
+                p, [pattern], [start], cfg, batch_diag
+            )
+            assert _outcome_bits(lane) == _outcome_bits(out)
+            assert batch_diag == diag
 
 
 class TestFindStationaryPoints:
@@ -532,11 +556,7 @@ class TestSharedSwitchMembers:
     minimum-norm multipliers)."""
 
     def test_chained_switches(self):
-        p = parse_problem(
-            "vars: x1 x2 x3\n"
-            "objective: (x1-1)^2 + (x2-1)^2 + (x3-1)^2\n"
-            "switch: x1 | x2\nswitch: x2 | x3\n"
-        )
+        p = parse_problem(CHAINED_SWITCHES)
         pts = find_stationary_points(p, (-2.0, 2.0))
         expected = [
             (0.0, 0.0, 0.0),
@@ -636,6 +656,15 @@ class TestUndefinedConstraint:
                            (0.0,) * len(p.inequalities), (0.0,), (0.0,))
         assert math.isfinite(stationarity_residual(p, (0.5, 0.0), zero))
 
+    def test_complementarity_is_inf_where_a_constraint_is_undefined(self):
+        p = parse_problem(UNDEFINED_CONSTRAINT)
+        x = (-1.0, 0.0)
+        mult = Multipliers((), (2.0,), (0.0,), (1.0,))
+        assert complementarity_violation(p, x, mult) == math.inf
+        # a zero multiplier leaves the undefined constraint unread
+        mult = Multipliers((), (0.0,), (0.0,), (1.0,))
+        assert complementarity_violation(p, x, mult) == 0.0
+
     def test_residual_raises_where_only_a_gradient_is_undefined(self):
         # x2*x1^(-1) is defined and 0 at (1e-300, 0), so the point is
         # feasible, but its gradient holds x1^(-2), which overflows; only a
@@ -669,7 +698,8 @@ def _outcome_bits(out):
 
 
 class TestBatchedNewton:
-    """Every lane of newton_solve_batch is the single-start solver's run."""
+    """Every lane of a one-pattern batch is the single-start solver's
+    run."""
 
     @pytest.mark.parametrize(
         "text, seed",
@@ -683,7 +713,7 @@ class TestBatchedNewton:
         batch_diag, scalar_diag = {}, {}
         converged = 0
         for pattern in enumerate_branches(p, cfg):
-            outs = newton_solve_batch(p, pattern, starts, cfg, batch_diag)
+            outs = _newton_solve_patterns(p, [pattern], starts, cfg, batch_diag)[0]
             assert len(outs) == len(starts)
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(
@@ -701,8 +731,9 @@ class TestBatchedNewton:
         p = parse_problem("vars: x1 x2\nobjective: -x1*x2\neq: -x1\n")
         cons = list(p.equalities)
         Z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.5, -0.0, 0.0]])
-        R, bad = _batch_residual(p.objective, cons, Z, p.n)
-        H, G, jbad = _batch_lagrangian(p.objective, cons, Z, p.n)
+        include = np.ones((len(Z), len(cons)), dtype=bool)
+        R, bad = _batch_residual(p.objective, cons, Z, p.n, include)
+        H, G, jbad = _batch_lagrangian(p.objective, cons, Z, p.n, include)
         J = _branch_jacobians(H, G)
         assert not bad.any() and not jbad.any()
         shape, consts = _branch_shape(p.objective, cons, p.n)
@@ -718,7 +749,9 @@ class TestBatchedNewton:
 
     def test_single_start_batch(self, cross_quadratic):
         pattern = BranchPattern(("BOTH",), ())
-        (out,) = newton_solve_batch(cross_quadratic, pattern, [(0.3, 0.3)])
+        ((out,),) = _newton_solve_patterns(
+            cross_quadratic, [pattern], [(0.3, 0.3)], CFG, None
+        )
         ref = newton_solve_branch(cross_quadratic, pattern, (0.3, 0.3))
         assert _outcome_bits(out) == _outcome_bits(ref)
 
