@@ -21,7 +21,7 @@ contribute determinant sign +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -110,6 +110,9 @@ class Classification:
     w: Optional[WIndex]
     verdict: str
     is_local_minimizer: Optional[bool]
+    # the verdict, or the LicqViolationError / SubsetCapError that puts the
+    # point outside the characterization's scope
+    stability: Union[StabilityVerdict, LicqViolationError, SubsetCapError]
 
 
 def tangent_basis(
@@ -152,23 +155,6 @@ def lagrangian_hessian(p: Problem, x, mult: Multipliers) -> np.ndarray:
     return H
 
 
-def _j_plus(mult: Multipliers, idx: IndexSets, cfg: SolveConfig):
-    """J+: the active inequalities whose multiplier is strictly positive
-    beyond ``tol_sign``.  ND2 holds when J+ is all of J0; a nan multiplier
-    is outside J+."""
-    return tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
-
-
-def _nd3_failures(mult: Multipliers, idx: IndexSets, cfg: SolveConfig):
-    """The bi-active indices with a vanishing multiplier (within
-    ``tol_sign`` of zero, or nan); ND3 holds when there are none."""
-    return [
-        m for m in idx.beta
-        if not (abs(mult.sigma1[m]) > cfg.tol_sign
-                and abs(mult.sigma2[m]) > cfg.tol_sign)
-    ]
-
-
 def _restricted(H, V):
     M = V.T @ H @ V
     return 0.5 * (M + M.T)
@@ -180,6 +166,11 @@ def quadratic_index(
 ) -> WIndex:
     """Counts behind the W-index: restricted-Hessian negative eigenvalues
     plus the number of bi-active switching pairs."""
+    return _quadratic_index(p, x, mult, idx, cfg)[0]
+
+
+def _quadratic_index(p, x, mult, idx, cfg):
+    """:func:`quadratic_index` and the Lagrangian Hessian it restricts."""
     V = tangent_basis(p, x, idx, cfg=cfg)
     H = lagrangian_hessian(p, x, mult)
     ine = inertia(_restricted(H, V), cfg.lin)
@@ -191,7 +182,7 @@ def quadratic_index(
         w=qi + bi,
         degenerate=ine.n_zero > 0,
         tangent_dim=V.shape[1],
-    )
+    ), H
 
 
 def check_nondegeneracy(
@@ -200,29 +191,39 @@ def check_nondegeneracy(
 ) -> NDReport:
     """Evaluate the four nondegeneracy conditions; failures are report
     content, not errors."""
-    return _nondegeneracy(p, x, mult, idx, cfg)[0]
+    return classify_point(p, x, mult, idx, cfg).nd
 
 
-def _nondegeneracy(p, x, mult, idx, cfg):
-    """The :class:`NDReport` and the :class:`WIndex` it decides ND4 from
-    (``None`` when LICQ fails)."""
-    notes = []
+def classify_point(
+    p: Problem, x, mult: Multipliers, idx: IndexSets,
+    cfg: SolveConfig = DEFAULT_CONFIG,
+) -> Classification:
+    """Nondegeneracy, the W-index, the minimizer/saddle verdict from it
+    (inconclusive when the point is degenerate) and the strong-stability
+    verdict, from one LICQ check and one Lagrangian Hessian."""
     licq = check_licq(p, x, cfg)
     nd1 = licq.holds
+    notes = []
     if not nd1:
         notes.append(
             f"ND1: active gradient stack has rank {licq.rank} < {licq.rows}"
         )
-    j_plus = _j_plus(mult, idx, cfg)
-    bad_mu = [j for j in idx.j0 if j not in j_plus]
-    nd2 = not bad_mu
-    if bad_mu:
+    # J+: the active inequalities whose multiplier exceeds tol_sign, so a
+    # nan multiplier lies outside J+ and fails ND2, which asks for J+ = J0
+    j_plus = tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
+    free = [j for j in idx.j0 if j not in j_plus]
+    if free:
         notes.append(
             "ND2: active inequality multipliers not strictly positive at "
-            + ", ".join(f"j={j} (mu={mult.mu[j]:.3e})" for j in bad_mu)
+            + ", ".join(f"j={j} (mu={mult.mu[j]:.3e})" for j in free)
         )
-    bad_sigma = _nd3_failures(mult, idx, cfg)
-    nd3 = not bad_sigma
+    # ND3 fails at a bi-active index with a multiplier within tol_sign of
+    # zero, or nan
+    bad_sigma = [
+        m for m in idx.beta
+        if not (abs(mult.sigma1[m]) > cfg.tol_sign
+                and abs(mult.sigma2[m]) > cfg.tol_sign)
+    ]
     if bad_sigma:
         notes.append(
             "ND3: vanishing bi-active multiplier at "
@@ -232,24 +233,23 @@ def _nondegeneracy(p, x, mult, idx, cfg):
             )
         )
     if nd1:
-        wi = quadratic_index(p, x, mult, idx, cfg)
-        nd4 = not wi.degenerate
-        if not nd4:
+        wi, H = _quadratic_index(p, x, mult, idx, cfg)
+        if wi.degenerate:
             notes.append("ND4: restricted Lagrangian Hessian is singular")
+        try:
+            stability = _stability(p, x, idx, H, wi, j_plus, free,
+                                   not bad_sigma, cfg)
+        except (LicqViolationError, SubsetCapError) as exc:
+            stability = exc
     else:
         wi = None
-        nd4 = False
         notes.append("ND4: not evaluated (LICQ fails)")
-    return NDReport(nd1, nd2, nd3, nd4, tuple(notes)), wi
-
-
-def classify_point(
-    p: Problem, x, mult: Multipliers, idx: IndexSets,
-    cfg: SolveConfig = DEFAULT_CONFIG,
-) -> Classification:
-    """Minimizer/saddle verdict from the W-index; inconclusive when the
-    point is degenerate."""
-    nd, wi = _nondegeneracy(p, x, mult, idx, cfg)
+        stability = LicqViolationError(
+            "strong-stability characterization requires LICQ"
+            f" (rank {licq.rank} < {licq.rows})"
+        )
+    nd = NDReport(nd1, not free, not bad_sigma, nd1 and not wi.degenerate,
+                  tuple(notes))
     if not nd.nondegenerate:
         verdict = "degenerate: minimizer test inconclusive"
         is_min = None
@@ -269,6 +269,46 @@ def classify_point(
         w=wi,
         verdict=verdict,
         is_local_minimizer=is_min,
+        stability=stability,
+    )
+
+
+def _stability(p, x, idx, H, wi, j_plus, free, nd3, cfg):
+    """The strong-stability verdict from the Lagrangian Hessian ``H`` and
+    the W-index ``wi`` of J0, for the inequalities ``free`` outside J+.
+    Raises as :func:`check_strong_stability`."""
+    count = 2 ** len(free)
+    if count > cfg.subset_cap:
+        raise SubsetCapError(
+            f"{count} inequality subsets exceed subset_cap={cfg.subset_cap}"
+        )
+    subsets = []
+    for mask in range(count - 1):
+        j_star = tuple(sorted(
+            j_plus + tuple(free[i] for i in range(len(free)) if mask >> i & 1)
+        ))
+        V = tangent_basis(p, x, idx, j_star, cfg)
+        subsets.append(
+            SubsetResult(j_star, V.shape[1], det_sign(_restricted(H, V), cfg.lin))
+        )
+    # the last mask is J* = J0, whose restricted Hessian has the inertia in
+    # ``wi``: det_sign is 0 when it is singular, else (-1)**QI
+    sign = 0 if wi.degenerate else (-1) ** wi.qi
+    subsets.append(SubsetResult(tuple(sorted(idx.j0)), wi.tangent_dim, sign))
+    signs = {s.det_sign for s in subsets}
+    if not nd3:
+        reason = ND3_FAILS
+    elif 0 in signs:
+        reason = SINGULAR_SUBSET
+    elif len(signs) > 1:
+        reason = SIGN_MISMATCH
+    else:
+        reason = NONE
+    return StabilityVerdict(
+        strongly_stable=(reason == NONE),
+        nd3_holds=nd3,
+        subsets=tuple(subsets),
+        failure_reason=reason,
     )
 
 
@@ -285,42 +325,7 @@ def check_strong_stability(
     characterization does not apply) and :class:`SubsetCapError` when the
     subset count exceeds the cap.
     """
-    licq = check_licq(p, x, cfg)
-    if not licq.holds:
-        raise LicqViolationError(
-            "strong-stability characterization requires LICQ"
-            f" (rank {licq.rank} < {licq.rows})"
-        )
-    j_plus = _j_plus(mult, idx, cfg)
-    free = [j for j in idx.j0 if j not in j_plus]
-    count = 2 ** len(free)
-    if count > cfg.subset_cap:
-        raise SubsetCapError(
-            f"{count} inequality subsets exceed subset_cap={cfg.subset_cap}"
-        )
-    H = lagrangian_hessian(p, x, mult)
-    subsets = []
-    for mask in range(count):
-        j_star = tuple(sorted(
-            j_plus + tuple(free[i] for i in range(len(free)) if mask >> i & 1)
-        ))
-        V = tangent_basis(p, x, idx, j_star, cfg)
-        subsets.append(
-            SubsetResult(j_star, V.shape[1], det_sign(_restricted(H, V), cfg.lin))
-        )
-    nd3 = not _nd3_failures(mult, idx, cfg)
-    signs = {s.det_sign for s in subsets}
-    if not nd3:
-        reason = ND3_FAILS
-    elif 0 in signs:
-        reason = SINGULAR_SUBSET
-    elif len(signs) > 1:
-        reason = SIGN_MISMATCH
-    else:
-        reason = NONE
-    return StabilityVerdict(
-        strongly_stable=(reason == NONE),
-        nd3_holds=nd3,
-        subsets=tuple(subsets),
-        failure_reason=reason,
-    )
+    stability = classify_point(p, x, mult, idx, cfg).stability
+    if isinstance(stability, Exception):
+        raise stability
+    return stability

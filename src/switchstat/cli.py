@@ -17,18 +17,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import (
-    SubsetCapError,
-    check_strong_stability,
-    classify_point,
-)
+from .classify import classify_point
 from .expr import ParseError, Problem, format_problem, parse_problem
 from .linalg import SingularSystemError
 from .relaxation import PathLossError, continue_path, kkt_points_relaxed, relax
 from .stationarity import (
     DEFAULT_CONFIG,
     CombinatorialCapError,
-    LicqViolationError,
     NotStationaryError,
     SolveConfig,
     config_fields,
@@ -165,11 +160,9 @@ def _index_record(idx):
     }
 
 
-def _stability_record(p, pt, cfg):
-    try:
-        verdict = check_strong_stability(p, pt.x, pt.mult, pt.idx, cfg)
-    except (LicqViolationError, SubsetCapError) as exc:
-        return {"out_of_scope": True, "reason": str(exc)}
+def _stability_record(verdict):
+    if isinstance(verdict, Exception):
+        return {"out_of_scope": True, "reason": str(verdict)}
     return {
         "strongly_stable": verdict.strongly_stable,
         "nd3_holds": verdict.nd3_holds,
@@ -209,7 +202,7 @@ def _point_record(p, pt, cfg):
         },
         "classification": cls.verdict,
         "is_local_minimizer": cls.is_local_minimizer,
-        "strong_stability": _stability_record(p, pt, cfg),
+        "strong_stability": _stability_record(cls.stability),
     }
     return rec, cls
 
@@ -256,14 +249,13 @@ def cmd_analyze(args) -> int:
     for i, pt in enumerate(result.points):
         rec, cls = _point_record(p, pt, cfg)
         points.append(rec)
-        stable = rec["strong_stability"].get("strongly_stable")
-        stable_text = (
-            "stability characterization not applicable"
-            f" ({rec['strong_stability']['reason']})"
-            if stable is None
-            else ("strongly stable" if stable else
-                  f"not strongly stable ({rec['strong_stability']['failure_reason']})")
-        )
+        stab = cls.stability
+        if isinstance(stab, Exception):
+            stable_text = f"stability characterization not applicable ({stab})"
+        elif stab.strongly_stable:
+            stable_text = "strongly stable"
+        else:
+            stable_text = f"not strongly stable ({stab.failure_reason})"
         w_text = (
             f"w={cls.w.w} (QI={cls.w.qi}, BI={cls.w.bi})" if cls.w else "w=?"
         )
@@ -584,7 +576,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SubsetCapError, CombinatorialCapError) as exc:
+    except CombinatorialCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except DimensionError as exc:

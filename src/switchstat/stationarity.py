@@ -384,32 +384,27 @@ def licq_matrix(p: Problem, x, idx: IndexSets) -> np.ndarray:
 
 
 def _licq_stack(p: Problem, x, cfg: SolveConfig):
-    """Active sets, their LICQ-order slots, the gradient stack ``G`` and its
-    rank at ``x``; raises :class:`InfeasiblePointError` when ``x`` is
-    infeasible beyond ``tol_feas``."""
-    if feasibility_violation(p, x) > cfg.tol_feas:
+    """Active sets, their LICQ-order slots, the gradient stack ``G``, its
+    rank and the feasibility violation at ``x``; raises
+    :class:`InfeasiblePointError` when ``x`` is infeasible beyond
+    ``tol_feas``."""
+    feas = feasibility_violation(p, x)
+    if feas > cfg.tol_feas:
         raise InfeasiblePointError(
             f"point {tuple(float(v) for v in x)} is infeasible beyond tol_feas"
         )
     idx = active_sets(p, x, cfg)
     slots = _active_slots(p, idx)
     G = _gradient_rows(p, x, slots)
-    return idx, slots, G, rank(G, cfg.lin)
+    return idx, slots, G, rank(G, cfg.lin), feas
 
 
 def check_licq(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> LicqReport:
     """LICQ holds iff the active gradient stack has full row rank.  Raises
     :class:`InfeasiblePointError` at a point infeasible beyond ``tol_feas``,
     one where a constraint function is undefined included."""
-    _, _, G, r = _licq_stack(p, x, cfg)
+    _, _, G, r, _ = _licq_stack(p, x, cfg)
     return LicqReport(holds=(r == G.shape[0]), rank=r, rows=G.shape[0])
-
-
-def _unique_multipliers(p: Problem, slots, G, df, cfg: SolveConfig):
-    """Multipliers solving ``G.T y = df`` for a full-row-rank ``G``; raises
-    :class:`SingularSystemError` on tolerance breakdown."""
-    y = solve_linear(G.T, df, cfg.lin) if slots else np.zeros(0)
-    return _multipliers_from_slots(p, slots, y)
 
 
 def stationarity_residual(p: Problem, x, mult: Multipliers) -> float:
@@ -417,14 +412,16 @@ def stationarity_residual(p: Problem, x, mult: Multipliers) -> float:
     multiplier rule, feasibility, complementarity and the inequality
     multiplier sign condition; ``inf`` where a constraint function is
     undefined, as :func:`feasibility_violation`."""
-    worst = feasibility_violation(p, x)
-    if worst == math.inf:
-        return worst
-    worst = max(
-        worst,
-        complementarity_violation(p, x, mult),
-        max([0.0] + [-mu for mu in mult.mu]),
-    )
+    feas = feasibility_violation(p, x)
+    if feas == math.inf:
+        return feas
+    return _residual(p, x, mult, feas, complementarity_violation(p, x, mult))
+
+
+def _residual(p: Problem, x, mult: Multipliers, feas, comp) -> float:
+    """:func:`stationarity_residual` from the finite feasibility violation
+    ``feas`` and the complementarity violation ``comp`` of ``x``."""
+    worst = max(feas, comp, max([0.0] + [-mu for mu in mult.mu]))
     xl = [float(v) for v in x]
     _, df = p.objective.val_grad(xl)
     acc = list(df)
@@ -447,14 +444,16 @@ def recover_multipliers(
     unique), :class:`SingularSystemError` on tolerance breakdown and
     :class:`NotStationaryError` when the point is not W-stationary.
     """
-    _, slots, G, r = _licq_stack(p, x, cfg)
+    _, slots, G, r, feas = _licq_stack(p, x, cfg)
     if r < G.shape[0]:
         raise LicqViolationError(
             f"LICQ fails at {tuple(float(v) for v in x)}:"
             f" rank {r} < {G.shape[0]} active gradients"
         )
-    mult = _unique_multipliers(p, slots, G, eval_gradient(p.objective, x), cfg)
-    resid = stationarity_residual(p, x, mult)
+    df = eval_gradient(p.objective, x)
+    y = solve_linear(G.T, df, cfg.lin) if slots else np.zeros(0)
+    mult = _multipliers_from_slots(p, slots, y)
+    resid = _residual(p, x, mult, feas, complementarity_violation(p, x, mult))
     if resid > cfg.tol_resid:
         raise NotStationaryError(
             f"stationarity residual {resid:.3e} exceeds tol_resid"
@@ -1029,7 +1028,7 @@ def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
     if np.any(x < lo) or np.any(x > hi):
         return _DROP
     try:
-        idx, slots, G, r = _licq_stack(p, x, cfg)
+        idx, slots, G, r, feas = _licq_stack(p, x, cfg)
     except (InfeasiblePointError, EvalDomainError):
         # infeasible, a constraint function undefined there included; or an
         # active constraint defined there whose gradient is not (x2*x1^(-1)
@@ -1052,12 +1051,13 @@ def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
             _checked_lstsq(G.T, df, y, cfg.lin)
         except SingularSystemError:
             return _RESIDUAL
-    resid = stationarity_residual(p, x, mult)
+    comp = complementarity_violation(p, x, mult)
+    resid = _residual(p, x, mult, feas, comp)
     # under LICQ the residual is judged first, as in recover_multipliers, so
     # a candidate failing both checks counts as residual-rejected
     if licq and resid > cfg.tol_resid:
         return _RESIDUAL
-    if complementarity_violation(p, x, mult) > cfg.tol_comp:
+    if comp > cfg.tol_comp:
         return _DROP
     if resid > cfg.tol_resid:
         return _RESIDUAL

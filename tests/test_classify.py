@@ -1,5 +1,6 @@
 """Nondegeneracy, W-index, minimizer verdicts and strong stability."""
 
+import json
 import math
 import re
 
@@ -11,7 +12,13 @@ from switchstat import linalg
 from switchstat.classify import (
     ND3_FAILS,
     NONE,
+    SIGN_MISMATCH,
+    SINGULAR_SUBSET,
+    NDReport,
+    StabilityVerdict,
     SubsetCapError,
+    SubsetResult,
+    _restricted,
     check_nondegeneracy,
     check_strong_stability,
     classify_point,
@@ -26,9 +33,25 @@ from switchstat.stationarity import (
     Multipliers,
     SolveConfig,
     active_sets,
+    check_licq,
     find_stationary_points,
     recover_multipliers,
 )
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
+)
+
+EXAMPLES = {
+    "cross_linear": CROSS_LINEAR,
+    "cross_quadratic": CROSS_QUADRATIC,
+    "instability_both": INSTABILITY_BOTH,
+    "instability_one": INSTABILITY_ONE,
+    "stable_without_nd2": STABLE_WITHOUT_ND2,
+}
 
 
 def _point(p, x):
@@ -458,3 +481,162 @@ class TestSignRules:
         assert stab.nd3_holds == (abs(v) > TOL_SIGN)
         assert nd.nd3 == stab.nd3_holds
         assert (stab.failure_reason == ND3_FAILS) == (not stab.nd3_holds)
+
+
+def _reference_nd_w(p, x, mult, idx, cfg):
+    """ND1-ND4 and the W-index by the per-step calls: LICQ from
+    ``check_licq``, the W-index from ``quadratic_index``."""
+    licq = check_licq(p, x, cfg)
+    notes = []
+    if not licq.holds:
+        notes.append(
+            f"ND1: active gradient stack has rank {licq.rank} < {licq.rows}"
+        )
+    bad_mu = [j for j in idx.j0 if not mult.mu[j] > cfg.tol_sign]
+    if bad_mu:
+        notes.append(
+            "ND2: active inequality multipliers not strictly positive at "
+            + ", ".join(f"j={j} (mu={mult.mu[j]:.3e})" for j in bad_mu)
+        )
+    bad_sigma = [m for m in idx.beta
+                 if not (abs(mult.sigma1[m]) > cfg.tol_sign
+                         and abs(mult.sigma2[m]) > cfg.tol_sign)]
+    if bad_sigma:
+        notes.append(
+            "ND3: vanishing bi-active multiplier at " + ", ".join(
+                f"m={m} (sigma1={mult.sigma1[m]:.3e}, sigma2={mult.sigma2[m]:.3e})"
+                for m in bad_sigma
+            )
+        )
+    wi = quadratic_index(p, x, mult, idx, cfg) if licq.holds else None
+    if wi is None:
+        notes.append("ND4: not evaluated (LICQ fails)")
+    elif wi.degenerate:
+        notes.append("ND4: restricted Lagrangian Hessian is singular")
+    nd4 = wi is not None and not wi.degenerate
+    nd = NDReport(licq.holds, not bad_mu, not bad_sigma, nd4, tuple(notes))
+    return nd, wi
+
+
+def _reference_stability(p, x, mult, idx, cfg):
+    """The strong-stability verdict with a tangent basis and a determinant
+    sign computed for every subset J*, or the error that puts the point
+    out of scope."""
+    licq = check_licq(p, x, cfg)
+    if not licq.holds:
+        return LicqViolationError(
+            "strong-stability characterization requires LICQ"
+            f" (rank {licq.rank} < {licq.rows})"
+        )
+    j_plus = tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
+    free = [j for j in idx.j0 if j not in j_plus]
+    if 2 ** len(free) > cfg.subset_cap:
+        return SubsetCapError(
+            f"{2 ** len(free)} inequality subsets exceed"
+            f" subset_cap={cfg.subset_cap}"
+        )
+    H = lagrangian_hessian(p, x, mult)
+    subsets = []
+    for mask in range(2 ** len(free)):
+        j_star = tuple(sorted(
+            j_plus + tuple(free[i] for i in range(len(free)) if mask >> i & 1)
+        ))
+        try:
+            V = tangent_basis(p, x, idx, j_star, cfg)
+        except LicqViolationError as exc:
+            return exc
+        subsets.append(
+            SubsetResult(j_star, V.shape[1], det_sign(_restricted(H, V), cfg.lin))
+        )
+    nd3 = _reference_nd_w(p, x, mult, idx, cfg)[0].nd3
+    signs = {s.det_sign for s in subsets}
+    reason = (ND3_FAILS if not nd3 else SINGULAR_SUBSET if 0 in signs
+              else SIGN_MISMATCH if len(signs) > 1 else NONE)
+    return StabilityVerdict(reason == NONE, nd3, tuple(subsets), reason)
+
+
+def _analysis_cases():
+    """(problem, point, cfg) for every point of the five examples, mid3
+    and the first ten criterion-7 corpus problems, plus one point without
+    LICQ and one beyond the subset cap."""
+    from tests.test_acceptance import _random_problem_text
+    from tests.test_stationarity import MID3
+
+    default = SolveConfig()
+    problems = [(parse_problem(t), default)
+                for t in [*EXAMPLES.values(), MID3]]
+    rng = np.random.default_rng(20260808)
+    for _ in range(10):
+        p = parse_problem(_random_problem_text(rng))
+        problems.append((p, SolveConfig(grid_points=3 if p.n == 2 else 2)))
+    cases = [
+        (p, pt.x, pt.mult, pt.idx, cfg)
+        for p, cfg in problems
+        for pt in find_stationary_points(p, (-2.0, 2.0), cfg)
+    ]
+    dependent = parse_problem(
+        "vars: x1 x2\nobjective: x1\nineq: x1 + x2\nswitch: x1 | x2\n"
+    )
+    x = (0.0, 0.0)
+    cases.append((dependent, x, Multipliers((), (0.0,), (1.0,), (1.0,), False),
+                  active_sets(dependent, x), default))
+    stable = parse_problem(STABLE_WITHOUT_ND2)
+    mult, idx = _point(stable, x)
+    cases.append((stable, x, mult, idx, SolveConfig(subset_cap=1)))
+    return cases
+
+
+class TestOneAnalysisPerPoint:
+    """``classify_point`` decides ND1-ND4, the W-index and strong stability
+    from one LICQ check, one Lagrangian Hessian and one tangent basis of J0,
+    with the results of the per-step calls."""
+
+    def test_analysis_equals_the_per_step_reference(self):
+        cases = _analysis_cases()
+        assert len(cases) >= 20
+        kinds = set()
+        for p, x, mult, idx, cfg in cases:
+            cls = classify_point(p, x, mult, idx, cfg)
+            assert (cls.nd, cls.w) == _reference_nd_w(p, x, mult, idx, cfg)
+            ref = _reference_stability(p, x, mult, idx, cfg)
+            kinds.add(type(ref).__name__)
+            if isinstance(ref, Exception):
+                assert type(cls.stability) is type(ref)
+                assert str(cls.stability) == str(ref)
+                with pytest.raises(type(ref), match=re.escape(str(ref))):
+                    check_strong_stability(p, x, mult, idx, cfg)
+            else:
+                assert cls.stability == ref
+                assert check_strong_stability(p, x, mult, idx, cfg) == ref
+        assert kinds == {
+            "StabilityVerdict", "LicqViolationError", "SubsetCapError"
+        }
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_one_hessian_and_one_licq_stack_per_point(
+        self, monkeypatch, tmp_path, name
+    ):
+        from switchstat import cli, classify, stationarity
+
+        src = tmp_path / "p.txt"
+        src.write_text(EXAMPLES[name])
+        p = parse_problem(src.read_text())
+        # the search runs before the spies go in: it builds a LICQ stack per
+        # candidate of its own
+        result = stationarity.search_stationary_points(p, (-2.0, 2.0))
+        assert result.points
+        monkeypatch.setattr(cli, "search_stationary_points",
+                            lambda *args: result)
+        calls = {"lagrangian_hessian": 0, "_licq_stack": 0}
+        for module, fn in ((classify, "lagrangian_hessian"),
+                           (stationarity, "_licq_stack")):
+            def spy(*args, _fn=getattr(module, fn), _name=fn):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, fn, spy)
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", str(src), "--json", str(out)]) == 0
+        n = len(json.loads(out.read_text())["points"])
+        assert n == len(result.points)
+        assert calls == {"lagrangian_hessian": n, "_licq_stack": n}

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, report content, determinism."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -283,7 +284,35 @@ class TestLevelsetsCommand:
         assert main(["levelsets", src, "--levels", "0", "--auto", "4"]) == 2
 
 
+# SHA-256 of each example's `analyze --json` report at the default box and
+# configuration: a change to any byte of them must be deliberate and update
+# these digests.  mid3, relax and levelsets reports are left out because
+# their bits depend on the LAPACK and libm builds.
+ANALYZE_DIGESTS = [
+    (CROSS_LINEAR,
+     "50c9fcad856d16f2a0a1570e71e10781a531df6f3f9cba352306b7fbedba8dc2"),
+    (CROSS_QUADRATIC,
+     "79e11e1caec0215aef1f164ec43d250e02b9cb18688463fb0455d9b8ba17cea6"),
+    (INSTABILITY_BOTH,
+     "afc0b0d1c057df17102c5aebbd1a24a68b0fdf7e375c6660af3d28f382356a3c"),
+    (INSTABILITY_ONE,
+     "002d580e17e483acdc9631d35465bde53e5a3f8798117d65862dca4b12c9ea9f"),
+    (STABLE_WITHOUT_ND2,
+     "60c2066472bcf50b4b8ee23fbfdcf5af64481a51027ad1b62c723c76a730cc0b"),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("text, digest", ANALYZE_DIGESTS, ids=[
+        "cross_linear", "cross_quadratic", "instability_both",
+        "instability_one", "stable_without_nd2",
+    ])
+    def test_analyze_report_digest(self, tmp_path, text, digest):
+        src = _write(tmp_path, "p.txt", text)
+        out = tmp_path / "report.json"
+        assert main(["analyze", src, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_byte_identical_across_runs(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
         outs = []
