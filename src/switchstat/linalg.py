@@ -4,14 +4,21 @@ Everything that turns floating-point numbers into discrete verdicts (rank,
 nullity, eigenvalue sign counts, determinant signs) runs through the single
 :class:`ToleranceConfig` record so the numerical interpretation of exact
 conditions stays auditable and overridable in one place.
+
+Rank comes from the diagonal of a column-pivoted Householder QR computed
+here in plain Python, with LAPACK ``dgeqp3``'s pivot rule.  The matrices
+ranked are active-gradient stacks of a few rows and columns, where a Python
+loop costs less than a LAPACK call, and without scipy in this module
+``analyze`` and ``relax`` never import it: its import takes more start-up
+time and memory than numpy's and this package's together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ToleranceConfig",
@@ -34,9 +41,10 @@ class ToleranceConfig:
     """Numerical thresholds for rank/inertia decisions.
 
     rank cutoff: ``tau = max(max(m, n) * rank_scale * |r_00|, rank_floor)``
-    where ``|r_00|`` is the largest diagonal magnitude of the column-pivoted
-    QR factor.  Eigenvalues within ``eig_zero * max(1, spectral scale)`` of
-    zero count as zero.  ``solve_residual`` bounds the acceptable residual of
+    where ``|r_00|`` is the largest diagonal magnitude of the R factor of the
+    column-pivoted Householder QR that :func:`rank` computes in this module.
+    Eigenvalues within ``eig_zero * max(1, spectral scale)`` of zero count as
+    zero.  ``solve_residual`` bounds the acceptable residual of
     a square solve relative to the data magnitude.
     """
 
@@ -63,17 +71,52 @@ class Inertia:
 
 
 def rank(A, tols: ToleranceConfig = DEFAULT_TOLS) -> int:
-    """Numerical row/column rank via column-pivoted QR diagonal magnitudes."""
+    """Numerical row/column rank via column-pivoted QR diagonal magnitudes.
+
+    0 for an empty matrix; raises ``ValueError`` when ``A`` holds an inf or
+    a nan."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     if A.size == 0:
         return 0
-    R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(R))
-    if diag.size == 0:
-        return 0
-    tau = max(max(m, n) * tols.rank_scale * float(diag.max()), tols.rank_floor)
-    return int(np.count_nonzero(diag > tau))
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    diag = _pivoted_qr_diagonal(A.T.tolist())
+    tau = max(max(m, n) * tols.rank_scale * max(diag), tols.rank_floor)
+    return sum(d > tau for d in diag)
+
+
+def _pivoted_qr_diagonal(cols) -> list:
+    """``|r_kk|`` of the column-pivoted Householder QR of the matrix whose
+    columns are the equal-length lists ``cols`` (consumed).
+
+    Step k pivots to the remaining column of largest norm over rows k and
+    below, the first one on a tie (``dgeqp3``'s rule), so ``|r_kk|`` is that
+    norm; the reflection that zeroes the pivot column below row k is then
+    applied to the other columns, and row k is dropped.  The list stops
+    early when every remaining column is zero: the entries left out are 0.
+    """
+    diag = []
+    while cols and cols[0]:
+        norms = [math.hypot(*c) for c in cols]
+        r = max(norms)
+        diag.append(r)
+        if r == 0.0:
+            break
+        p = norms.index(r)
+        cols[0], cols[p] = cols[p], cols[0]
+        x = cols[0]
+        # reflector u = x + sign(x0) |x| e0, so that H x = -sign(x0) |x| e0
+        # and H = I - u u^T / (|x| (|x| + |x0|))
+        u0 = x[0] + math.copysign(r, x[0])
+        h = r * (r + abs(x[0]))
+        tail = x[1:]
+        rest = []
+        for c in cols[1:]:
+            s = (u0 * c[0] + sum([a * b for a, b in zip(tail, c[1:])])) / h
+            rest.append([b - s * a for a, b in zip(tail, c[1:])])
+        cols = rest
+    return diag
 
 
 def nullspace_basis(A, tols: ToleranceConfig = DEFAULT_TOLS) -> np.ndarray:
@@ -96,18 +139,6 @@ def solve_linear(A, b, tols: ToleranceConfig = DEFAULT_TOLS) -> np.ndarray:
     under the tolerance policy, or when a square solve fails its residual
     sanity bound (ill-conditioning that slipped past the rank test).
     """
-    return _checked_lstsq(A, b, None, tols)
-
-
-def _checked_lstsq(A, b, x, tols: ToleranceConfig) -> np.ndarray:
-    """:func:`solve_linear` on a solution ``x`` the caller already holds.
-
-    ``x`` must be ``np.linalg.lstsq(A, b, rcond=None)[0]`` for the same
-    ``A`` and ``b``, or None to compute it here.  The rank test and the
-    square residual test run as in :func:`solve_linear`, so ``x`` is
-    returned, or :class:`SingularSystemError` raised, exactly where
-    :func:`solve_linear` would return or raise.
-    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m, n = A.shape
@@ -115,19 +146,27 @@ def _checked_lstsq(A, b, x, tols: ToleranceConfig) -> np.ndarray:
         raise SingularSystemError(
             f"column rank of the {m}x{n} system is deficient"
         )
-    if x is None:
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-    if m == n:
-        scale = 1.0 + float(np.abs(A).max(initial=0.0)) * float(
-            np.abs(x).max(initial=0.0)
-        ) + float(np.abs(b).max(initial=0.0))
-        resid = float(np.abs(A @ x - b).max(initial=0.0))
-        if resid > tols.solve_residual * scale:
-            raise SingularSystemError(
-                f"square solve residual {resid:.3e} exceeds {tols.solve_residual:.1e}"
-                f" * {scale:.3e}"
-            )
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    _check_square_residual(A, b, x, tols)
     return x
+
+
+def _check_square_residual(A, b, x, tols: ToleranceConfig) -> None:
+    """:func:`solve_linear`'s residual test on its least-squares solution
+    ``x`` of the 2-D ``A`` and 1-D ``b``: raises
+    :class:`SingularSystemError` where :func:`solve_linear` would after its
+    rank test passed."""
+    if A.shape[0] != A.shape[1]:
+        return
+    scale = 1.0 + float(np.abs(A).max(initial=0.0)) * float(
+        np.abs(x).max(initial=0.0)
+    ) + float(np.abs(b).max(initial=0.0))
+    resid = float(np.abs(A @ x - b).max(initial=0.0))
+    if resid > tols.solve_residual * scale:
+        raise SingularSystemError(
+            f"square solve residual {resid:.3e} exceeds {tols.solve_residual:.1e}"
+            f" * {scale:.3e}"
+        )
 
 
 def inertia(S, tols: ToleranceConfig = DEFAULT_TOLS) -> Inertia:

@@ -27,8 +27,10 @@ from .stationarity import (
     SolveConfig,
     WStationaryPoint,
     _pattern_slots,
+    _residual,
     _slot_values,
     active_sets,
+    complementarity_violation,
     enumerate_branches,
     feasibility_violation,
     find_stationary_points,
@@ -133,11 +135,14 @@ def _accept_step(rp, outcome, cfg):
     if outcome is None:
         return None
     x, mult = outcome
-    if feasibility_violation(rp.problem, x) > cfg.tol_feas:
+    feas = feasibility_violation(rp.problem, x)
+    if feas > cfg.tol_feas:
         return None
     if any(mj < -cfg.tol_sign for mj in mult.mu):
         return None
-    resid = stationarity_residual(rp.problem, x, mult)
+    resid = _residual(
+        rp.problem, x, mult, feas, complementarity_violation(rp.problem, x, mult)
+    )
     if resid > cfg.tol_resid:
         return None
     return x, mult, resid

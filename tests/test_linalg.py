@@ -1,17 +1,71 @@
 """Tolerance-policy linear algebra kernel tests."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from switchstat import linalg, stationarity
+from switchstat.cli import main
 from switchstat.linalg import (
+    DEFAULT_TOLS,
     Inertia,
     SingularSystemError,
+    _pivoted_qr_diagonal,
     det_sign,
     inertia,
     nullspace_basis,
     rank,
     solve_linear,
 )
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
+)
+from tests.test_stationarity import MID3
+
+
+def _lapack_rank(A, tols=DEFAULT_TOLS):
+    """``rank``'s cutoff rule on the R diagonal of LAPACK's pivoted QR
+    (``dgeqp3``): the rank, the diagonal magnitudes and the cutoff."""
+    diag = np.abs(np.diag(scipy.linalg.qr(A, mode="r", pivoting=True)[0]))
+    tau = max(max(A.shape) * tols.rank_scale * float(diag.max()), tols.rank_floor)
+    return int(np.count_nonzero(diag > tau)), diag, tau
+
+
+def _margin(diag, tau):
+    """Decades between the cutoff and the nonzero diagonal entry nearest
+    to it."""
+    return min(
+        (abs(math.log10(d / tau)) for d in diag if d > 0.0), default=math.inf
+    )
+
+
+def _test_matrices(rng):
+    """Random matrices of 1 to 4 rows and 1 to 5 columns and their
+    transposes, of every rank, scaled by 10^-8, 1 and 10^8, some with a zero
+    or a duplicated row; each with its exact rank."""
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 6))
+        r = int(rng.integers(0, min(m, n) + 1))
+        A = (
+            rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            if r
+            else np.zeros((m, n))
+        )
+        variant = rng.integers(3)
+        if variant == 1:
+            A = np.insert(A, int(rng.integers(m + 1)), 0.0, axis=0)
+        elif variant == 2:
+            A = np.insert(A, int(rng.integers(m + 1)), A[int(rng.integers(m))], axis=0)
+        for scale in (1e-8, 1.0, 1e8):
+            yield A * scale, r
+            yield (A * scale).T, r
 
 
 class TestRank:
@@ -33,6 +87,63 @@ class TestRank:
     def test_near_dependent_rows_below_tolerance(self):
         A = np.array([[1.0, 0.0], [1.0, 1e-16]])
         assert rank(A) == 1
+
+    def test_non_finite_input_raises(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            A = np.array([[1.0, 0.0], [0.0, bad]])
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                rank(A)
+
+    def test_matches_lapack_pivoted_qr(self):
+        rng = np.random.default_rng(21)
+        for A, r in _test_matrices(rng):
+            lapack_r, lapack_diag, _ = _lapack_rank(A)
+            assert rank(A) == lapack_r == r, A
+            # the same pivot order gives the same diagonal up to rounding;
+            # entries left out after an all-zero remainder are zero
+            diag = _pivoted_qr_diagonal(A.T.tolist())
+            diag += [0.0] * (len(lapack_diag) - len(diag))
+            assert np.abs(np.array(diag) - lapack_diag).max() <= (
+                1e-13 * lapack_diag.max()
+            ), A
+
+    def test_pivot_ties_go_to_the_first_column(self):
+        # three columns of norm 5: pivoting on (5, 0) leaves (0, 5) whole,
+        # pivoting on (3, 4) leaves parts of norm 4 and 3
+        for A, diag in (
+            (np.array([[5.0, 0.0, 3.0], [0.0, 5.0, 4.0]]), [5.0, 5.0]),
+            (np.array([[3.0, 5.0, 0.0], [4.0, 0.0, 5.0]]), [5.0, 4.0]),
+        ):
+            assert _pivoted_qr_diagonal(A.T.tolist()) == pytest.approx(diag)
+            assert list(_lapack_rank(A)[1]) == pytest.approx(diag)
+
+    def test_analyze_rank_calls_keep_their_lapack_verdict(self, monkeypatch, tmp_path):
+        # every rank call of analyze on mid3 and the five examples; over all
+        # of them the diagonal entry nearest to the cutoff lies 10^9.13 from
+        # it, in both factorisations, far outside rounding
+        calls = []
+
+        def spy(A, tols=DEFAULT_TOLS):
+            calls.append((np.atleast_2d(np.array(A, dtype=float)), tols))
+            return rank(A, tols)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        monkeypatch.setattr(stationarity, "rank", spy)
+        texts = [MID3, CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH,
+                 INSTABILITY_ONE, STABLE_WITHOUT_ND2]
+        for k, text in enumerate(texts):
+            path = tmp_path / f"p{k}.txt"
+            path.write_text(text)
+            assert main(["analyze", str(path), "--json", str(tmp_path / "r.json")]) == 0
+        nonempty = [(A, tols) for A, tols in calls if A.size]
+        assert len(nonempty) > 500
+        smallest = math.inf
+        for A, tols in nonempty:
+            lapack_r, lapack_diag, tau = _lapack_rank(A, tols)
+            assert rank(A, tols) == lapack_r
+            diag = _pivoted_qr_diagonal(A.T.tolist())
+            smallest = min(smallest, _margin(lapack_diag, tau), _margin(diag, tau))
+        assert smallest > 9.0
 
 
 class TestNullspace:

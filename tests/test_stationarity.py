@@ -747,6 +747,51 @@ class TestBatchedNewton:
             assert np.array(jacobian(z.tolist(), consts)).tobytes() == jac.tobytes()
         assert np.signbit(R[0, 0]) and np.signbit(J[0, 0, 0])
 
+    def test_singular_lanes_leave_the_others_stacked(self, monkeypatch):
+        # a zero row makes a lane's Jacobian singular, and a repeated row
+        # mostly does; the regular lanes must keep the bits of their single
+        # solve without reaching the lane-by-lane step
+        single = stationarity._newton_step
+        one_by_one = []
+
+        def spy(J, r, diagnostics):
+            one_by_one.append(J.tobytes())
+            return single(J, r, diagnostics)
+
+        def solvable(Jk):
+            try:
+                np.linalg.solve(Jk, np.ones(len(Jk)))
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        monkeypatch.setattr(stationarity, "_newton_step", spy)
+        rng = np.random.default_rng(12)
+        for size in range(2, 8):
+            J = rng.normal(size=(30, size, size))
+            R = rng.normal(size=(30, size))
+            J[::4, -1] = J[::4, 0]
+            J[1::7, 1] = 0.0
+            singular = [Jk.tobytes() for Jk in J if not solvable(Jk)]
+            assert len(singular) >= 5
+            ref_diag, diag = {}, {}
+            ref = np.array([single(Jk, r, ref_diag) for Jk, r in zip(J, R)])
+            one_by_one.clear()
+            steps = stationarity._newton_steps(J, R, diag)
+            assert steps.tobytes() == ref.tobytes()
+            assert diag == ref_diag == {"singular_jacobian": len(singular)}
+            assert one_by_one == singular
+        # should the pivot-sign test miss a singular lane, every lane takes
+        # the single step, with the same bits
+        monkeypatch.setattr(
+            np.linalg, "slogdet", lambda J: (np.ones(len(J)), np.zeros(len(J)))
+        )
+        one_by_one.clear()
+        diag = {}
+        assert stationarity._newton_steps(J, R, diag).tobytes() == ref.tobytes()
+        assert diag == ref_diag
+        assert len(one_by_one) == len(J)
+
     def test_single_start_batch(self, cross_quadratic):
         pattern = BranchPattern(("BOTH",), ())
         ((out,),) = _newton_solve_patterns(

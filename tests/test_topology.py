@@ -1,6 +1,7 @@
 """Feasibility masks, sublevel component counts and the mountain-pass count."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from switchstat.topology import (
     sublevel_labels,
     sweep_levels,
 )
+from tests.conftest import CROSS_QUADRATIC
 
 
 def _grid(p, lo=-2.0, hi=2.0, res=401):
@@ -364,26 +366,41 @@ class TestThreeDimensional:
         assert vals.shape == (32, 32)
 
 
-def test_cli_import_does_not_load_ndimage():
-    # labelling imports scipy.ndimage on first use, so analyze and relax
-    # start without paying for it
+def test_cli_import_does_not_load_ndimage(tmp_path):
+    # only labelling needs scipy (ndimage, imported on first use), so the
+    # CLI's import, analyze and relax load no scipy module at all
     src = os.path.dirname(os.path.dirname(switchstat.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    problem = tmp_path / "cross_quadratic.txt"
+    problem.write_text(CROSS_QUADRATIC)
     code = (
-        "import sys, switchstat.cli; "
-        "print('scipy.ndimage' in sys.modules)"
+        "import json, sys\n"
+        "import switchstat.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = {'import': scipy_modules()}\n"
+        "for cmd, extra in (('analyze', []), ('relax', []),"
+        " ('levelsets', ['--auto', '3'])):\n"
+        "    code = cli.main([cmd, sys.argv[1], *extra, '--json', sys.argv[2]])\n"
+        "    seen[cmd] = (code, scipy_modules())\n"
+        "print(json.dumps(seen))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(problem), str(tmp_path / "report.json")],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["analyze"] == [0, []]
+    assert seen["relax"] == [0, []]
+    assert seen["levelsets"][0] == 0
+    assert "scipy.ndimage" in seen["levelsets"][1]
 
 
 # Every node type in the objective and again across the constraints, with
