@@ -21,7 +21,8 @@ bitwise-identical floats.  ``eval_batch`` walks the tree once for a whole
 array of points and reproduces the scalar results bit for bit, lane by lane.
 ``_StraightLine`` compiles the same derivatives of a tree's shape (its nodes
 without their constant values) into straight-line Python, again bit for bit,
-for callers that evaluate one point at a time many times.
+for callers that evaluate one point at a time many times.  ``_affine_form``
+reads an affine tree's exact coefficients and a bound on its float rounding.
 Expressions and problems are immutable after construction and all
 evaluation entry points are reentrant.
 """
@@ -569,6 +570,111 @@ def _walk(e, X, hess, bad):
             H = ((Ha - w[:, None, None] * Hb) - _cross(g, gb)) / vb[:, None, None]
         return w, g, H
     raise TypeError(f"unknown node {t.__name__}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------------
+# affine forms: exact coefficients and a rounding bound of a tree's value
+# ---------------------------------------------------------------------------
+
+# the unit roundoff, and the largest absolute error of a product or quotient
+# that underflows (half the subnormal spacing, rounded up to it)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1074
+
+
+def _up(v):
+    """The next float above ``v``: an upper bound of every real number that
+    rounds to ``v``."""
+    return math.nextafter(v, math.inf)
+
+
+def _affine_form(e: Expr, n: int, radius: float):
+    """``(A, B, D, err)`` when ``e`` is affine, else None.
+
+    ``e`` is affine when it is built from Var, Const, Neg, Add, Sub, products
+    with a Var-free subtree and quotients by a nonzero Var-free subtree.  A
+    Var-free subtree reads no ``x``, so every walk gives it one float, its
+    ``val``.  With those floats as constants, e(x) = (A·x + B) / D exactly,
+    for n ints ``A`` and ints ``B`` and ``D > 0`` (from
+    ``float.as_integer_ratio``), and the float ``err`` bounds |ê(x) - e(x)|
+    for the float walk ê at every ``x`` with max |x_j| <= ``radius`` where ê
+    is finite.  None also when no finite bound results.
+
+    ``err`` applies the standard model fl(u op v) = (u op v)(1 + δ) + η,
+    |δ| <= 2^-53, η = 0 for sums and |η| <= 2^-1074 for products and
+    quotients (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §2.2), node by node, each float operation of the bound rounded up.  It
+    is at most γ_N · |e|(radius), with N the rounding operations of the
+    tree, γ_N = N·u / (1 - N·u) and |e| the tree with absolute constants
+    (the floats of Var-free subtrees), + for - and |x_j| = ``radius``, plus
+    each underflow term carried through the scalings above it.
+    """
+    u, eta = _UNIT_ROUNDOFF, _UNDERFLOW
+
+    def constant(c):
+        try:
+            k = float(c.val(()))
+        except EvalDomainError:
+            return None
+        return k if math.isfinite(k) else None
+
+    def walk(e):
+        """``(A, B, D, mag, err)``, ``mag`` bounding |e(x)|, or None."""
+        t = type(e)
+        if e.max_var_index() < 0:
+            k = constant(e)
+            if k is None:
+                return None
+            num, den = k.as_integer_ratio()
+            return [0] * n, num, den, abs(k), 0.0
+        if t is Var:
+            a = [0] * n
+            a[e.index] = 1
+            return a, 0, 1, float(radius), 0.0
+        if t is Neg:
+            f = walk(e.a)
+            return f and ([-c for c in f[0]], -f[1]) + f[2:]
+        if t in (Add, Sub):
+            f, g = walk(e.a), walk(e.b)
+            if f is None or g is None:
+                return None
+            s = 1 if t is Add else -1
+            (a, b, d), (a2, b2, d2) = f[:3], g[:3]
+            mag, err = _up(f[3] + g[3]), _up(f[4] + g[4])
+            return (
+                [c * d2 + s * c2 * d for c, c2 in zip(a, a2)],
+                b * d2 + s * b2 * d,
+                d * d2,
+                mag,
+                _up(err + _up(u * _up(mag + err))),
+            )
+        if t is Mul and e.a.max_var_index() < 0:
+            k, f = constant(e.a), walk(e.b)
+        elif t in (Mul, Div) and e.b.max_var_index() < 0:
+            k, f = constant(e.b), walk(e.a)
+        else:
+            return None  # Pow, Func, or a product of two variable factors
+        if k is None or f is None or (t is Div and k == 0.0):
+            return None
+        a, b, d, mag, err = f
+        num, den = k.as_integer_ratio()
+        err = _up(err + _up(u * _up(mag + err)))
+        s = abs(k)
+        if t is Div:
+            # times den / num, the denominator kept positive
+            sign = 1 if num > 0 else -1
+            num, den = sign * den, sign * num
+            mag, err = _up(mag / s), _up(err / s)
+        else:
+            mag, err = _up(mag * s), _up(err * s)
+        return [c * num for c in a], b * num, d * den, mag, _up(err + eta)
+
+    form = walk(e)
+    if form is None or not form[4] < math.inf:
+        return None
+    a, b, d, _, err = form
+    g = math.gcd(*a, b, d)
+    return tuple(c // g for c in a), b // g, d // g, err
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ lane's pattern does not pin stay exactly 0.0.  A batch holds at most
 patterns.  Every lane runs the floating-point operations of the single-start
 solver :func:`newton_solve_branch` in the same order, so each outcome, and
 with it every accepted point, is bitwise the same as solving the lanes one at
-a time.  Continuation, which solves from one start at a time, calls
+a time.  One test stops lanes early: when a pattern's stacked solve first
+fails, an exact certificate (:func:`_pins_inconsistent`) may show that its
+pinned affine constraints have no common zero, up to a rigorous rounding
+bound, anywhere in the inflated search box.  No lane of that pattern can then
+converge to a point the accept filter keeps, so its live lanes fail at once
+instead of taking least-squares steps to no end.  Continuation, which solves
+from one start at a time, calls
 :func:`newton_solve_branch` directly.  Its residual and Jacobian run as
 straight-line code compiled once per shape of the branch system (the
 objective and the pinned constraints without their constant values), bitwise
@@ -53,7 +59,9 @@ from .expr import (
     EvalDomainError,
     Expr,
     Problem,
+    _affine_form,
     _expr_shape,
+    _up,
     _StraightLine,
     eval_batch,
     eval_gradient,
@@ -636,8 +644,11 @@ def _newton_step(J, r, diagnostics):
     least-squares step instead, counted as ``singular_jacobian`` in
     ``diagnostics`` unless that is None: patterns can pin the same function
     twice (switching pairs that share a member), leaving the square system
-    singular but consistent; the minimum-norm step still converges there,
-    while genuinely inconsistent branches keep failing to improve."""
+    singular but consistent, and the minimum-norm step still converges
+    there.  The search stops the lanes of a pattern whose pinned affine
+    constraints are provably inconsistent before they get here
+    (:func:`_pins_inconsistent`); the single-start solver has no such test,
+    so on an inconsistent branch its steps keep failing to improve."""
     b = -np.asarray(r)
     try:
         return np.linalg.solve(J, b)
@@ -678,17 +689,20 @@ def newton_solve_branch(
     cons = [_slot_expr(p, s) for s in slots]
     shape, consts = _branch_shape(p.objective, cons, n)
     residual_code, jacobian_code = _branch_code(shape)
+    # the iterate is a list of floats: z + t*step and the step's checks in
+    # Python floats are the IEEE operations numpy would run, bit for bit
     z = np.zeros(n + len(cons))
     z[:n] = np.asarray(start, dtype=float)
     if mult_start is not None:
         z[n:] = np.asarray(mult_start, dtype=float)
+    z = z.tolist()
 
     def residual(zv):
-        r = residual_code(zv.tolist(), consts)
+        r = residual_code(zv, consts)
         return r, _max_norm(r)
 
     def jacobian(zv):
-        return np.array(jacobian_code(zv.tolist(), consts))
+        return np.array(jacobian_code(zv, consts))
 
     try:
         r, rnorm = residual(z)
@@ -705,16 +719,15 @@ def newton_solve_branch(
             J = jacobian(z)
         except EvalDomainError:
             return None
-        step = _newton_step(J, r, diagnostics)
-        if not np.all(np.isfinite(step)) or (
-            np.abs(step).max(initial=0.0)
-            > _BLOW_UP * (1.0 + float(np.abs(z).max(initial=0.0)))
+        step = _newton_step(J, r, diagnostics).tolist()
+        if not all(map(math.isfinite, step)) or (
+            _max_norm(step) > _BLOW_UP * (1.0 + _max_norm(z))
         ):
             return None
         t = 1.0
         improved = False
         for _ in range(cfg.max_halvings + 1):
-            z_try = z + t * step
+            z_try = [zi + t * si for zi, si in zip(z, step)]
             try:
                 r_try, rn_try = residual(z_try)
             except EvalDomainError:
@@ -734,7 +747,8 @@ def newton_solve_branch(
     # singular Jacobians are not counted
     for _ in range(cfg.polish_steps):
         try:
-            z_try = z + _newton_step(jacobian(z), r, None)
+            step = _newton_step(jacobian(z), r, None).tolist()
+            z_try = [zi + si for zi, si in zip(z, step)]
             r_try, rn_try = residual(z_try)
         except EvalDomainError:
             break
@@ -743,9 +757,7 @@ def newton_solve_branch(
         else:
             break
 
-    x = z[:n].copy()
-    mult = _multipliers_from_slots(p, slots, z[n:])
-    return x, mult
+    return np.array(z[:n]), _multipliers_from_slots(p, slots, z[n:])
 
 
 def _lanes(include, i):
@@ -823,15 +835,11 @@ def _max_norms(A):
 
 
 def _newton_steps(J, R, diagnostics=None):
-    """``_newton_step(J[k], R[k], diagnostics)`` for every lane k.  A stacked
-    solve gives each lane the bits of its single solve, so when a Jacobian is
-    singular the regular lanes (nonzero LU pivots, by ``slogdet``'s sign)
-    stay in one stacked solve and only the singular ones reach
-    ``_newton_step``; all go there if the regular stack still fails."""
-    try:
-        return np.linalg.solve(J, -R[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
+    """``_newton_step(J[k], R[k], diagnostics)`` for every lane k of a stack
+    whose stacked solve failed.  A stacked solve gives each lane the bits of
+    its single solve, so the regular lanes (nonzero LU pivots, by
+    ``slogdet``'s sign) stay in one stacked solve and only the singular ones
+    reach ``_newton_step``; all go there if the regular stack still fails."""
     regular = np.linalg.slogdet(J)[0] != 0.0
     step = np.empty_like(R)
     try:
@@ -854,29 +862,99 @@ def _newton_steps(J, R, diagnostics=None):
 _LANE_BUDGET = 1024
 
 
-def _pattern_steps(H, G, R, lane_pattern, cols, diagnostics=None):
+def _pattern_steps(H, G, R, lane_pattern, cols, singular):
     """Newton steps for lanes sorted by pattern: ``lane_pattern[k]`` is the
     pattern of lane k (row k of ``H``, ``G`` and ``R``), and ``cols[q]``
     lists the problem slots pattern q pins.  Each pattern's square systems
-    are solved on their own, so a singular lane sends only its own pattern
-    to the lane-by-lane fallback; the columns of unpinned slots get a step
-    of exactly 0.0."""
+    are solved in one stacked solve; when that fails, ``singular(q, J, b)``
+    gives the steps of pattern q's lanes (systems ``J``, residuals ``b``),
+    or None, which stops those lanes.  Returns the steps, whose columns of
+    unpinned slots are exactly 0.0, and the mask of the stopped lanes."""
     n = H.shape[1]
     ends = np.searchsorted(lane_pattern, np.arange(len(cols) + 1))
     step = np.zeros_like(R)
+    stopped = np.zeros(len(R), dtype=bool)
     for q, c in enumerate(cols):
         if ends[q] == ends[q + 1]:
             continue
         lanes = slice(ends[q], ends[q + 1])
         unknowns = np.concatenate([np.arange(n), n + c])
         J = _branch_jacobians(H[lanes], G[lanes][:, c])
-        step[lanes, unknowns] = _newton_steps(J, R[lanes, unknowns], diagnostics)
-    return step
+        b = R[lanes, unknowns]
+        try:
+            step[lanes, unknowns] = np.linalg.solve(J, -b[:, :, None])[:, :, 0]
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        s = singular(q, J, b)
+        if s is None:
+            stopped[lanes] = True
+        else:
+            step[lanes, unknowns] = s
+    return step, stopped
 
 
-def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
+def _pins_inconsistent(p: Problem, pattern: BranchPattern, radius, tol) -> bool:
+    """Whether the affine constraints ``pattern`` pins certify that its
+    branch system's residual max norm exceeds ``tol`` at every ``x`` with
+    max |x_j| <= ``radius``.
+
+    Each pinned slot whose tree is affine (:func:`expr._affine_form`) has
+    exact rational coefficients c_i(x) = a_i·x + b_i and a bound err_i on
+    the rounding of its float value.  Fraction-free elimination in integers
+    finds rational y with Σ y_i a_i = 0; then |Σ y_i b_i| = |Σ y_i c_i(x)|
+    <= ‖y‖₁ max_i |c_i(x)| for every real x, so some pinned value is at
+    least β = |Σ y_i b_i| / ‖y‖₁ in exact arithmetic, and more than
+    β - max err_i (over the support of y) as computed.  The residual holds
+    every pinned value, so when that exceeds ``tol`` no iterate in the
+    radius converges.  Patterns that are singular but consistent (one
+    function pinned twice) leave only rows with Σ y_i b_i = 0 and are not
+    certified.
+    """
+    forms = [
+        f for f in (
+            _affine_form(_slot_expr(p, s), p.n, radius)
+            for s in _pattern_slots(p, pattern)
+        ) if f is not None
+    ]
+    # row k starts as (A, B) = D_k (a_k, b_k) with y = D_k e_k, and every
+    # row keeps (A, B) = Σ y_i (a_i, b_i)
+    rows = [
+        (list(a), b, [d if i == k else 0 for i in range(len(forms))])
+        for k, (a, b, d, _) in enumerate(forms)
+    ]
+    for j in range(p.n):
+        k = next((k for k, row in enumerate(rows) if row[0][j]), None)
+        if k is None:
+            continue
+        pa, pb, py = rows.pop(k)
+        for r, (a, b, y) in enumerate(rows):
+            pj, aj = pa[j], a[j]
+            if aj:
+                a = [pj * c - aj * c2 for c, c2 in zip(a, pa)]
+                y = [pj * c - aj * c2 for c, c2 in zip(y, py)]
+                b = pj * b - aj * pb
+                h = math.gcd(*a, b, *y)  # y is never all zero
+                rows[r] = [c // h for c in a], b // h, [c // h for c in y]
+    # every row left has A = 0
+    for _, b, y in rows:
+        if b:
+            bound = _up(tol + max(forms[i][3] for i, yi in enumerate(y) if yi))
+            if math.isfinite(bound):
+                num, den = bound.as_integer_ratio()
+                if abs(b) * den > num * sum(map(abs, y)):
+                    return True
+    return False
+
+
+def _solve_lanes(
+    p: Problem, patterns, starts, radius, cfg: SolveConfig, diagnostics
+):
     """Damped Newton for every (pattern, start) lane of one batch; returns
-    one outcome list per pattern."""
+    one outcome list per pattern.  The first failed stacked solve of a
+    pattern runs :func:`_pins_inconsistent` on it, once; a certified
+    pattern's live lanes fail there, and the others take the lane-by-lane
+    fallback."""
     n = p.n
     obj = p.objective
     slots = _problem_slots(p)
@@ -902,6 +980,17 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
         factors.append(factors[-1] * 0.5)
     factors = np.array(factors)
 
+    dead = {}  # pattern -> whether its pinned affine constraints are certified
+
+    def singular(q, J, b):
+        if q not in dead:
+            dead[q] = _pins_inconsistent(p, patterns[q], radius, cfg.tol_resid)
+            if dead[q] and diagnostics is not None:
+                diagnostics["inconsistent_patterns"] = (
+                    diagnostics.get("inconsistent_patterns", 0) + 1
+                )
+        return None if dead[q] else _newton_steps(J, b, diagnostics)
+
     for _ in range(cfg.max_iter):
         live = np.flatnonzero(~failed & ~converged)
         if not live.size:
@@ -909,9 +998,12 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
         H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
         failed[live[bad]] = True
         live, H, G = live[~bad], H[~bad], G[~bad]
-        step = _pattern_steps(
-            H, G, R[live], lane_pattern[live], cols, diagnostics
+        step, stopped = _pattern_steps(
+            H, G, R[live], lane_pattern[live], cols, singular
         )
+        if stopped.any():
+            failed[live[stopped]] = True
+            live, step = live[~stopped], step[~stopped]
         blown = ~np.all(np.isfinite(step), axis=1) | (
             _max_norms(step) > _BLOW_UP * (1.0 + _max_norms(Z[live]))
         )
@@ -950,7 +1042,11 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
             break
         H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
         live, H, G = live[~bad], H[~bad], G[~bad]
-        Z_try = Z[live] + _pattern_steps(H, G, R[live], lane_pattern[live], cols)
+        step, _ = _pattern_steps(
+            H, G, R[live], lane_pattern[live], cols,
+            lambda q, J, b: _newton_steps(J, b, None),
+        )
+        Z_try = Z[live] + step
         R_try, bad = _batch_residual(obj, cons, Z_try, n, include[live])
         rn_try = _max_norms(R_try)
         ok = ~bad & np.isfinite(rn_try) & (rn_try < rnorm[live])
@@ -968,27 +1064,35 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
 
 
 def _newton_solve_patterns(
-    p: Problem, patterns, starts, cfg: SolveConfig = DEFAULT_CONFIG,
+    p: Problem, patterns, starts, radius, cfg: SolveConfig = DEFAULT_CONFIG,
     diagnostics=None,
 ):
     """:func:`newton_solve_branch` for every pattern of ``patterns`` from
     every row of ``starts[B, n]``, multipliers starting at zero; returns one
     outcome list per pattern, in start order, each outcome ``None`` or
-    ``(x, Multipliers)`` bitwise equal to the single-start solver's.
+    ``(x, Multipliers)`` bitwise equal to the single-start solver's, except
+    that a single-start run converging beyond ``radius`` (in the max norm)
+    may be None here.
 
     Every lane takes the same Newton steps, halvings, step-blow-up test,
-    least-squares fallback and polish steps.  Each pattern's unknowns are a
-    subsequence of :func:`_problem_slots`, so the skipped ``y_i == 0``
-    updates run in the scalar order, and the columns a pattern does not pin
-    hold exactly 0.0 in the iterate, the residual and the step, which leaves
-    every max norm and step unchanged.  Consecutive patterns share a batch,
-    at most ``_LANE_BUDGET // B`` (and at least one) per batch."""
+    least-squares fallback and polish steps, with one exception: the lanes
+    of a pattern whose pinned affine constraints are certified inconsistent
+    within ``radius`` (:func:`_pins_inconsistent`, run when the pattern's
+    stacked solve first fails) stop there as failed.  No lane of such a
+    pattern converges within ``radius``, and the search accepts no point
+    beyond it.  Each
+    pattern's unknowns are a subsequence of :func:`_problem_slots`, so the
+    skipped ``y_i == 0`` updates run in the scalar order, and the columns a
+    pattern does not pin hold exactly 0.0 in the iterate, the residual and
+    the step, which leaves every max norm and step unchanged.  Consecutive
+    patterns share a batch, at most ``_LANE_BUDGET // B`` (and at least
+    one) per batch."""
     starts = np.asarray(starts, dtype=float)
     per_batch = max(1, _LANE_BUDGET // max(1, len(starts)))
     outcomes = []
     for b in range(0, len(patterns), per_batch):
         outcomes += _solve_lanes(
-            p, patterns[b:b + per_batch], starts, cfg, diagnostics
+            p, patterns[b:b + per_batch], starts, radius, cfg, diagnostics
         )
     return outcomes
 
@@ -1112,16 +1216,21 @@ def search_stationary_points(
     patterns = enumerate_branches(p, cfg)
     starts = _grid_starts(p.n, box, cfg)
     diagnostics = {"solves": len(patterns) * len(starts), "converged": 0,
-                   "singular_jacobian": 0, "residual_rejected": 0}
+                   "singular_jacobian": 0, "inconsistent_patterns": 0,
+                   "residual_rejected": 0}
+    pad = cfg.box_inflation * (hi - lo)
+    # the filter drops every x outside the inflated box, which lies within
+    # this radius: a lane cannot give an accepted point beyond it
+    radius = max(abs(lo - pad), abs(hi + pad))
     candidates = [
         (pattern, outcome)
         for pattern, outcomes in zip(
-            patterns, _newton_solve_patterns(p, patterns, starts, cfg, diagnostics)
+            patterns,
+            _newton_solve_patterns(p, patterns, starts, radius, cfg, diagnostics),
         )
         for outcome in outcomes
     ]
 
-    pad = cfg.box_inflation * (hi - lo)
     verdict_of = _per_distinct_x(
         lambda x: _accept_verdict(p, x, lo - pad, hi + pad, cfg)
     )

@@ -14,6 +14,7 @@ from switchstat.expr import (
     EvalDomainError,
     Mul,
     Problem,
+    _affine_form,
     eval_hessian,
     parse_problem,
 )
@@ -42,6 +43,7 @@ from switchstat.stationarity import (
     _multipliers_from_slots,
     _newton_solve_patterns,
     _pattern_slots,
+    _pins_inconsistent,
     _slot_expr,
     _slot_values,
     BranchPattern,
@@ -66,6 +68,10 @@ from switchstat.stationarity import (
 )
 
 CFG = SolveConfig()
+
+# the radius the search passes for the box (-2, 2): that of its box inflated
+# by box_inflation = 0.1 on each side
+RADIUS = 2.4
 
 # two switching pairs that share the member x2
 CHAINED_SWITCHES = """\
@@ -154,7 +160,7 @@ class TestSolveConfig:
         starts = _grid_starts(2, (-2.0, 2.0), cfg)
         for pattern in enumerate_branches(cross_quadratic, cfg):
             outs = _newton_solve_patterns(
-                cross_quadratic, [pattern], starts, cfg, None
+                cross_quadratic, [pattern], starts, RADIUS, cfg, None
             )[0]
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(cross_quadratic, pattern, start, cfg)
@@ -363,7 +369,7 @@ class TestNewtonSolveBranch:
             assert mult.sigma2 == pytest.approx((-1.0, 0.0), abs=1e-12)
             assert mult.sigma1 == pytest.approx((0.0, -1.0), abs=1e-12)
             ((lane,),) = _newton_solve_patterns(
-                p, [pattern], [start], cfg, batch_diag
+                p, [pattern], [start], RADIUS, cfg, batch_diag
             )
             assert _outcome_bits(lane) == _outcome_bits(out)
             assert batch_diag == diag
@@ -698,8 +704,9 @@ def _outcome_bits(out):
 
 
 class TestBatchedNewton:
-    """Every lane of a one-pattern batch is the single-start solver's
-    run."""
+    """Every lane of a one-pattern batch is the single-start solver's run,
+    but for the lanes of a pattern certified inconsistent, which stop at
+    once where the single-start solver fails later."""
 
     @pytest.mark.parametrize(
         "text, seed",
@@ -710,10 +717,12 @@ class TestBatchedNewton:
         p = parse_problem(text)
         cfg = SolveConfig(seed=seed)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        batch_diag, scalar_diag = {}, {}
-        converged = 0
+        converged = certified = 0
         for pattern in enumerate_branches(p, cfg):
-            outs = _newton_solve_patterns(p, [pattern], starts, cfg, batch_diag)[0]
+            batch_diag, scalar_diag = {}, {}
+            outs = _newton_solve_patterns(
+                p, [pattern], starts, RADIUS, cfg, batch_diag
+            )[0]
             assert len(outs) == len(starts)
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(
@@ -721,8 +730,14 @@ class TestBatchedNewton:
                 )
                 assert _outcome_bits(out) == _outcome_bits(ref), (pattern, start)
                 converged += out is not None
-        assert batch_diag == scalar_diag
+            if batch_diag.pop("inconsistent_patterns", 0):
+                # stopped before any lane-by-lane step
+                assert batch_diag == {} and all(out is None for out in outs)
+                certified += 1
+            else:
+                assert batch_diag == scalar_diag, pattern
         assert 0 < converged < len(starts) * len(enumerate_branches(p, cfg))
+        assert certified > 0
 
     def test_zero_multiplier_skips_the_update(self):
         # at (1, 0) the objective's gradient and Hessian hold -0.0 entries,
@@ -795,7 +810,7 @@ class TestBatchedNewton:
     def test_single_start_batch(self, cross_quadratic):
         pattern = BranchPattern(("BOTH",), ())
         ((out,),) = _newton_solve_patterns(
-            cross_quadratic, [pattern], [(0.3, 0.3)], CFG, None
+            cross_quadratic, [pattern], [(0.3, 0.3)], RADIUS, CFG, None
         )
         ref = newton_solve_branch(cross_quadratic, pattern, (0.3, 0.3))
         assert _outcome_bits(out) == _outcome_bits(ref)
@@ -804,7 +819,8 @@ class TestBatchedNewton:
 class TestMultiPatternNewton:
     """The search's solver puts the lanes of many patterns in one batch;
     every lane is still the single-start solver's run, however the lane
-    budget splits the patterns into batches."""
+    budget splits the patterns into batches, and the same patterns are
+    certified inconsistent."""
 
     @pytest.mark.parametrize(
         "text, grid",
@@ -816,42 +832,229 @@ class TestMultiPatternNewton:
         cfg = SolveConfig(grid_points=grid)
         patterns = enumerate_branches(p, cfg)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        scalar_diag = {}
-        ref = [
-            [
-                _outcome_bits(
-                    newton_solve_branch(p, q, s, cfg, diagnostics=scalar_diag)
-                )
+        ref, singular = [], {}
+        for q in patterns:
+            diag = {}
+            ref.append([
+                _outcome_bits(newton_solve_branch(p, q, s, cfg, diagnostics=diag))
                 for s in starts
-            ]
-            for q in patterns
-        ]
+            ])
+            singular[q] = diag.get("singular_jacobian", 0)
         converged = sum(out is not None for row in ref for out in row)
         assert 0 < converged < len(patterns) * len(starts)
 
-        sizes = []
+        sizes, checked = [], []
         solve_lanes = stationarity._solve_lanes
+        pins_inconsistent = stationarity._pins_inconsistent
 
         def spy(p, batch, *args):
             sizes.append(len(batch))
             return solve_lanes(p, batch, *args)
 
+        def certify(p, q, radius, tol):
+            checked.append((q, pins_inconsistent(p, q, radius, tol)))
+            return checked[-1][1]
+
         monkeypatch.setattr(stationarity, "_solve_lanes", spy)
+        monkeypatch.setattr(stationarity, "_pins_inconsistent", certify)
+        certified = []
         for per_batch in (1, 5, len(patterns)):
             monkeypatch.setattr(
                 stationarity, "_LANE_BUDGET", per_batch * len(starts)
             )
             sizes.clear()
+            checked.clear()
             diag = {}
             outs = stationarity._newton_solve_patterns(
-                p, patterns, starts, cfg, diag
+                p, patterns, starts, RADIUS, cfg, diag
             )
             assert sizes == [
                 min(per_batch, len(patterns) - b)
                 for b in range(0, len(patterns), per_batch)
             ]
             assert [[_outcome_bits(o) for o in row] for row in outs] == ref
-            assert diag == scalar_diag
+            # once per pattern, on the same patterns however they are batched;
+            # the singular steps left are those of the patterns not stopped
+            assert len({q for q, _ in checked}) == len(checked)
+            certified.append([q for q, dead in checked if dead])
+            assert certified[-1] == certified[0] != []
+            expected = {
+                "singular_jacobian": sum(
+                    c for q, c in singular.items() if q not in certified[0]
+                ),
+                "inconsistent_patterns": len(certified[0]),
+            }
+            assert diag == {k: v for k, v in expected.items() if v}
+
+
+# a switching pair whose members differ by 3e-11: pinning both leaves the
+# residual 1.5e-11 at best, within the default tol_resid
+NEAR_MISS = """\
+vars: x1 x2
+objective: (x1-1)^2 + x2^2
+switch: x1 | x1 - 3e-11
+"""
+
+
+def _certified(p, radius=RADIUS, tol=CFG.tol_resid):
+    return {
+        q for q in enumerate_branches(p) if _pins_inconsistent(p, q, radius, tol)
+    }
+
+
+def _rewrite_constraints(text, rewrite):
+    """``text`` with the k-th constraint function (equalities, inequalities
+    and switching members in file order) replaced by ``rewrite(k, body)``."""
+    lines, k = [], 0
+    for line in text.splitlines():
+        key, _, body = line.partition(":")
+        if key in ("eq", "ineq", "switch"):
+            members = []
+            for member in body.split("|"):
+                members.append(rewrite(k, member.strip()))
+                k += 1
+            line = f"{key}: " + " | ".join(members)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _scaled(factors):
+    def transform(text):
+        def scale(k, body):
+            return f"{factors[k % len(factors)]}*({body})"
+
+        return _rewrite_constraints(text, scale), RADIUS, lambda q: q
+
+    return transform
+
+
+def _permuted(text):
+    # the same expressions over reordered unknowns
+    return text.replace("vars: x1 x2 x3", "vars: x3 x1 x2"), RADIUS, lambda q: q
+
+
+def _pairs_reversed(text):
+    lines = text.splitlines()
+    switch = [line for line in lines if line.startswith("switch:")][::-1]
+    lines = [switch.pop(0) if line.startswith("switch:") else line for line in lines]
+    return (
+        "\n".join(lines) + "\n",
+        RADIUS,
+        lambda q: BranchPattern(q.switches[::-1], q.actives),
+    )
+
+
+def _members_swapped(text):
+    def swap(line):
+        if not line.startswith("switch:"):
+            return line
+        first, second = line[len("switch:"):].split("|")
+        return f"switch: {second.strip()} | {first.strip()}"
+
+    flip = {"S1": "S2", "S2": "S1", "BOTH": "BOTH"}
+    return (
+        "\n".join(swap(line) for line in text.splitlines()) + "\n",
+        RADIUS,
+        lambda q: BranchPattern(tuple(flip[s] for s in q.switches), q.actives),
+    )
+
+
+def _translated(text):
+    # x -> x - t moves every point by t and the radius by at most max |t|
+    shift = {"1": "0.3", "2": "-0.7", "3": "1.25"}
+    moved = re.sub(
+        r"x(\d)", lambda m: f"(x{m.group(1)} - {shift[m.group(1)]})",
+        text.split("\n", 1)[1],
+    )
+    return text.split("\n", 1)[0] + "\n" + moved, RADIUS + 1.25, lambda q: q
+
+
+class TestInconsistentPins:
+    """The search stops the lanes of a pattern whose pinned affine
+    constraints admit no common zero, certified by _pins_inconsistent."""
+
+    def test_mid3_certifies_exactly_the_dead_patterns(self):
+        p = parse_problem(MID3)
+        starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
+        dead = {
+            q for q in enumerate_branches(p)
+            if all(newton_solve_branch(p, q, s) is None for s in starts)
+        }
+        assert len(dead) == 27
+        assert _certified(p) == dead
+        # (S2, S1) pins both x2 and x2 - 0.5
+        assert BranchPattern(("S2", "S1"), (False, False)) in dead
+
+    def test_function_pinned_twice_is_not_certified(self):
+        # (S2, S1) pins x2 twice: consistent and singular, and the
+        # least-squares steps still converge (test_singular_jacobian_flag)
+        p = parse_problem(CHAINED_SWITCHES)
+        assert _certified(p) == set()
+
+    def test_near_miss_is_not_certified(self):
+        # beta = 3e-11 / 2 lies below tol_resid = 1e-10: every lane of the
+        # pattern converges through the least-squares step, as single-start
+        p = parse_problem(NEAR_MISS)
+        both = BranchPattern(("BOTH",), ())
+        assert not _pins_inconsistent(p, both, RADIUS, 1e-10)
+        starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
+        diag = {}
+        outs = _newton_solve_patterns(p, [both], starts, RADIUS, CFG, diag)[0]
+        assert all(out is not None for out in outs)
+        assert diag == {"singular_jacobian": len(starts)}
+        for start, out in zip(starts, outs):
+            ref = newton_solve_branch(p, both, start, CFG)
+            assert _outcome_bits(out) == _outcome_bits(ref)
+        # and a tolerance below beta certifies it
+        assert _pins_inconsistent(p, both, RADIUS, 1e-11)
+
+    def test_constant_member_and_nonaffine_pins(self):
+        # a pinned nonzero constant is inconsistent on its own; the nonaffine
+        # x2^2 - 1 takes no part, so pinning it with x2 is not certified
+        p = parse_problem(
+            "vars: x1 x2\nobjective: x1^2 + x2^2\n"
+            "switch: 2/4 | x1\nswitch: x2^2 - 1 | x2\n"
+        )
+        assert _certified(p) == {
+            q for q in enumerate_branches(p) if q.switches[0] in ("S1", "BOTH")
+        }
+
+    def test_rounding_bound_keeps_a_margin(self):
+        # in exact arithmetic (x1 + 1)*fl(1/3)*3 - 1 and x1 have no common
+        # zero, but the float walk gives both 0.0 at x1 = 0: the rounding
+        # bound must keep the pattern uncertified even at tol_resid = 0, and
+        # its lane from x1 = 0 converges there
+        p = parse_problem(
+            "vars: x1\nobjective: x1^2\nswitch: (x1 + 1)*(1/3)*3 - 1 | x1\n"
+        )
+        (a1,), b1, _, _ = _affine_form(p.switches[0][0], 1, RADIUS)
+        (a2,), b2, _, _ = _affine_form(p.switches[0][1], 1, RADIUS)
+        assert a1 * b2 - a2 * b1 != 0
+        both = BranchPattern(("BOTH",), ())
+        cfg = SolveConfig(tol_resid=0.0)
+        assert not _pins_inconsistent(p, both, RADIUS, cfg.tol_resid)
+        starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
+        outs = _newton_solve_patterns(p, [both], starts, RADIUS, cfg)[0]
+        assert [_outcome_bits(out) for out in outs] == [
+            _outcome_bits(newton_solve_branch(p, both, s, cfg)) for s in starts
+        ]
+        assert starts[2].tolist() == outs[2][0].tolist() == [0.0]
+
+    @pytest.mark.parametrize("text", [MID3, NARROW], ids=["mid3", "narrow"])
+    @pytest.mark.parametrize(
+        "transform",
+        [_scaled(("1e6", "1e-6")), _scaled(("1e-6", "1e6")), _permuted,
+         _pairs_reversed, _members_swapped, _translated],
+        ids=["scaled-up-down", "scaled-down-up", "permuted", "pairs-reversed",
+             "members-swapped", "translated"],
+    )
+    def test_certified_set_is_invariant(self, text, transform):
+        base = _certified(parse_problem(text))
+        assert 0 < len(base) < len(enumerate_branches(parse_problem(text)))
+        moved, radius, relabel = transform(text)
+        assert moved != text
+        certified = _certified(parse_problem(moved), radius)
+        assert {relabel(q) for q in certified} == base
 
 
 class TestSearchDiagnostics:
@@ -860,7 +1063,8 @@ class TestSearchDiagnostics:
         assert res.diagnostics == {
             "solves": 4500,
             "converged": 1125,
-            "singular_jacobian": 6318,
+            "singular_jacobian": 0,
+            "inconsistent_patterns": 27,
             "residual_rejected": 0,
         }
         assert len(res.points) == 5
@@ -874,6 +1078,7 @@ class TestSearchDiagnostics:
             "solves": 288,
             "converged": 128,
             "singular_jacobian": 0,
+            "inconsistent_patterns": 0,
             "residual_rejected": 0,
         }
         assert len(res.points) == 3
@@ -885,6 +1090,7 @@ class TestSearchDiagnostics:
             "solves": 375,
             "converged": 375,
             "singular_jacobian": 0,
+            "inconsistent_patterns": 0,
             "residual_rejected": 0,
         }
         assert len(res.points) == 15
@@ -950,7 +1156,7 @@ class TestAcceptFilterOncePerX:
         """Make the search's Newton solver return one converged lane per row
         of ``xs``, all from the first pattern, and no other."""
 
-        def fake(p, patterns, starts, cfg, diagnostics):
+        def fake(p, patterns, starts, radius, cfg, diagnostics):
             zero = _multipliers_from_slots(p, [], [])
             out = [[None] * len(starts) for _ in patterns]
             out[0][:len(xs)] = [(np.array(x, dtype=float), zero) for x in xs]
@@ -1265,7 +1471,9 @@ class TestSlotOrderSums:
         starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
         outcomes = [
             out
-            for outs in stationarity._newton_solve_patterns(p, patterns, starts, CFG)
+            for outs in stationarity._newton_solve_patterns(
+                p, patterns, starts, RADIUS, CFG
+            )
             for out in outs
             if out is not None
         ]
