@@ -23,18 +23,17 @@ lane's pattern does not pin stay exactly 0.0.  A batch holds at most
 patterns.  Every lane runs the floating-point operations of the single-start
 solver :func:`newton_solve_branch` in the same order, so each outcome, and
 with it every accepted point, is bitwise the same as solving the lanes one at
-a time.  One test stops lanes early: when a pattern's stacked solve first
-fails, an exact certificate (:func:`_pins_inconsistent`) may show that its
-pinned affine constraints have no common zero, up to a rigorous rounding
-bound, anywhere in the inflated search box.  No lane of that pattern can then
-converge to a point the accept filter keeps, so its live lanes fail at once
-instead of taking least-squares steps to no end.  Continuation, which solves
-from one start at a time, calls
-:func:`newton_solve_branch` directly.  Its residual and Jacobian run as
-straight-line code compiled once per shape of the branch system (the
-objective and the pinned constraints without their constant values), bitwise
-equal to the tree methods' ``val_grad`` and ``val_grad_hess``; the relaxed
-problems along a continuation path differ only in constants and share it.
+a time.  Before any lane starts, the search leaves out every pattern whose
+pinned affine constraints an exact certificate (:func:`_pins_inconsistent`)
+shows to have no common zero, up to a rigorous rounding bound, anywhere in
+the inflated search box: no lane of such a pattern can converge to a point
+the accept filter keeps.  Continuation, which solves from one start at a
+time, calls :func:`newton_solve_branch` directly.  Its residual and Jacobian
+run as straight-line code compiled once per shape of the branch system (the
+objective and the pinned constraints without their constant values),
+bitwise equal to the tree methods' ``val_grad`` and ``val_grad_hess``; the
+relaxed problems along a continuation path differ only in constants and
+share it.
 
 The accept filter runs once per bitwise-distinct converged ``x``: many lanes
 converge to the same bits (on the benchmark's mid3 problem, 1125 converged
@@ -73,7 +72,6 @@ from .linalg import (
     ToleranceConfig,
     _check_square_residual,
     rank,
-    solve_linear,
 )
 
 __all__ = [
@@ -458,9 +456,9 @@ def recover_multipliers(
             f"LICQ fails at {tuple(float(v) for v in x)}:"
             f" rank {r} < {G.shape[0]} active gradients"
         )
-    df = eval_gradient(p.objective, x)
-    y = solve_linear(G.T, df, cfg.lin) if slots else np.zeros(0)
-    mult = _multipliers_from_slots(p, slots, y)
+    mult, error = _multiplier_rule(p, x, slots, G, True, cfg)
+    if error is not None:
+        raise error
     resid = _residual(p, x, mult, feas, complementarity_violation(p, x, mult))
     if resid > cfg.tol_resid:
         raise NotStationaryError(
@@ -468,6 +466,27 @@ def recover_multipliers(
             f" {cfg.tol_resid:.1e}"
         )
     return mult
+
+
+def _multiplier_rule(p: Problem, x, slots, G, licq, cfg: SolveConfig):
+    """Least-squares multipliers of the multiplier rule at ``x`` on the
+    gradient stack ``G`` of the LICQ-order ``slots``: the unique ones when
+    ``licq`` (G has full row rank), a representative of the multiplier set
+    otherwise.  Returns them and, under LICQ, the
+    :class:`SingularSystemError` of :func:`solve_linear`'s square residual
+    test on that solve, else None.  :func:`solve_linear`'s column-rank test
+    on ``G.T`` would repeat the row-rank test on ``G`` that decided ``licq``
+    (on mid3, the examples and the criterion-7 corpus no QR diagonal entry
+    of either lies within 10^7.8 of the cutoff), so it does not run."""
+    df = eval_gradient(p.objective, x)
+    y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
+    error = None
+    if licq and slots:
+        try:
+            _check_square_residual(G.T, df, y, cfg.lin)
+        except SingularSystemError as e:
+            error = e
+    return _multipliers_from_slots(p, slots, y, unique=licq), error
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +664,10 @@ def _newton_step(J, r, diagnostics):
     ``diagnostics`` unless that is None: patterns can pin the same function
     twice (switching pairs that share a member), leaving the square system
     singular but consistent, and the minimum-norm step still converges
-    there.  The search stops the lanes of a pattern whose pinned affine
-    constraints are provably inconsistent before they get here
-    (:func:`_pins_inconsistent`); the single-start solver has no such test,
-    so on an inconsistent branch its steps keep failing to improve."""
+    there.  The search does not solve a pattern whose pinned affine
+    constraints are provably inconsistent (:func:`_pins_inconsistent`); the
+    solvers themselves have no such test, so on an inconsistent branch their
+    steps keep failing to improve."""
     b = -np.asarray(r)
     try:
         return np.linalg.solve(J, b)
@@ -834,23 +853,6 @@ def _max_norms(A):
     return np.abs(A).max(axis=1, initial=0.0)
 
 
-def _newton_steps(J, R, diagnostics=None):
-    """``_newton_step(J[k], R[k], diagnostics)`` for every lane k of a stack
-    whose stacked solve failed.  A stacked solve gives each lane the bits of
-    its single solve, so the regular lanes (nonzero LU pivots, by
-    ``slogdet``'s sign) stay in one stacked solve and only the singular ones
-    reach ``_newton_step``; all go there if the regular stack still fails."""
-    regular = np.linalg.slogdet(J)[0] != 0.0
-    step = np.empty_like(R)
-    try:
-        step[regular] = np.linalg.solve(J[regular], -R[regular, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        regular[:] = False
-    for k in np.flatnonzero(~regular):
-        step[k] = _newton_step(J[k], R[k], diagnostics)
-    return step
-
-
 # Most lanes (one lane = one (pattern, start) pair) in one multi-pattern
 # Newton batch.  Every lane carries one multiplier column per slot of the
 # problem, and a damping round evaluates several trial points per lane, so a
@@ -862,18 +864,17 @@ def _newton_steps(J, R, diagnostics=None):
 _LANE_BUDGET = 1024
 
 
-def _pattern_steps(H, G, R, lane_pattern, cols, singular):
+def _pattern_steps(H, G, R, lane_pattern, cols, diagnostics):
     """Newton steps for lanes sorted by pattern: ``lane_pattern[k]`` is the
     pattern of lane k (row k of ``H``, ``G`` and ``R``), and ``cols[q]``
     lists the problem slots pattern q pins.  Each pattern's square systems
-    are solved in one stacked solve; when that fails, ``singular(q, J, b)``
-    gives the steps of pattern q's lanes (systems ``J``, residuals ``b``),
-    or None, which stops those lanes.  Returns the steps, whose columns of
-    unpinned slots are exactly 0.0, and the mask of the stopped lanes."""
+    are solved in one stacked solve, which gives each lane the bits of its
+    own solve; when that fails, each of its lanes takes :func:`_newton_step`
+    with ``diagnostics``.  The columns of unpinned slots of the steps are
+    exactly 0.0."""
     n = H.shape[1]
     ends = np.searchsorted(lane_pattern, np.arange(len(cols) + 1))
     step = np.zeros_like(R)
-    stopped = np.zeros(len(R), dtype=bool)
     for q, c in enumerate(cols):
         if ends[q] == ends[q + 1]:
             continue
@@ -883,45 +884,36 @@ def _pattern_steps(H, G, R, lane_pattern, cols, singular):
         b = R[lanes, unknowns]
         try:
             step[lanes, unknowns] = np.linalg.solve(J, -b[:, :, None])[:, :, 0]
-            continue
         except np.linalg.LinAlgError:
-            pass
-        s = singular(q, J, b)
-        if s is None:
-            stopped[lanes] = True
-        else:
-            step[lanes, unknowns] = s
-    return step, stopped
+            for k in range(len(J)):
+                step[ends[q] + k, unknowns] = _newton_step(J[k], b[k], diagnostics)
+    return step
 
 
-def _pins_inconsistent(p: Problem, pattern: BranchPattern, radius, tol) -> bool:
+def _pins_inconsistent(p: Problem, pattern: BranchPattern, forms, tol) -> bool:
     """Whether the affine constraints ``pattern`` pins certify that its
     branch system's residual max norm exceeds ``tol`` at every ``x`` with
-    max |x_j| <= ``radius``.
+    max |x_j| <= radius; ``forms`` pairs every slot of ``p`` with its
+    constraint's :func:`expr._affine_form` at that radius (None when not
+    affine), computed once for all patterns.
 
-    Each pinned slot whose tree is affine (:func:`expr._affine_form`) has
-    exact rational coefficients c_i(x) = a_i·x + b_i and a bound err_i on
-    the rounding of its float value.  Fraction-free elimination in integers
-    finds rational y with Σ y_i a_i = 0; then |Σ y_i b_i| = |Σ y_i c_i(x)|
-    <= ‖y‖₁ max_i |c_i(x)| for every real x, so some pinned value is at
-    least β = |Σ y_i b_i| / ‖y‖₁ in exact arithmetic, and more than
-    β - max err_i (over the support of y) as computed.  The residual holds
-    every pinned value, so when that exceeds ``tol`` no iterate in the
-    radius converges.  Patterns that are singular but consistent (one
-    function pinned twice) leave only rows with Σ y_i b_i = 0 and are not
-    certified.
+    Each pinned slot whose tree is affine has exact rational coefficients
+    c_i(x) = a_i·x + b_i and a bound err_i on the rounding of its float
+    value.  Fraction-free elimination in integers finds rational y with
+    Σ y_i a_i = 0; then |Σ y_i b_i| = |Σ y_i c_i(x)| <= ‖y‖₁ max_i |c_i(x)|
+    for every real x, so some pinned value is at least
+    β = |Σ y_i b_i| / ‖y‖₁ in exact arithmetic, and more than β - max err_i
+    (over the support of y) as computed.  The residual holds every pinned
+    value, so when that exceeds ``tol`` no iterate in the radius converges.
+    Patterns that are singular but consistent (one function pinned twice)
+    leave only rows with Σ y_i b_i = 0 and are not certified.
     """
-    forms = [
-        f for f in (
-            _affine_form(_slot_expr(p, s), p.n, radius)
-            for s in _pattern_slots(p, pattern)
-        ) if f is not None
-    ]
+    pinned = [f for s, f in forms if f is not None and _pins(pattern, s)]
     # row k starts as (A, B) = D_k (a_k, b_k) with y = D_k e_k, and every
     # row keeps (A, B) = Σ y_i (a_i, b_i)
     rows = [
-        (list(a), b, [d if i == k else 0 for i in range(len(forms))])
-        for k, (a, b, d, _) in enumerate(forms)
+        (list(a), b, [d if i == k else 0 for i in range(len(pinned))])
+        for k, (a, b, d, _) in enumerate(pinned)
     ]
     for j in range(p.n):
         k = next((k for k, row in enumerate(rows) if row[0][j]), None)
@@ -939,7 +931,7 @@ def _pins_inconsistent(p: Problem, pattern: BranchPattern, radius, tol) -> bool:
     # every row left has A = 0
     for _, b, y in rows:
         if b:
-            bound = _up(tol + max(forms[i][3] for i, yi in enumerate(y) if yi))
+            bound = _up(tol + max(pinned[i][3] for i, yi in enumerate(y) if yi))
             if math.isfinite(bound):
                 num, den = bound.as_integer_ratio()
                 if abs(b) * den > num * sum(map(abs, y)):
@@ -947,14 +939,9 @@ def _pins_inconsistent(p: Problem, pattern: BranchPattern, radius, tol) -> bool:
     return False
 
 
-def _solve_lanes(
-    p: Problem, patterns, starts, radius, cfg: SolveConfig, diagnostics
-):
+def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
     """Damped Newton for every (pattern, start) lane of one batch; returns
-    one outcome list per pattern.  The first failed stacked solve of a
-    pattern runs :func:`_pins_inconsistent` on it, once; a certified
-    pattern's live lanes fail there, and the others take the lane-by-lane
-    fallback."""
+    one outcome list per pattern."""
     n = p.n
     obj = p.objective
     slots = _problem_slots(p)
@@ -980,17 +967,6 @@ def _solve_lanes(
         factors.append(factors[-1] * 0.5)
     factors = np.array(factors)
 
-    dead = {}  # pattern -> whether its pinned affine constraints are certified
-
-    def singular(q, J, b):
-        if q not in dead:
-            dead[q] = _pins_inconsistent(p, patterns[q], radius, cfg.tol_resid)
-            if dead[q] and diagnostics is not None:
-                diagnostics["inconsistent_patterns"] = (
-                    diagnostics.get("inconsistent_patterns", 0) + 1
-                )
-        return None if dead[q] else _newton_steps(J, b, diagnostics)
-
     for _ in range(cfg.max_iter):
         live = np.flatnonzero(~failed & ~converged)
         if not live.size:
@@ -998,12 +974,7 @@ def _solve_lanes(
         H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
         failed[live[bad]] = True
         live, H, G = live[~bad], H[~bad], G[~bad]
-        step, stopped = _pattern_steps(
-            H, G, R[live], lane_pattern[live], cols, singular
-        )
-        if stopped.any():
-            failed[live[stopped]] = True
-            live, step = live[~stopped], step[~stopped]
+        step = _pattern_steps(H, G, R[live], lane_pattern[live], cols, diagnostics)
         blown = ~np.all(np.isfinite(step), axis=1) | (
             _max_norms(step) > _BLOW_UP * (1.0 + _max_norms(Z[live]))
         )
@@ -1042,10 +1013,7 @@ def _solve_lanes(
             break
         H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
         live, H, G = live[~bad], H[~bad], G[~bad]
-        step, _ = _pattern_steps(
-            H, G, R[live], lane_pattern[live], cols,
-            lambda q, J, b: _newton_steps(J, b, None),
-        )
+        step = _pattern_steps(H, G, R[live], lane_pattern[live], cols, None)
         Z_try = Z[live] + step
         R_try, bad = _batch_residual(obj, cons, Z_try, n, include[live])
         rn_try = _max_norms(R_try)
@@ -1064,35 +1032,28 @@ def _solve_lanes(
 
 
 def _newton_solve_patterns(
-    p: Problem, patterns, starts, radius, cfg: SolveConfig = DEFAULT_CONFIG,
+    p: Problem, patterns, starts, cfg: SolveConfig = DEFAULT_CONFIG,
     diagnostics=None,
 ):
     """:func:`newton_solve_branch` for every pattern of ``patterns`` from
     every row of ``starts[B, n]``, multipliers starting at zero; returns one
     outcome list per pattern, in start order, each outcome ``None`` or
-    ``(x, Multipliers)`` bitwise equal to the single-start solver's, except
-    that a single-start run converging beyond ``radius`` (in the max norm)
-    may be None here.
+    ``(x, Multipliers)`` bitwise equal to the single-start solver's, and
+    adds the single-start ``singular_jacobian`` counts to ``diagnostics``.
 
     Every lane takes the same Newton steps, halvings, step-blow-up test,
-    least-squares fallback and polish steps, with one exception: the lanes
-    of a pattern whose pinned affine constraints are certified inconsistent
-    within ``radius`` (:func:`_pins_inconsistent`, run when the pattern's
-    stacked solve first fails) stop there as failed.  No lane of such a
-    pattern converges within ``radius``, and the search accepts no point
-    beyond it.  Each
-    pattern's unknowns are a subsequence of :func:`_problem_slots`, so the
-    skipped ``y_i == 0`` updates run in the scalar order, and the columns a
-    pattern does not pin hold exactly 0.0 in the iterate, the residual and
-    the step, which leaves every max norm and step unchanged.  Consecutive
-    patterns share a batch, at most ``_LANE_BUDGET // B`` (and at least
-    one) per batch."""
+    least-squares fallback and polish steps.  Each pattern's unknowns are a
+    subsequence of :func:`_problem_slots`, so the skipped ``y_i == 0``
+    updates run in the scalar order, and the columns a pattern does not pin
+    hold exactly 0.0 in the iterate, the residual and the step, which leaves
+    every max norm and step unchanged.  Consecutive patterns share a batch,
+    at most ``_LANE_BUDGET // B`` (and at least one) per batch."""
     starts = np.asarray(starts, dtype=float)
     per_batch = max(1, _LANE_BUDGET // max(1, len(starts)))
     outcomes = []
     for b in range(0, len(patterns), per_batch):
         outcomes += _solve_lanes(
-            p, patterns[b:b + per_batch], starts, radius, cfg, diagnostics
+            p, patterns[b:b + per_batch], starts, cfg, diagnostics
         )
     return outcomes
 
@@ -1151,25 +1112,13 @@ def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
         # at (1e-300, 0)), which leaves no gradient stack to judge
         return _DROP
     licq = r == G.shape[0]
-    df = eval_gradient(p.objective, x)
-    # least squares: the unique multipliers under LICQ, a representative of
-    # the multiplier set otherwise
-    y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
-    mult = _multipliers_from_slots(p, slots, y, unique=licq)
+    mult, error = _multiplier_rule(p, x, slots, G, licq, cfg)
     if any(mj < -cfg.tol_sign for mj in mult.mu):
         return _Verdict("sign", mult, idx)
-    if licq and slots:
-        # re-verification under LICQ: recover_multipliers' solve on the same
-        # stack, whose least squares ``y`` already is.  Its column-rank test
-        # on G.T would repeat the row-rank test on G just passed (on mid3,
-        # the examples and the criterion-7 corpus no QR diagonal entry of
-        # either lies within 10^7.8 of the cutoff), so only its square
-        # residual test runs; a failure means the candidate is not
+    if error is not None:
+        # recover_multipliers would raise here: the candidate is not
         # stationary at the required residual
-        try:
-            _check_square_residual(G.T, df, y, cfg.lin)
-        except SingularSystemError:
-            return _RESIDUAL
+        return _RESIDUAL
     comp = complementarity_violation(p, x, mult)
     resid = _residual(p, x, mult, feas, comp)
     # under LICQ the residual is judged first, as in recover_multipliers, so
@@ -1204,6 +1153,11 @@ def search_stationary_points(
     """Full multi-start search returning accepted points, the sign-condition
     reject list and solver diagnostics.
 
+    Patterns that :func:`_pins_inconsistent` certifies are not solved, since
+    no lane of theirs converges inside the inflated box, beyond which the
+    filter accepts nothing; ``diagnostics["inconsistent_patterns"]`` counts
+    them, and ``solves`` still counts every (pattern, start) pair.
+
     The accept filter runs once per bitwise-distinct converged ``x``.  Its
     verdict depends on nothing but ``x``, so a repeat takes the first
     verdict, and the counting and the deduplication that follow run for
@@ -1215,18 +1169,24 @@ def search_stationary_points(
         raise ValueError(f"empty box [{lo}, {hi}]")
     patterns = enumerate_branches(p, cfg)
     starts = _grid_starts(p.n, box, cfg)
-    diagnostics = {"solves": len(patterns) * len(starts), "converged": 0,
-                   "singular_jacobian": 0, "inconsistent_patterns": 0,
-                   "residual_rejected": 0}
     pad = cfg.box_inflation * (hi - lo)
     # the filter drops every x outside the inflated box, which lies within
     # this radius: a lane cannot give an accepted point beyond it
     radius = max(abs(lo - pad), abs(hi + pad))
+    forms = [
+        (s, _affine_form(_slot_expr(p, s), p.n, radius)) for s in _problem_slots(p)
+    ]
+    solved = [
+        q for q in patterns if not _pins_inconsistent(p, q, forms, cfg.tol_resid)
+    ]
+    diagnostics = {"solves": len(patterns) * len(starts), "converged": 0,
+                   "singular_jacobian": 0,
+                   "inconsistent_patterns": len(patterns) - len(solved),
+                   "residual_rejected": 0}
     candidates = [
         (pattern, outcome)
         for pattern, outcomes in zip(
-            patterns,
-            _newton_solve_patterns(p, patterns, starts, radius, cfg, diagnostics),
+            solved, _newton_solve_patterns(p, solved, starts, cfg, diagnostics)
         )
         for outcome in outcomes
     ]

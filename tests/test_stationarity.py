@@ -15,9 +15,11 @@ from switchstat.expr import (
     Mul,
     Problem,
     _affine_form,
+    eval_gradient,
     eval_hessian,
     parse_problem,
 )
+from switchstat.linalg import SingularSystemError, ToleranceConfig, solve_linear
 from switchstat.relaxation import continue_path, kkt_points_relaxed, relax
 from tests.conftest import (
     CROSS_LINEAR,
@@ -44,6 +46,7 @@ from switchstat.stationarity import (
     _newton_solve_patterns,
     _pattern_slots,
     _pins_inconsistent,
+    _problem_slots,
     _slot_expr,
     _slot_values,
     BranchPattern,
@@ -69,8 +72,8 @@ from switchstat.stationarity import (
 
 CFG = SolveConfig()
 
-# the radius the search passes for the box (-2, 2): that of its box inflated
-# by box_inflation = 0.1 on each side
+# the radius of the search's affine forms for the box (-2, 2): that of its box
+# inflated by box_inflation = 0.1 on each side
 RADIUS = 2.4
 
 # two switching pairs that share the member x2
@@ -114,6 +117,26 @@ ineq: -1.497*x1 + 0.454*x2 + -1.18*x3 + -0.283
 ineq: -0.341*x1 + -1.304*x2 + 1.249*x3 + 0.567
 switch: -0.906*x1 + 0.709*x2 + -0.505*x3 + -0.33 | 0.243*x1 + 1.166*x2 + 1.308*x3 + 0.486
 switch: -0.972*x1 + 0.932*x2 + -0.624*x3 + -0.601 | -0.217*x1 + 0.183*x2 + -0.708*x3 + 0.979
+"""
+
+# problems 17 and 84 of the same corpus: 32 of the first's 36 patterns and all
+# 18 of the second's pin affine constraints with no common zero
+CORPUS_P017 = """\
+vars: x1 x2
+objective: 1.053*x1 + 0.294*x2 + 0.851*x1^2 + -0.397*x2^2 + -1.077*x1 + 1.096*x2
+ineq: 0.91*x1 + 1.108*x2 + 0.407
+ineq: 1.252*x1 + -0.726*x2 + -0.332
+switch: -0.465*x1 + 0.231*x2 + 0.402 | -1.374*x1 + 0.191*x2 + 0.797
+switch: -0.677*x1 + -0.488*x2 + 0.105 | -0.164*x1 + -1.246*x2 + -0.246
+"""
+
+CORPUS_P084 = """\
+vars: x1 x2
+objective: 1.68*x1 + 0.51*x2 + 0.249*x1^2 + -0.653*x2^2 + -1.902*x1^2*x2
+eq: 1.335*x1 + 0.701*x2 + 0.875
+ineq: 0.152*x1 + 0.318*x2 + -0.617
+switch: 1.224*x1 + -1.414*x2 + 0.4 | 0.926*x1 + 1.433*x2 + 0.384
+switch: -0.398*x1 + -1.052*x2 + 0.021 | -1.163*x1 + -0.414*x2 + -0.361
 """
 
 # problem 76 of the same corpus: at tol_resid=1e-13 its search rejects one
@@ -160,7 +183,7 @@ class TestSolveConfig:
         starts = _grid_starts(2, (-2.0, 2.0), cfg)
         for pattern in enumerate_branches(cross_quadratic, cfg):
             outs = _newton_solve_patterns(
-                cross_quadratic, [pattern], starts, RADIUS, cfg, None
+                cross_quadratic, [pattern], starts, cfg, None
             )[0]
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(cross_quadratic, pattern, start, cfg)
@@ -295,6 +318,30 @@ class TestRecoverMultipliers:
         with pytest.raises(LicqViolationError):
             recover_multipliers(p, (0.0, 0.0))
 
+    def test_square_residual_test_is_the_filters(self):
+        # the square multiplier solve at this bi-active corner leaves a
+        # rounding residual of 2.2e-16: at solve_residual 0 recover_multipliers
+        # raises solve_linear's error and the accept filter rejects the
+        # candidate on the residual; at the default both keep the multipliers
+        p = parse_problem(
+            "vars: x1 x2\nobjective: 0.1*x1 + 0.7*x2\n"
+            "switch: 0.3*x1 + 0.9*x2 | 1.1*x1 - 0.7*x2\n"
+        )
+        x = np.zeros(2)
+        strict = SolveConfig(lin=ToleranceConfig(solve_residual=0.0))
+        G = licq_matrix(p, x, active_sets(p, x))
+        with pytest.raises(SingularSystemError) as expected:
+            solve_linear(G.T, eval_gradient(p.objective, x), strict.lin)
+        with pytest.raises(SingularSystemError) as raised:
+            recover_multipliers(p, x, strict)
+        assert str(raised.value) == str(expected.value)
+        assert stationarity._accept_verdict(p, x, -3.0, 3.0, strict).kind == (
+            "residual"
+        )
+        verdict = stationarity._accept_verdict(p, x, -3.0, 3.0, CFG)
+        assert verdict.kind == "accept"
+        assert repr(verdict.mult) == repr(recover_multipliers(p, x))
+
 
 class TestEnumerateBranches:
     def test_counts(self):
@@ -369,7 +416,7 @@ class TestNewtonSolveBranch:
             assert mult.sigma2 == pytest.approx((-1.0, 0.0), abs=1e-12)
             assert mult.sigma1 == pytest.approx((0.0, -1.0), abs=1e-12)
             ((lane,),) = _newton_solve_patterns(
-                p, [pattern], [start], RADIUS, cfg, batch_diag
+                p, [pattern], [start], cfg, batch_diag
             )
             assert _outcome_bits(lane) == _outcome_bits(out)
             assert batch_diag == diag
@@ -704,9 +751,8 @@ def _outcome_bits(out):
 
 
 class TestBatchedNewton:
-    """Every lane of a one-pattern batch is the single-start solver's run,
-    but for the lanes of a pattern certified inconsistent, which stop at
-    once where the single-start solver fails later."""
+    """Every lane of a one-pattern batch is the single-start solver's
+    run."""
 
     @pytest.mark.parametrize(
         "text, seed",
@@ -717,12 +763,10 @@ class TestBatchedNewton:
         p = parse_problem(text)
         cfg = SolveConfig(seed=seed)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        converged = certified = 0
+        converged = 0
         for pattern in enumerate_branches(p, cfg):
             batch_diag, scalar_diag = {}, {}
-            outs = _newton_solve_patterns(
-                p, [pattern], starts, RADIUS, cfg, batch_diag
-            )[0]
+            outs = _newton_solve_patterns(p, [pattern], starts, cfg, batch_diag)[0]
             assert len(outs) == len(starts)
             for start, out in zip(starts, outs):
                 ref = newton_solve_branch(
@@ -730,14 +774,8 @@ class TestBatchedNewton:
                 )
                 assert _outcome_bits(out) == _outcome_bits(ref), (pattern, start)
                 converged += out is not None
-            if batch_diag.pop("inconsistent_patterns", 0):
-                # stopped before any lane-by-lane step
-                assert batch_diag == {} and all(out is None for out in outs)
-                certified += 1
-            else:
-                assert batch_diag == scalar_diag, pattern
+            assert batch_diag == scalar_diag, pattern
         assert 0 < converged < len(starts) * len(enumerate_branches(p, cfg))
-        assert certified > 0
 
     def test_zero_multiplier_skips_the_update(self):
         # at (1, 0) the objective's gradient and Hessian hold -0.0 entries,
@@ -763,9 +801,12 @@ class TestBatchedNewton:
         assert np.signbit(R[0, 0]) and np.signbit(J[0, 0, 0])
 
     def test_singular_lanes_leave_the_others_stacked(self, monkeypatch):
-        # a zero row makes a lane's Jacobian singular, and a repeated row
-        # mostly does; the regular lanes must keep the bits of their single
-        # solve without reaching the lane-by-lane step
+        # a zero gradient row makes a lane's Jacobian singular, and a
+        # repeated row mostly does: where a pattern's stacked solve fails,
+        # every lane of it must keep the bits and the singular_jacobian
+        # count of its single step, and the lanes of a pattern whose stacked
+        # solve succeeds keep the bits of their single solve without
+        # reaching the single step
         single = stationarity._newton_step
         one_by_one = []
 
@@ -782,35 +823,36 @@ class TestBatchedNewton:
 
         monkeypatch.setattr(stationarity, "_newton_step", spy)
         rng = np.random.default_rng(12)
-        for size in range(2, 8):
-            J = rng.normal(size=(30, size, size))
-            R = rng.normal(size=(30, size))
-            J[::4, -1] = J[::4, 0]
-            J[1::7, 1] = 0.0
-            singular = [Jk.tobytes() for Jk in J if not solvable(Jk)]
-            assert len(singular) >= 5
+        for n, m in [(1, 1), (1, 2), (2, 2), (3, 2), (3, 4), (4, 3)]:
+            # pattern 0 pins slots 0..m-1, pattern 1 slot m alone
+            cols = [np.arange(m), np.array([m])]
+            lane_pattern = np.repeat([0, 1], 30)
+            H = rng.normal(size=(60, n, n))
+            G = rng.normal(size=(60, m + 1, n))
+            R = rng.normal(size=(60, n + m + 1))
+            G[:30:4, m - 1] = G[:30:4, 0]
+            G[1:30:7, 0] = 0.0
             ref_diag, diag = {}, {}
-            ref = np.array([single(Jk, r, ref_diag) for Jk, r in zip(J, R)])
+            ref = np.zeros_like(R)
+            singular = 0
+            for k, q in enumerate(lane_pattern):
+                unknowns = np.concatenate([np.arange(n), n + cols[q]])
+                Jk = _branch_jacobians(H[k:k + 1], G[k:k + 1][:, cols[q]])[0]
+                singular += not solvable(Jk)
+                ref[k, unknowns] = single(Jk, R[k, unknowns], ref_diag)
+            assert singular >= 5
             one_by_one.clear()
-            steps = stationarity._newton_steps(J, R, diag)
+            steps = stationarity._pattern_steps(H, G, R, lane_pattern, cols, diag)
             assert steps.tobytes() == ref.tobytes()
-            assert diag == ref_diag == {"singular_jacobian": len(singular)}
-            assert one_by_one == singular
-        # should the pivot-sign test miss a singular lane, every lane takes
-        # the single step, with the same bits
-        monkeypatch.setattr(
-            np.linalg, "slogdet", lambda J: (np.ones(len(J)), np.zeros(len(J)))
-        )
-        one_by_one.clear()
-        diag = {}
-        assert stationarity._newton_steps(J, R, diag).tobytes() == ref.tobytes()
-        assert diag == ref_diag
-        assert len(one_by_one) == len(J)
+            assert diag == ref_diag == {"singular_jacobian": singular}
+            # every lane of pattern 0, whose stacked solve fails, and none
+            # of pattern 1
+            assert len(one_by_one) == 30
 
     def test_single_start_batch(self, cross_quadratic):
         pattern = BranchPattern(("BOTH",), ())
         ((out,),) = _newton_solve_patterns(
-            cross_quadratic, [pattern], [(0.3, 0.3)], RADIUS, CFG, None
+            cross_quadratic, [pattern], [(0.3, 0.3)], CFG, None
         )
         ref = newton_solve_branch(cross_quadratic, pattern, (0.3, 0.3))
         assert _outcome_bits(out) == _outcome_bits(ref)
@@ -819,8 +861,7 @@ class TestBatchedNewton:
 class TestMultiPatternNewton:
     """The search's solver puts the lanes of many patterns in one batch;
     every lane is still the single-start solver's run, however the lane
-    budget splits the patterns into batches, and the same patterns are
-    certified inconsistent."""
+    budget splits the patterns into batches."""
 
     @pytest.mark.parametrize(
         "text, grid",
@@ -832,59 +873,42 @@ class TestMultiPatternNewton:
         cfg = SolveConfig(grid_points=grid)
         patterns = enumerate_branches(p, cfg)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        ref, singular = [], {}
-        for q in patterns:
-            diag = {}
-            ref.append([
-                _outcome_bits(newton_solve_branch(p, q, s, cfg, diagnostics=diag))
+        scalar_diag = {}
+        ref = [
+            [
+                _outcome_bits(
+                    newton_solve_branch(p, q, s, cfg, diagnostics=scalar_diag)
+                )
                 for s in starts
-            ])
-            singular[q] = diag.get("singular_jacobian", 0)
+            ]
+            for q in patterns
+        ]
         converged = sum(out is not None for row in ref for out in row)
         assert 0 < converged < len(patterns) * len(starts)
 
-        sizes, checked = [], []
+        sizes = []
         solve_lanes = stationarity._solve_lanes
-        pins_inconsistent = stationarity._pins_inconsistent
 
         def spy(p, batch, *args):
             sizes.append(len(batch))
             return solve_lanes(p, batch, *args)
 
-        def certify(p, q, radius, tol):
-            checked.append((q, pins_inconsistent(p, q, radius, tol)))
-            return checked[-1][1]
-
         monkeypatch.setattr(stationarity, "_solve_lanes", spy)
-        monkeypatch.setattr(stationarity, "_pins_inconsistent", certify)
-        certified = []
         for per_batch in (1, 5, len(patterns)):
             monkeypatch.setattr(
                 stationarity, "_LANE_BUDGET", per_batch * len(starts)
             )
             sizes.clear()
-            checked.clear()
             diag = {}
             outs = stationarity._newton_solve_patterns(
-                p, patterns, starts, RADIUS, cfg, diag
+                p, patterns, starts, cfg, diag
             )
             assert sizes == [
                 min(per_batch, len(patterns) - b)
                 for b in range(0, len(patterns), per_batch)
             ]
             assert [[_outcome_bits(o) for o in row] for row in outs] == ref
-            # once per pattern, on the same patterns however they are batched;
-            # the singular steps left are those of the patterns not stopped
-            assert len({q for q, _ in checked}) == len(checked)
-            certified.append([q for q, dead in checked if dead])
-            assert certified[-1] == certified[0] != []
-            expected = {
-                "singular_jacobian": sum(
-                    c for q, c in singular.items() if q not in certified[0]
-                ),
-                "inconsistent_patterns": len(certified[0]),
-            }
-            assert diag == {k: v for k, v in expected.items() if v}
+            assert diag == scalar_diag
 
 
 # a switching pair whose members differ by 3e-11: pinning both leaves the
@@ -896,9 +920,18 @@ switch: x1 | x1 - 3e-11
 """
 
 
+def _forms(p, radius=RADIUS):
+    """Every slot with its affine form at ``radius``, as the search computes
+    them."""
+    return [
+        (s, _affine_form(_slot_expr(p, s), p.n, radius)) for s in _problem_slots(p)
+    ]
+
+
 def _certified(p, radius=RADIUS, tol=CFG.tol_resid):
+    forms = _forms(p, radius)
     return {
-        q for q in enumerate_branches(p) if _pins_inconsistent(p, q, radius, tol)
+        q for q in enumerate_branches(p) if _pins_inconsistent(p, q, forms, tol)
     }
 
 
@@ -970,8 +1003,8 @@ def _translated(text):
 
 
 class TestInconsistentPins:
-    """The search stops the lanes of a pattern whose pinned affine
-    constraints admit no common zero, certified by _pins_inconsistent."""
+    """The search does not solve a pattern whose pinned affine constraints
+    admit no common zero, certified by _pins_inconsistent."""
 
     def test_mid3_certifies_exactly_the_dead_patterns(self):
         p = parse_problem(MID3)
@@ -996,17 +1029,17 @@ class TestInconsistentPins:
         # pattern converges through the least-squares step, as single-start
         p = parse_problem(NEAR_MISS)
         both = BranchPattern(("BOTH",), ())
-        assert not _pins_inconsistent(p, both, RADIUS, 1e-10)
+        assert not _pins_inconsistent(p, both, _forms(p), 1e-10)
         starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
         diag = {}
-        outs = _newton_solve_patterns(p, [both], starts, RADIUS, CFG, diag)[0]
+        outs = _newton_solve_patterns(p, [both], starts, CFG, diag)[0]
         assert all(out is not None for out in outs)
         assert diag == {"singular_jacobian": len(starts)}
         for start, out in zip(starts, outs):
             ref = newton_solve_branch(p, both, start, CFG)
             assert _outcome_bits(out) == _outcome_bits(ref)
         # and a tolerance below beta certifies it
-        assert _pins_inconsistent(p, both, RADIUS, 1e-11)
+        assert _pins_inconsistent(p, both, _forms(p), 1e-11)
 
     def test_constant_member_and_nonaffine_pins(self):
         # a pinned nonzero constant is inconsistent on its own; the nonaffine
@@ -1032,13 +1065,85 @@ class TestInconsistentPins:
         assert a1 * b2 - a2 * b1 != 0
         both = BranchPattern(("BOTH",), ())
         cfg = SolveConfig(tol_resid=0.0)
-        assert not _pins_inconsistent(p, both, RADIUS, cfg.tol_resid)
+        assert not _pins_inconsistent(p, both, _forms(p), cfg.tol_resid)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        outs = _newton_solve_patterns(p, [both], starts, RADIUS, cfg)[0]
+        outs = _newton_solve_patterns(p, [both], starts, cfg)[0]
         assert [_outcome_bits(out) for out in outs] == [
             _outcome_bits(newton_solve_branch(p, both, s, cfg)) for s in starts
         ]
         assert starts[2].tolist() == outs[2][0].tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [(MID3, CFG), (NARROW, SolveConfig(grid_points=2))],
+        ids=["mid3", "narrow"],
+    )
+    def test_search_certifies_each_pattern_once(self, monkeypatch, text, cfg):
+        # one affine form per slot at the search's radius, one certificate
+        # per pattern, and the solver gets the uncertified patterns in order
+        p = parse_problem(text)
+        walked, checked, solved = [], [], []
+        affine_form = stationarity._affine_form
+        pins_inconsistent = stationarity._pins_inconsistent
+        solve = stationarity._newton_solve_patterns
+
+        def walk(e, n, radius):
+            walked.append((e, radius))
+            return affine_form(e, n, radius)
+
+        def certify(p, q, forms, tol):
+            checked.append(q)
+            return pins_inconsistent(p, q, forms, tol)
+
+        def solver(p, patterns, *args):
+            solved.extend(patterns)
+            return solve(p, patterns, *args)
+
+        monkeypatch.setattr(stationarity, "_affine_form", walk)
+        monkeypatch.setattr(stationarity, "_pins_inconsistent", certify)
+        monkeypatch.setattr(stationarity, "_newton_solve_patterns", solver)
+        res = search_stationary_points(p, (-2.0, 2.0), cfg)
+        slots = _problem_slots(p)
+        assert len(walked) == len(slots)
+        assert all(e is _slot_expr(p, s) for (e, _), s in zip(walked, slots))
+        assert {radius for _, radius in walked} == {RADIUS}
+        assert checked == enumerate_branches(p, cfg)
+        certified = _certified(p)
+        assert solved == [q for q in checked if q not in certified]
+        assert res.diagnostics["inconsistent_patterns"] == len(certified) > 0
+
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [(MID3, CFG), (NARROW, CFG), (NARROW, SolveConfig(grid_points=2)),
+         (CORPUS_P017, SolveConfig(grid_points=3)),
+         (CORPUS_P024, SolveConfig(grid_points=2)),
+         (CORPUS_P084, SolveConfig(grid_points=3))],
+        ids=["mid3", "narrow", "narrow-grid2", "corpus-p017", "corpus-p024",
+             "corpus-p084"],
+    )
+    def test_skipping_certified_patterns_drops_nothing(
+        self, monkeypatch, text, cfg
+    ):
+        p = parse_problem(text)
+        certified = [q for q in enumerate_branches(p, cfg) if q in _certified(p)]
+        assert certified
+        skipped = search_stationary_points(p, (-2.0, 2.0), cfg)
+        monkeypatch.setattr(stationarity, "_pins_inconsistent", lambda *a: False)
+        every = search_stationary_points(p, (-2.0, 2.0), cfg)
+        # repr tells -0.0 from 0.0 and prints every float exactly; a point's
+        # repr holds its multipliers and source pattern
+        assert repr(skipped.points) == repr(every.points)
+        assert repr(skipped.rejected_sign) == repr(every.rejected_sign)
+        assert (skipped.diagnostics["residual_rejected"]
+                == every.diagnostics["residual_rejected"])
+        assert skipped.diagnostics["inconsistent_patterns"] == len(certified)
+        assert every.diagnostics["inconsistent_patterns"] == 0
+        # solved anyway, no lane of a certified pattern converges inside the
+        # radius, beyond which the search accepts nothing
+        starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
+        for outs in _newton_solve_patterns(p, certified, starts, cfg):
+            for out in outs:
+                assert out is None or np.abs(out[0]).max() > RADIUS
 
     @pytest.mark.parametrize("text", [MID3, NARROW], ids=["mid3", "narrow"])
     @pytest.mark.parametrize(
@@ -1078,11 +1183,32 @@ class TestSearchDiagnostics:
             "solves": 288,
             "converged": 128,
             "singular_jacobian": 0,
-            "inconsistent_patterns": 0,
+            "inconsistent_patterns": 20,
             "residual_rejected": 0,
         }
         assert len(res.points) == 3
         assert len(res.rejected_sign) == 1
+
+    @pytest.mark.parametrize(
+        "grid, starts, converged, singular",
+        [(5, 125, 500, 23), (2, 8, 32, 9)],
+        ids=["grid5", "grid2"],
+    )
+    def test_narrow(self, grid, starts, converged, singular):
+        # 28 of the 36 patterns are certified and not solved
+        p = parse_problem(NARROW)
+        res = search_stationary_points(
+            p, (-2.0, 2.0), SolveConfig(grid_points=grid)
+        )
+        assert res.diagnostics == {
+            "solves": 36 * starts,
+            "converged": converged,
+            "singular_jacobian": singular,
+            "inconsistent_patterns": 28,
+            "residual_rejected": 0,
+        }
+        assert len(res.points) == 4
+        assert res.rejected_sign == []
 
     def test_levelsets_3d_problem(self):
         res = search_stationary_points(parse_problem(LEVELSETS_3D), (-2.0, 2.0))
@@ -1156,7 +1282,7 @@ class TestAcceptFilterOncePerX:
         """Make the search's Newton solver return one converged lane per row
         of ``xs``, all from the first pattern, and no other."""
 
-        def fake(p, patterns, starts, radius, cfg, diagnostics):
+        def fake(p, patterns, starts, cfg, diagnostics):
             zero = _multipliers_from_slots(p, [], [])
             out = [[None] * len(starts) for _ in patterns]
             out[0][:len(xs)] = [(np.array(x, dtype=float), zero) for x in xs]
@@ -1472,7 +1598,7 @@ class TestSlotOrderSums:
         outcomes = [
             out
             for outs in stationarity._newton_solve_patterns(
-                p, patterns, starts, RADIUS, CFG
+                p, patterns, starts, CFG
             )
             for out in outs
             if out is not None
