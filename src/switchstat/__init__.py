@@ -89,7 +89,8 @@ from .topology import (
     critical_level_report,
     feasibility_mask,
     mountain_pass_check,
-    sublevel_components,
+    objective_values,
+    sublevel_labels,
     sweep_levels,
 )
 

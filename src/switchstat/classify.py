@@ -31,13 +31,14 @@ from .stationarity import (
     DEFAULT_CONFIG,
     CombinatorialCapError,
     IndexSets,
+    InfeasiblePointError,
     LicqViolationError,
     Multipliers,
     SolveConfig,
     _active_slots,
     _gradient_rows,
     _weighted_slots,
-    check_licq,
+    feasibility_violation,
 )
 
 __all__ = [
@@ -166,23 +167,10 @@ def quadratic_index(
 ) -> WIndex:
     """Counts behind the W-index: restricted-Hessian negative eigenvalues
     plus the number of bi-active switching pairs."""
-    return _quadratic_index(p, x, mult, idx, cfg)[0]
-
-
-def _quadratic_index(p, x, mult, idx, cfg):
-    """:func:`quadratic_index` and the Lagrangian Hessian it restricts."""
     V = tangent_basis(p, x, idx, cfg=cfg)
-    H = lagrangian_hessian(p, x, mult)
-    ine = inertia(_restricted(H, V), cfg.lin)
-    qi = ine.n_neg
+    ine = inertia(_restricted(lagrangian_hessian(p, x, mult), V), cfg.lin)
     bi = len(idx.beta)
-    return WIndex(
-        qi=qi,
-        bi=bi,
-        w=qi + bi,
-        degenerate=ine.n_zero > 0,
-        tangent_dim=V.shape[1],
-    ), H
+    return WIndex(ine.n_neg, bi, ine.n_neg + bi, ine.n_zero > 0, V.shape[1])
 
 
 def check_nondegeneracy(
@@ -200,14 +188,21 @@ def classify_point(
 ) -> Classification:
     """Nondegeneracy, the W-index, the minimizer/saddle verdict from it
     (inconclusive when the point is degenerate) and the strong-stability
-    verdict, from one LICQ check and one Lagrangian Hessian."""
-    licq = check_licq(p, x, cfg)
-    nd1 = licq.holds
+    verdict, from one stack of the J0 gradients of ``idx``, which decides
+    ND1 and whose nullspace is the J0 tangent space, and one Lagrangian
+    Hessian.  Raises :class:`InfeasiblePointError` at an infeasible ``x``."""
+    if feasibility_violation(p, x) > cfg.tol_feas:
+        raise InfeasiblePointError(
+            f"point {tuple(float(v) for v in x)} is infeasible beyond tol_feas"
+        )
+    A = _gradient_rows(p, x, _active_slots(p, idx))
+    V = nullspace_basis(A, cfg.lin)
+    # the rank nullspace_basis decided is n minus its columns
+    rank, rows = p.n - V.shape[1], A.shape[0]
+    nd1 = rank == rows
     notes = []
     if not nd1:
-        notes.append(
-            f"ND1: active gradient stack has rank {licq.rank} < {licq.rows}"
-        )
+        notes.append(f"ND1: active gradient stack has rank {rank} < {rows}")
     # J+: the active inequalities whose multiplier exceeds tol_sign, so a
     # nan multiplier lies outside J+ and fails ND2, which asks for J+ = J0
     j_plus = tuple(j for j in idx.j0 if mult.mu[j] > cfg.tol_sign)
@@ -233,7 +228,10 @@ def classify_point(
             )
         )
     if nd1:
-        wi, H = _quadratic_index(p, x, mult, idx, cfg)
+        H = lagrangian_hessian(p, x, mult)
+        ine = inertia(_restricted(H, V), cfg.lin)
+        bi = len(idx.beta)
+        wi = WIndex(ine.n_neg, bi, ine.n_neg + bi, ine.n_zero > 0, V.shape[1])
         if wi.degenerate:
             notes.append("ND4: restricted Lagrangian Hessian is singular")
         try:
@@ -246,7 +244,7 @@ def classify_point(
         notes.append("ND4: not evaluated (LICQ fails)")
         stability = LicqViolationError(
             "strong-stability characterization requires LICQ"
-            f" (rank {licq.rank} < {licq.rows})"
+            f" (rank {rank} < {rows})"
         )
     nd = NDReport(nd1, not free, not bad_sigma, nd1 and not wi.degenerate,
                   tuple(notes))

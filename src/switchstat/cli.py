@@ -378,7 +378,7 @@ def cmd_levelsets(args) -> int:
             raise ValueError(f"bad --levels list: {exc}") from exc
     else:
         levels = _auto_levels(fvals, result.points, args.auto)
-    sweep = sweep_levels(p, grid, levels, mask, fvals)
+    sweep = sweep_levels(mask, fvals, levels)
     crit = critical_level_report(sweep, result.points)
     classifications = [
         classify_point(p, pt.x, pt.mult, pt.idx, cfg) for pt in result.points
@@ -441,7 +441,7 @@ def cmd_levelsets(args) -> int:
         report["labels_by_level"] = [
             {
                 "level": a,
-                "labels": sublevel_labels(p, grid, a, mask, fvals)[0].tolist(),
+                "labels": sublevel_labels(mask, fvals, a)[0].tolist(),
             }
             for a in sweep.levels
         ]

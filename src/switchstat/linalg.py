@@ -16,7 +16,7 @@ time and memory than numpy's and this package's together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,18 @@ class ToleranceConfig:
     rank_floor: float = 1e-14
     eig_zero: float = 1e-8
     solve_residual: float = 1e-10
+
+    def __post_init__(self):
+        _check_tolerances(self)
+
+
+def _check_tolerances(record) -> None:
+    """Raise ``ValueError`` naming the first float setting of the
+    dataclass ``record`` that is nan, infinite or negative."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(f.default, float) and not 0.0 <= value < math.inf:
+            raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 DEFAULT_TOLS = ToleranceConfig()

@@ -26,9 +26,7 @@ from .stationarity import (
     Multipliers,
     SolveConfig,
     WStationaryPoint,
-    _pattern_slots,
     _residual,
-    _slot_values,
     active_sets,
     complementarity_violation,
     enumerate_branches,
@@ -184,10 +182,11 @@ def continue_path(
     while t > t_min:
         t_next = max(rho * t, t_min)
         rp = relax(p, t_next)
-        warm = _slot_values(mult_prev, _pattern_slots(rp.problem, pattern))
         step = _accept_step(
             rp,
-            newton_solve_branch(rp.problem, pattern, x_prev, cfg, mult_start=warm),
+            newton_solve_branch(
+                rp.problem, pattern, x_prev, cfg, mult_start=mult_prev
+            ),
             cfg,
         )
         if step is None:
@@ -195,11 +194,10 @@ def continue_path(
             # fall back to trying every pattern and keep the nearest root
             loose = _loose_pattern(rp, x_prev, max(cfg.tol_active, 2.0 * (t - t_next)))
             if loose != pattern:
-                warm = _slot_values(mult_prev, _pattern_slots(rp.problem, loose))
                 step = _accept_step(
                     rp,
                     newton_solve_branch(
-                        rp.problem, loose, x_prev, cfg, mult_start=warm
+                        rp.problem, loose, x_prev, cfg, mult_start=mult_prev
                     ),
                     cfg,
                 )

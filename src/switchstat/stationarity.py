@@ -71,6 +71,7 @@ from .linalg import (
     SingularSystemError,
     ToleranceConfig,
     _check_square_residual,
+    _check_tolerances,
     rank,
 )
 
@@ -147,6 +148,8 @@ class SolveConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.grid_points < 1:
             raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        # a nan, infinite or negative threshold or radius has no meaning
+        _check_tolerances(self)
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -689,10 +692,11 @@ def newton_solve_branch(
 ):
     """Damped Newton on one branch system from ``start``.
 
-    Multipliers start at zero unless ``mult_start`` (one value per unknown
-    slot) is given.  Steps are halved until the residual max-norm strictly
-    decreases; a step with no improving damping, a singular Jacobian or an
-    exhausted iteration budget all yield ``None``.  After reaching
+    Multipliers start at zero, or at the pinned slots' entries of the
+    :class:`Multipliers` ``mult_start`` (a warm start).  Steps are halved
+    until the residual max-norm strictly decreases; a step with no improving
+    damping, a singular Jacobian or an exhausted iteration budget all yield
+    ``None``.  After reaching
     ``tol_resid`` a few extra full steps polish the root while they keep
     improving, so converged points are accurate well beyond the acceptance
     threshold.
@@ -713,7 +717,7 @@ def newton_solve_branch(
     z = np.zeros(n + len(cons))
     z[:n] = np.asarray(start, dtype=float)
     if mult_start is not None:
-        z[n:] = np.asarray(mult_start, dtype=float)
+        z[n:] = _slot_values(mult_start, slots)
     z = z.tolist()
 
     def residual(zv):
@@ -857,10 +861,12 @@ def _max_norms(A):
 # Newton batch.  Every lane carries one multiplier column per slot of the
 # problem, and a damping round evaluates several trial points per lane, so a
 # batch's arrays grow with lanes x slots: the budget bounds the memory of wide
-# searches (mid3, 36 patterns x 125 starts, runs as 5 batches), while
-# searches with a few starts per pattern (up to 324 lanes in the criterion-7
-# corpus) still run as one batch, which is where batching across patterns
-# saves tree walks.
+# searches, while searches with a few starts per pattern still run as one
+# batch, which is where batching across patterns saves tree walks.  Only the
+# patterns the certificate leaves are solved: mid3's 9 of 36, 125 starts
+# each, run as 2 batches (8 + 1 patterns, 1000 + 125 lanes), and the 100
+# searches of the criterion-7 corpus run 96 batches of at most 128 lanes, 4
+# of them solving no pattern.
 _LANE_BUDGET = 1024
 
 

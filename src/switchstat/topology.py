@@ -6,8 +6,9 @@ therefore thickens every constraint to one grid cell, scaled by the local
 gradient magnitude: a node passes when each constraint residual is within
 ``feas_scale * spacing * (1 + |grad|)``.  The mask and the objective are
 evaluated slab by slab along the first axis, one expression-tree walk per
-slab, so their temporaries stay a few MiB at any grid size.  Connected
-components of ``{feasible, f <= a}`` are labelled with
+slab, so their temporaries stay a few MiB at any grid size.  The caller
+computes the two arrays once per grid and every labelling and sweep reads
+them.  Connected components of ``{feasible, f <= a}`` are labelled with
 ``scipy.ndimage.label`` under full diagonal adjacency (8 neighbours in 2-D,
 26 in 3-D) so one-cell-wide bands never fragment.  Sweeping the level and
 comparing the count changes against the stationary values gives a
@@ -39,7 +40,6 @@ __all__ = [
     "DegenerateInputError",
     "feasibility_mask",
     "objective_values",
-    "sublevel_components",
     "sublevel_labels",
     "sweep_levels",
     "critical_level_report",
@@ -238,32 +238,12 @@ def _active_labels(active):
     return labels.ravel().astype(np.int64) - 1, int(count)
 
 
-def sublevel_labels(
-    p: Problem,
-    grid: GridSpec,
-    a: float,
-    mask: Optional[np.ndarray] = None,
-    fvals: Optional[np.ndarray] = None,
-):
-    """(flat labels, component count) of the feasible nodes with f <= a."""
-    if mask is None:
-        mask = feasibility_mask(p, grid)
-    if fvals is None:
-        fvals = objective_values(p, grid)
+def sublevel_labels(mask: np.ndarray, fvals: np.ndarray, a: float):
+    """(flat labels, component count) of the nodes in ``mask`` whose sampled
+    objective ``fvals`` is finite and at most ``a``."""
     with np.errstate(invalid="ignore"):
         active = mask & np.isfinite(fvals) & (fvals <= a)
     return _active_labels(active)
-
-
-def sublevel_components(
-    p: Problem,
-    grid: GridSpec,
-    a: float,
-    mask: Optional[np.ndarray] = None,
-    fvals: Optional[np.ndarray] = None,
-) -> int:
-    """Number of grid-connected components of the sampled sublevel set."""
-    return sublevel_labels(p, grid, a, mask, fvals)[1]
 
 
 @dataclass(frozen=True)
@@ -274,23 +254,14 @@ class LevelSweep:
 
 
 def sweep_levels(
-    p: Problem,
-    grid: GridSpec,
-    levels: Sequence[float],
-    mask: Optional[np.ndarray] = None,
-    fvals: Optional[np.ndarray] = None,
+    mask: np.ndarray, fvals: np.ndarray, levels: Sequence[float]
 ) -> LevelSweep:
-    """Component counts across ascending levels over one shared mask."""
+    """Component counts of the sublevel sets of the sampled objective
+    ``fvals`` within ``mask`` across ascending levels."""
     levels = [float(a) for a in levels]
     if levels != sorted(levels):
         raise ValueError("levels must be sorted ascending")
-    if not levels:
-        return LevelSweep((), (), ())
-    if mask is None:
-        mask = feasibility_mask(p, grid)
-    if fvals is None:
-        fvals = objective_values(p, grid)
-    counts = [sublevel_components(p, grid, a, mask, fvals) for a in levels]
+    counts = [sublevel_labels(mask, fvals, a)[1] for a in levels]
     changes = tuple(
         levels[i] for i in range(1, len(levels)) if counts[i] != counts[i - 1]
     )

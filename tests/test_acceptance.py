@@ -32,7 +32,13 @@ from switchstat.stationarity import (
     find_stationary_points,
     stationarity_residual,
 )
-from switchstat.topology import GridSpec, mountain_pass_check, sweep_levels
+from switchstat.topology import (
+    GridSpec,
+    feasibility_mask,
+    mountain_pass_check,
+    objective_values,
+    sweep_levels,
+)
 from tests.conftest import (
     CROSS_LINEAR,
     CROSS_QUADRATIC,
@@ -177,10 +183,12 @@ def test_criterion_6_level_sweeps():
         cross = parse_problem(CROSS_LINEAR)
         quad = parse_problem(CROSS_QUADRATIC)
         for resolution in (401, 801):
-            grid_c = GridSpec.for_problem(cross, (-2.0, 2.0), resolution)
-            assert sweep_levels(cross, grid_c, [-1.0, 1.0]).counts == (2, 1)
-            grid_q = GridSpec.for_problem(quad, (-2.0, 2.0), resolution)
-            assert sweep_levels(quad, grid_q, [0.5, 1.5, 2.5]).counts == (0, 2, 1)
+            for p, levels, counts in ((cross, [-1.0, 1.0], (2, 1)),
+                                      (quad, [0.5, 1.5, 2.5], (0, 2, 1))):
+                grid = GridSpec.for_problem(p, (-2.0, 2.0), resolution)
+                mask = feasibility_mask(p, grid)
+                fvals = objective_values(p, grid)
+                assert sweep_levels(mask, fvals, levels).counts == counts
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from switchstat.classify import (
 from switchstat.expr import parse_problem
 from switchstat.linalg import det_sign, inertia
 from switchstat.stationarity import (
+    InfeasiblePointError,
     LicqViolationError,
     Multipliers,
     SolveConfig,
@@ -588,8 +589,9 @@ def _analysis_cases():
 
 class TestOneAnalysisPerPoint:
     """``classify_point`` decides ND1-ND4, the W-index and strong stability
-    from one LICQ check, one Lagrangian Hessian and one tangent basis of J0,
-    with the results of the per-step calls."""
+    from one stack of the J0 gradients, whose nullspace is the J0 tangent
+    space, and one Lagrangian Hessian, with the results of the per-step
+    calls."""
 
     def test_analysis_equals_the_per_step_reference(self):
         cases = _analysis_cases()
@@ -613,7 +615,7 @@ class TestOneAnalysisPerPoint:
         }
 
     @pytest.mark.parametrize("name", sorted(EXAMPLES))
-    def test_one_hessian_and_one_licq_stack_per_point(
+    def test_one_hessian_and_one_gradient_stack_per_point(
         self, monkeypatch, tmp_path, name
     ):
         from switchstat import cli, classify, stationarity
@@ -627,9 +629,11 @@ class TestOneAnalysisPerPoint:
         assert result.points
         monkeypatch.setattr(cli, "search_stationary_points",
                             lambda *args: result)
-        calls = {"lagrangian_hessian": 0, "_licq_stack": 0}
+        calls = {"lagrangian_hessian": 0, "_licq_stack": 0, "_gradient_rows": 0}
         for module, fn in ((classify, "lagrangian_hessian"),
-                           (stationarity, "_licq_stack")):
+                           (stationarity, "_licq_stack"),
+                           (stationarity, "_gradient_rows"),
+                           (classify, "_gradient_rows")):
             def spy(*args, _fn=getattr(module, fn), _name=fn):
                 calls[_name] += 1
                 return _fn(*args)
@@ -637,6 +641,25 @@ class TestOneAnalysisPerPoint:
             monkeypatch.setattr(module, fn, spy)
         out = tmp_path / "report.json"
         assert cli.main(["analyze", str(src), "--json", str(out)]) == 0
-        n = len(json.loads(out.read_text())["points"])
+        points = json.loads(out.read_text())["points"]
+        n = len(points)
         assert n == len(result.points)
-        assert calls == {"lagrangian_hessian": n, "_licq_stack": n}
+        # one stack of the J0 gradients per point, one more per subset
+        # J* != J0 of the stability enumeration
+        other_subsets = sum(
+            len(pt["strong_stability"]["subsets"]) - 1
+            for pt in points if "subsets" in pt["strong_stability"]
+        )
+        assert calls == {"lagrangian_hessian": n, "_licq_stack": 0,
+                         "_gradient_rows": n + other_subsets}
+        if name == "stable_without_nd2":
+            assert other_subsets > 0
+
+    def test_infeasible_point_raises(self, cross_quadratic):
+        # x1 * x2 = 1 violates the switching constraint
+        x = (1.0, 1.0)
+        idx = active_sets(cross_quadratic, x)
+        mult = Multipliers((), (), (0.0,), (0.0,))
+        with pytest.raises(InfeasiblePointError,
+                           match=re.escape("(1.0, 1.0) is infeasible")):
+            classify_point(cross_quadratic, x, mult, idx)

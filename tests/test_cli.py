@@ -109,12 +109,31 @@ class TestAnalyze:
         assert main(["analyze", src, "--tol", pair]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_negative_budget_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--tol", "max_halvings=-1"],
+         ["analyze", "--tol", "tol_feas=nan"],
+         ["analyze", "--tol", "tol_feas=inf"],
+         ["analyze", "--tol", "tol_feas=-inf"],
+         ["analyze", "--tol", "tol_feas=-1"],
+         ["analyze", "--tol", "box_inflation=-0.5"],
+         ["analyze", "--tol", "rank_floor=-1e-3"],
+         ["relax", "--box", "-1", "2", "--tol", "match_radius=-1"]],
+        ids=" ".join,
+    )
+    def test_negative_budget_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        from switchstat import cli, stationarity
+
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        for module in (cli, stationarity):
+            monkeypatch.setattr(module, "search_stationary_points", no_search)
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
         out = tmp_path / "report.json"
-        assert main(["analyze", src, "--tol", "max_halvings=-1",
-                     "--json", str(out)]) == 2
-        assert "max_halvings" in capsys.readouterr().err
+        assert main([argv[0], src, *argv[1:], "--json", str(out)]) == 2
+        key = argv[-1].partition("=")[0]
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejected_sign_listed(self, tmp_path):

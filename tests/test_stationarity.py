@@ -165,11 +165,19 @@ class TestSolveConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("max_iter", -1), ("max_halvings", -1), ("polish_steps", -1),
-         ("grid_points", 0), ("grid_points", -3)],
+         ("grid_points", 0), ("grid_points", -3),
+         ("tol_feas", math.nan), ("tol_feas", math.inf),
+         ("tol_feas", -math.inf), ("tol_feas", -1.0),
+         ("box_inflation", -0.5), ("match_radius", -1.0),
+         ("rank_floor", -1e-3), ("eig_zero", math.nan),
+         ("solve_residual", math.inf)],
     )
     def test_rejects_out_of_range_budgets(self, name, value):
+        # the linear-algebra settings live in the nested ToleranceConfig
+        record = (ToleranceConfig if name in ToleranceConfig.__dataclass_fields__
+                  else SolveConfig)
         with pytest.raises(ValueError, match=name):
-            SolveConfig(**{name: value})
+            record(**{name: value})
         with pytest.raises(ValueError, match=name):
             with_overrides(CFG, **{name: value})
 

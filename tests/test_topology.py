@@ -41,7 +41,6 @@ from switchstat.topology import (
     feasibility_mask,
     mountain_pass_check,
     objective_values,
-    sublevel_components,
     sublevel_labels,
     sweep_levels,
 )
@@ -50,6 +49,16 @@ from tests.conftest import CROSS_QUADRATIC
 
 def _grid(p, lo=-2.0, hi=2.0, res=401):
     return GridSpec.for_problem(p, (lo, hi), res)
+
+
+def _arrays(p, grid):
+    """The feasibility mask and the objective values of ``p`` on ``grid``."""
+    return feasibility_mask(p, grid), objective_values(p, grid)
+
+
+def _count(p, grid, a):
+    """Components of the sampled sublevel set of ``p`` at level ``a``."""
+    return sublevel_labels(*_arrays(p, grid), a)[1]
 
 
 class TestGridSpec:
@@ -106,20 +115,20 @@ class TestFeasibilityMask:
 class TestSublevelComponents:
     def test_cross_linear_negative_level(self, cross_linear):
         grid = _grid(cross_linear)
-        assert sublevel_components(cross_linear, grid, -0.5) == 2
+        assert _count(cross_linear, grid, -0.5) == 2
 
     def test_cross_linear_positive_level(self, cross_linear):
         grid = _grid(cross_linear)
-        assert sublevel_components(cross_linear, grid, 0.5) == 1
+        assert _count(cross_linear, grid, 0.5) == 1
 
     def test_quadratic_cross_levels(self, cross_quadratic):
         grid = _grid(cross_quadratic)
-        assert sublevel_components(cross_quadratic, grid, 1.5) == 2
-        assert sublevel_components(cross_quadratic, grid, 2.5) == 1
+        assert _count(cross_quadratic, grid, 1.5) == 2
+        assert _count(cross_quadratic, grid, 2.5) == 1
 
     def test_empty_sublevel(self, cross_quadratic):
         grid = _grid(cross_quadratic)
-        assert sublevel_components(cross_quadratic, grid, 0.5) == 0
+        assert _count(cross_quadratic, grid, 0.5) == 0
 
 
 def _bfs_labels(active):
@@ -200,30 +209,34 @@ class TestActiveLabels:
 
 class TestSweep:
     def test_quadratic_cross_sweep(self, cross_quadratic):
-        sweep = sweep_levels(cross_quadratic, _grid(cross_quadratic), [0.5, 1.5, 2.5])
+        arrays = _arrays(cross_quadratic, _grid(cross_quadratic))
+        sweep = sweep_levels(*arrays, [0.5, 1.5, 2.5])
         assert sweep.counts == (0, 2, 1)
         assert sweep.change_levels == (1.5, 2.5)
 
     def test_linear_cross_sweep(self, cross_linear):
-        sweep = sweep_levels(cross_linear, _grid(cross_linear), [-1.0, 1.0])
+        arrays = _arrays(cross_linear, _grid(cross_linear))
+        sweep = sweep_levels(*arrays, [-1.0, 1.0])
         assert sweep.counts == (2, 1)
         assert sweep.change_levels == (1.0,)
 
     def test_empty_levels(self, cross_linear):
-        sweep = sweep_levels(cross_linear, _grid(cross_linear), [])
+        arrays = _arrays(cross_linear, _grid(cross_linear))
+        sweep = sweep_levels(*arrays, [])
         assert sweep == LevelSweep((), (), ())
 
     def test_unsorted_levels_rejected(self, cross_linear):
+        arrays = _arrays(cross_linear, _grid(cross_linear))
         with pytest.raises(ValueError):
-            sweep_levels(cross_linear, _grid(cross_linear), [1.0, -1.0])
+            sweep_levels(*arrays, [1.0, -1.0])
 
     def test_shared_mask_and_values(self, cross_quadratic):
         grid = _grid(cross_quadratic, res=201)
         levels = [0.5, 1.5, 2.5]
-        mask = feasibility_mask(cross_quadratic, grid)
-        fvals = objective_values(cross_quadratic, grid)
-        assert sweep_levels(cross_quadratic, grid, levels, mask, fvals) == (
-            sweep_levels(cross_quadratic, grid, levels)
+        mask, fvals = _arrays(cross_quadratic, grid)
+        sweep = sweep_levels(mask, fvals, levels)
+        assert sweep.counts == tuple(
+            sublevel_labels(mask, fvals, a)[1] for a in levels
         )
 
     def test_resolution_doubling_stable(self, cross_quadratic, cross_linear):
@@ -231,8 +244,8 @@ class TestSweep:
             (cross_quadratic, [0.5, 1.5, 2.5]),
             (cross_linear, [-1.0, 1.0]),
         ):
-            c1 = sweep_levels(p, _grid(p, res=401), levels).counts
-            c2 = sweep_levels(p, _grid(p, res=801), levels).counts
+            c1 = sweep_levels(*_arrays(p, _grid(p, res=401)), levels).counts
+            c2 = sweep_levels(*_arrays(p, _grid(p, res=801)), levels).counts
             assert c1 == c2
 
 
@@ -240,8 +253,9 @@ class TestMonotoneContainment:
     def test_components_map_into_coarser_ones(self, cross_quadratic):
         grid = _grid(cross_quadratic, res=201)
         levels = [1.2, 1.8, 2.4, 3.0]
+        mask, fvals = _arrays(cross_quadratic, grid)
         labelled = [
-            sublevel_labels(cross_quadratic, grid, a)[0] for a in levels
+            sublevel_labels(mask, fvals, a)[0] for a in levels
         ]
         for la, lb in zip(labelled, labelled[1:]):
             active_a = la >= 0
@@ -255,7 +269,7 @@ class TestMonotoneContainment:
 class TestCriticalLevelReport:
     def test_single_change_brackets_stationary_value(self, cross_linear):
         grid = _grid(cross_linear)
-        sweep = sweep_levels(cross_linear, grid, [-1.0, -0.1, 0.1, 1.0])
+        sweep = sweep_levels(*_arrays(cross_linear, grid), [-1.0, -0.1, 0.1, 1.0])
         pts = find_stationary_points(cross_linear, (-2.0, 2.0))
         report = critical_level_report(sweep, pts)
         assert report.consistent
@@ -264,7 +278,7 @@ class TestCriticalLevelReport:
 
     def test_quadratic_cross_changes(self, cross_quadratic):
         grid = _grid(cross_quadratic)
-        sweep = sweep_levels(cross_quadratic, grid, [0.5, 1.5, 2.5])
+        sweep = sweep_levels(*_arrays(cross_quadratic, grid), [0.5, 1.5, 2.5])
         pts = find_stationary_points(cross_quadratic, (-2.0, 2.0))
         report = critical_level_report(sweep, pts)
         assert report.consistent
@@ -293,18 +307,18 @@ class TestCellAttachmentCounts:
         pts = find_stationary_points(cross_quadratic, (-2.0, 2.0))
         values = sorted({pt.f_value for pt in pts})  # 1 (two minimizers), 2
         eps = 0.25
-        below_min = sublevel_components(cross_quadratic, grid, values[0] - eps)
-        above_min = sublevel_components(cross_quadratic, grid, values[0] + eps)
+        below_min = _count(cross_quadratic, grid, values[0] - eps)
+        above_min = _count(cross_quadratic, grid, values[0] + eps)
         # two minimizers share the level; each adds one component
         assert above_min - below_min == 2
-        below_saddle = sublevel_components(cross_quadratic, grid, values[1] - eps)
-        above_saddle = sublevel_components(cross_quadratic, grid, values[1] + eps)
+        below_saddle = _count(cross_quadratic, grid, values[1] - eps)
+        above_saddle = _count(cross_quadratic, grid, values[1] + eps)
         assert below_saddle - above_saddle in (0, 1)
 
     def test_linear_cross(self, cross_linear):
         grid = _grid(cross_linear)
-        below = sublevel_components(cross_linear, grid, -0.5)
-        above = sublevel_components(cross_linear, grid, 0.5)
+        below = _count(cross_linear, grid, -0.5)
+        above = _count(cross_linear, grid, 0.5)
         assert below - above in (0, 1)
 
 
@@ -357,8 +371,8 @@ class TestThreeDimensional:
         # coarser grids admit isolated off-set specks near the bi-active
         # axis; at the default 3-D resolution the counts are clean
         grid = GridSpec.for_problem(p, (-1.5, 1.5))
-        assert sublevel_components(p, grid, -0.5) == 2
-        assert sublevel_components(p, grid, 0.5) == 1
+        assert _count(p, grid, -0.5) == 2
+        assert _count(p, grid, 0.5) == 1
 
     def test_objective_values_shape(self, cross_linear):
         grid = _grid(cross_linear, res=32)
