@@ -91,6 +91,7 @@ from .topology import (
     mountain_pass_check,
     objective_values,
     sublevel_labels,
+    sweep_level_labels,
     sweep_levels,
 )
 

@@ -38,7 +38,7 @@ from .topology import (
     feasibility_mask,
     mountain_pass_check,
     objective_values,
-    sublevel_labels,
+    sweep_level_labels,
     sweep_levels,
 )
 
@@ -367,6 +367,8 @@ def cmd_levelsets(args) -> int:
     p = _load_problem(args.problem_file)
     cfg = _config_from_args(args)
     box = (args.box[0], args.box[1])
+    if args.auto is not None and args.auto < 0:
+        raise ValueError(f"--auto must be >= 0, got {args.auto}")
     grid = GridSpec.for_problem(p, box, args.grid, args.feas_scale)
     result = search_stationary_points(p, box, cfg)
     mask = feasibility_mask(p, grid)
@@ -378,7 +380,10 @@ def cmd_levelsets(args) -> int:
             raise ValueError(f"bad --levels list: {exc}") from exc
     else:
         levels = _auto_levels(fvals, result.points, args.auto)
-    sweep = sweep_levels(mask, fvals, levels)
+    if args.emit_labels:
+        sweep, labels = sweep_level_labels(mask, fvals, levels)
+    else:
+        sweep = sweep_levels(mask, fvals, levels)
     crit = critical_level_report(sweep, result.points)
     classifications = [
         classify_point(p, pt.x, pt.mult, pt.idx, cfg) for pt in result.points
@@ -439,11 +444,7 @@ def cmd_levelsets(args) -> int:
     ]
     if args.emit_labels:
         report["labels_by_level"] = [
-            {
-                "level": a,
-                "labels": sublevel_labels(mask, fvals, a)[0].tolist(),
-            }
-            for a in sweep.levels
+            {"level": a, "labels": lb} for a, lb in zip(sweep.levels, labels)
         ]
     human = [
         f"levels: {', '.join(format(a, '.12g') for a in sweep.levels)}",

@@ -141,9 +141,10 @@ class SolveConfig:
     lin: ToleranceConfig = DEFAULT_TOLS
 
     def __post_init__(self):
-        # a negative budget has no meaning, and the batched solver, which
-        # always tries the full step, would not match the single-start one
-        for name in ("max_iter", "max_halvings", "polish_steps"):
+        # a negative budget, cap or seed has no meaning: the batched solver,
+        # which always tries the full step, would not match the single-start
+        # one, every point would exceed the cap, and numpy rejects the seed
+        for name in ("max_iter", "max_halvings", "polish_steps", "subset_cap", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.grid_points < 1:

@@ -10,8 +10,10 @@ slab, so their temporaries stay a few MiB at any grid size.  The caller
 computes the two arrays once per grid and every labelling and sweep reads
 them.  Connected components of ``{feasible, f <= a}`` are labelled with
 ``scipy.ndimage.label`` under full diagonal adjacency (8 neighbours in 2-D,
-26 in 3-D) so one-cell-wide bands never fragment.  Sweeping the level and
-comparing the count changes against the stationary values gives a
+26 in 3-D) so one-cell-wide bands never fragment.  A level sweep labels
+each distinct sublevel set once, inside its bounding box; a level whose set
+repeats the previous level's reuses its count and labels.  Sweeping the
+level and comparing the count changes against the stationary values gives a
 desk-scale check of the deformation and cell-attachment behaviour, and
 counting minimizers against index-one saddles checks the mountain-pass
 inequality.
@@ -42,6 +44,7 @@ __all__ = [
     "objective_values",
     "sublevel_labels",
     "sweep_levels",
+    "sweep_level_labels",
     "critical_level_report",
     "mountain_pass_check",
 ]
@@ -76,6 +79,10 @@ class GridSpec:
         for lo, hi in self.box:
             if not hi > lo:
                 raise ValueError(f"empty axis range [{lo}, {hi}]")
+        if not 0.0 <= self.feas_scale < np.inf:
+            raise ValueError(
+                f"feas_scale must be finite and >= 0, got {self.feas_scale}"
+            )
 
     @property
     def n(self):
@@ -226,24 +233,88 @@ def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _active_labels(active):
-    """Label the True nodes under full diagonal adjacency; returns
-    (labels, count) where labels is flat int64, -1 outside, components
-    numbered in scan order."""
+def _label(active):
+    """(labels, count): the True nodes labelled under full diagonal
+    adjacency, components numbered from 1 in scan order, 0 outside."""
     # imported here so analyze and relax, which never label, skip its cost
     from scipy import ndimage
 
     structure = np.ones((3,) * active.ndim, dtype=bool)
     labels, count = ndimage.label(active, structure=structure)
-    return labels.ravel().astype(np.int64) - 1, int(count)
+    return labels, int(count)
+
+
+def _flat_labels(shape, box, labels):
+    """Flat int64 labels of a lattice of ``shape``: ``labels - 1`` inside
+    ``box`` (a tuple of slices, or None for an empty set), -1 elsewhere."""
+    out = np.full(shape, -1, dtype=np.int64)
+    if box is not None:
+        np.subtract(labels, 1, out=out[box])
+    return out.ravel()
+
+
+def _active_labels(active):
+    """Label the True nodes under full diagonal adjacency; returns
+    (labels, count) where labels is flat int64, -1 outside, components
+    numbered in scan order."""
+    labels, count = _label(active)
+    return _flat_labels(active.shape, (slice(None),) * active.ndim, labels), count
+
+
+def _slab_minima(ok, fvals):
+    """Per axis, the least ``fvals`` over the ``ok`` nodes of each slab
+    across that axis; +inf for a slab without one."""
+    axes = range(ok.ndim)
+    return [
+        np.min(fvals, axis=tuple(j for j in axes if j != i), where=ok, initial=np.inf)
+        for i in axes
+    ]
+
+
+def _level_box(minima, a):
+    """Per axis, the span of the slabs whose minimum is at most ``a``, as a
+    tuple of slices; None when there is no such slab."""
+    box = []
+    for m in minima:
+        hit = np.flatnonzero(m <= a)
+        if not hit.size:
+            return None
+        box.append(slice(hit[0], hit[-1] + 1))
+    return tuple(box)
+
+
+def _sublevel_sets(mask, fvals, levels, out):
+    """Yield ``(labels, count)`` for each level's set of the ``mask`` nodes
+    whose ``fvals`` is finite and at most the level: ``labels`` is ``out``
+    of the flat labels array, or None without ``out``, which builds none.
+
+    Each set is labelled inside its bounding box: raster order restricted
+    to a box is raster order, so the components and their scan-order
+    numbers are those of labelling the whole lattice.  The sets of two
+    levels are nested, so a set with as many nodes as the previous level's
+    is that set: it is not labelled again and yields the same tuple.
+    """
+    ok = mask & np.isfinite(fvals)
+    minima = _slab_minima(ok, fvals)
+    last, last_nodes = None, 0
+    for a in levels:
+        box, nodes = _level_box(minima, a), 0
+        if box is not None:
+            with np.errstate(invalid="ignore"):
+                active = fvals[box] <= a
+            active &= ok[box]
+            nodes = np.count_nonzero(active)
+        if last is None or nodes != last_nodes:
+            labels, count = _label(active) if nodes else (None, 0)
+            last = (out(_flat_labels(ok.shape, box, labels)) if out else None, count)
+            last_nodes = nodes
+        yield last
 
 
 def sublevel_labels(mask: np.ndarray, fvals: np.ndarray, a: float):
     """(flat labels, component count) of the nodes in ``mask`` whose sampled
     objective ``fvals`` is finite and at most ``a``."""
-    with np.errstate(invalid="ignore"):
-        active = mask & np.isfinite(fvals) & (fvals <= a)
-    return _active_labels(active)
+    return next(_sublevel_sets(mask, fvals, [a], np.asarray))
 
 
 @dataclass(frozen=True)
@@ -253,19 +324,33 @@ class LevelSweep:
     change_levels: tuple[float, ...]
 
 
+def _sweep(mask, fvals, levels, out):
+    levels = [float(a) for a in levels]
+    if levels != sorted(levels):
+        raise ValueError("levels must be sorted ascending")
+    sets = list(_sublevel_sets(mask, fvals, levels, out))
+    counts = [count for _, count in sets]
+    changes = tuple(
+        levels[i] for i in range(1, len(levels)) if counts[i] != counts[i - 1]
+    )
+    return LevelSweep(tuple(levels), tuple(counts), changes), [lb for lb, _ in sets]
+
+
 def sweep_levels(
     mask: np.ndarray, fvals: np.ndarray, levels: Sequence[float]
 ) -> LevelSweep:
     """Component counts of the sublevel sets of the sampled objective
     ``fvals`` within ``mask`` across ascending levels."""
-    levels = [float(a) for a in levels]
-    if levels != sorted(levels):
-        raise ValueError("levels must be sorted ascending")
-    counts = [sublevel_labels(mask, fvals, a)[1] for a in levels]
-    changes = tuple(
-        levels[i] for i in range(1, len(levels)) if counts[i] != counts[i - 1]
-    )
-    return LevelSweep(tuple(levels), tuple(counts), changes)
+    return _sweep(mask, fvals, levels, None)[0]
+
+
+def sweep_level_labels(
+    mask: np.ndarray, fvals: np.ndarray, levels: Sequence[float]
+) -> tuple[LevelSweep, list[list[int]]]:
+    """:func:`sweep_levels` and each level's :func:`sublevel_labels` array
+    as a list of ints, as a report holds it; a level whose sublevel set is
+    the previous level's shares its list."""
+    return _sweep(mask, fvals, levels, np.ndarray.tolist)
 
 
 @dataclass(frozen=True)

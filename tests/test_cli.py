@@ -30,6 +30,23 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, name):
+    """``argv`` (command first, problem file left out) exits 2 naming
+    ``name`` before the search starts, and writes no report."""
+    from switchstat import cli, stationarity
+
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    for module in (cli, stationarity):
+        monkeypatch.setattr(module, "search_stationary_points", no_search)
+    src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+    out = tmp_path / "report.json"
+    assert main([argv[0], src, *argv[1:], "--json", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAnalyze:
     def test_relaxation_example_report(self, tmp_path, capsys):
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
@@ -118,23 +135,27 @@ class TestAnalyze:
          ["analyze", "--tol", "tol_feas=-1"],
          ["analyze", "--tol", "box_inflation=-0.5"],
          ["analyze", "--tol", "rank_floor=-1e-3"],
+         ["analyze", "--tol", "subset_cap=-1"],
+         ["analyze", "--tol", "seed=-2"],
          ["relax", "--box", "-1", "2", "--tol", "match_radius=-1"]],
         ids=" ".join,
     )
     def test_negative_budget_exit_2(self, tmp_path, capsys, monkeypatch, argv):
-        from switchstat import cli, stationarity
-
-        def no_search(*args):
-            raise AssertionError("the search started")
-
-        for module in (cli, stationarity):
-            monkeypatch.setattr(module, "search_stationary_points", no_search)
-        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
-        out = tmp_path / "report.json"
-        assert main([argv[0], src, *argv[1:], "--json", str(out)]) == 2
         key = argv[-1].partition("=")[0]
-        assert key in capsys.readouterr().err
-        assert not out.exists()
+        _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, key)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["analyze", "--seed", "-1"], "seed"),
+         (["levelsets", "--auto", "-3"], "--auto"),
+         (["levelsets", "--auto", "8", "--feas-scale", "-1"], "feas_scale"),
+         (["levelsets", "--auto", "8", "--feas-scale", "nan"], "feas_scale")],
+        ids=["seed", "auto", "feas-scale-negative", "feas-scale-nan"],
+    )
+    def test_out_of_range_option_exit_2(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, name)
 
     def test_rejected_sign_listed(self, tmp_path):
         src = _write(
@@ -298,6 +319,28 @@ class TestLevelsetsCommand:
         assert len(labels) == 21 * 21
         assert set(labels) <= {-1, 0, 1}
 
+    def test_each_distinct_sublevel_set_is_labelled_once(self, tmp_path, monkeypatch):
+        from scipy import ndimage
+
+        label, calls = ndimage.label, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "label", spy)
+        src = _write(tmp_path, "p.txt", LEVELSETS_3D)
+        out = tmp_path / "report.json"
+        argv = ["levelsets", src, "--auto", "8", "--grid", "41", "--json", str(out)]
+        assert main(argv) == 0
+        plain = len(calls)
+        levels = len(json.loads(out.read_text())["levels"])
+        calls.clear()
+        assert main(argv + ["--emit-labels"]) == 0
+        assert levels == 17
+        assert plain <= levels
+        assert len(calls) <= plain
+
     def test_levels_and_auto_exclusive(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_LINEAR)
         assert main(["levelsets", src, "--levels", "0", "--auto", "4"]) == 2
@@ -305,8 +348,8 @@ class TestLevelsetsCommand:
 
 # SHA-256 of each example's `analyze --json` report at the default box and
 # configuration: a change to any byte of them must be deliberate and update
-# these digests.  mid3, relax and levelsets reports are left out because
-# their bits depend on the LAPACK and libm builds.
+# these digests.  mid3 and relax reports are left out because their bits
+# depend on the LAPACK and libm builds; one levelsets report is pinned below.
 ANALYZE_DIGESTS = [
     (CROSS_LINEAR,
      "50c9fcad856d16f2a0a1570e71e10781a531df6f3f9cba352306b7fbedba8dc2"),
@@ -321,7 +364,24 @@ ANALYZE_DIGESTS = [
 ]
 
 
+# SHA-256 of the `levelsets --auto 8 --grid 41 --emit-labels --json` report
+# on levelsets-3d, which holds the label grid of every level.  Its levels
+# include midpoints of stationary values, whose bits pass through LAPACK: on
+# another LAPACK build, record it again from a checkout whose labelling is
+# known to be unchanged.
+LEVELSETS_LABELS_DIGEST = (
+    "e95e2a903b5d5d980613b482cd445cc6ad2cfc30b811569af2327a16097a0130"
+)
+
+
 class TestDeterminism:
+    def test_levelsets_labels_report_digest(self, tmp_path):
+        src = _write(tmp_path, "p.txt", LEVELSETS_3D)
+        out = tmp_path / "report.json"
+        argv = ["levelsets", src, "--auto", "8", "--grid", "41", "--emit-labels"]
+        assert main(argv + ["--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LEVELSETS_LABELS_DIGEST
+
     @pytest.mark.parametrize("text, digest", ANALYZE_DIGESTS, ids=[
         "cross_linear", "cross_quadratic", "instability_both",
         "instability_one", "stable_without_nd2",

@@ -168,6 +168,7 @@ class TestSolveConfig:
          ("grid_points", 0), ("grid_points", -3),
          ("tol_feas", math.nan), ("tol_feas", math.inf),
          ("tol_feas", -math.inf), ("tol_feas", -1.0),
+         ("subset_cap", -1), ("seed", -1),
          ("box_inflation", -0.5), ("match_radius", -1.0),
          ("rank_floor", -1e-3), ("eig_zero", math.nan),
          ("solve_residual", math.inf)],

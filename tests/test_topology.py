@@ -42,6 +42,7 @@ from switchstat.topology import (
     mountain_pass_check,
     objective_values,
     sublevel_labels,
+    sweep_level_labels,
     sweep_levels,
 )
 from tests.conftest import CROSS_QUADRATIC
@@ -74,6 +75,11 @@ class TestGridSpec:
             GridSpec(((1.0, 1.0),), 32)
         with pytest.raises(DimensionError):
             GridSpec(((0.0, 1.0),) * 4, 32)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0])
+    def test_feas_scale_must_be_finite_and_non_negative(self, scale):
+        with pytest.raises(ValueError, match="feas_scale"):
+            GridSpec(((0.0, 1.0),), 32, scale)
 
     def test_dimension_limit(self):
         p4 = parse_problem("vars: a b c d\nobjective: a + b + c + d\n")
@@ -247,6 +253,77 @@ class TestSweep:
             c1 = sweep_levels(*_arrays(p, _grid(p, res=401)), levels).counts
             c2 = sweep_levels(*_arrays(p, _grid(p, res=801)), levels).counts
             assert c1 == c2
+
+
+class TestCroppedSweep:
+    """The sweep labels each set inside its bounding box and skips a set
+    that repeats the previous level's; its counts and label arrays must be
+    those of labelling the whole lattice."""
+
+    SHAPES = [(300,), (37, 29), (13, 11, 17)]
+
+    def _arrays(self, shape, rng):
+        # a few wells of a smooth field, so low levels crop to small boxes
+        axes = [np.linspace(0.0, 1.0, n) for n in shape]
+        coords = np.meshgrid(*axes, indexing="ij")
+        fvals = sum(np.cos(rng.uniform(4, 9) * x + rng.uniform(0, 6)) for x in coords)
+        fvals += 0.2 * rng.random(shape)
+        for bad in (np.nan, np.inf, -np.inf):
+            fvals[rng.random(shape) < 0.03] = bad
+        mask = rng.random(shape) < 0.8
+        for axis, n in enumerate(shape):
+            for i in (0, 1, n // 2, n - 1):  # all-False slabs, edges and inside
+                mask[(slice(None),) * axis + (i,)] = False
+        return mask, fvals
+
+    def _levels(self, mask, fvals):
+        finite = fvals[mask & np.isfinite(fvals)]
+        lo, hi = finite.min(), finite.max()
+        q = [float(v) for v in np.quantile(finite, [0.01, 0.05, 0.2, 0.5])]
+        return sorted([-np.inf, lo - 1.0, lo, *q, q[1], q[1], hi, hi + 1.0, np.inf])
+
+    def test_counts_and_labels_match_the_whole_lattice(self):
+        rng = np.random.default_rng(20261019)
+        cropped = repeated = 0
+        for shape in self.SHAPES:
+            for _ in range(4):
+                mask, fvals = self._arrays(shape, rng)
+                levels = self._levels(mask, fvals)
+                with np.errstate(invalid="ignore"):
+                    ok = mask & np.isfinite(fvals)
+                    actives = [ok & (fvals <= a) for a in levels]
+                refs = [_active_labels(active) for active in actives]
+                sweep, labels = sweep_level_labels(mask, fvals, levels)
+                assert sweep == sweep_levels(mask, fvals, levels)
+                assert sweep.counts == tuple(count for _, count in refs)
+                for a, lb, (ref, count) in zip(levels, labels, refs):
+                    assert lb == ref.tolist()
+                    one = sublevel_labels(mask, fvals, a)
+                    assert one[0].dtype == np.int64
+                    np.testing.assert_array_equal(one[0], ref)
+                    assert one[1] == count
+                cropped += sum(map(self._in_smaller_box, actives))
+                repeated += sum(
+                    x.sum() == y.sum() > 0 for x, y in zip(actives, actives[1:])
+                )
+        # the data exercise both the cropping and the reuse
+        assert cropped and repeated
+        assert sweep_level_labels(mask, fvals, []) == (LevelSweep((), (), ()), [])
+
+    @staticmethod
+    def _in_smaller_box(active):
+        """Whether ``active`` is not empty and its bounding box is smaller
+        than the lattice."""
+        nodes = np.argwhere(active)
+        extent = nodes.max(axis=0) - nodes.min(axis=0) + 1 if len(nodes) else None
+        return extent is not None and (extent < active.shape).any()
+
+    def test_repeated_set_shares_the_previous_array(self, cross_quadratic):
+        arrays = _arrays(cross_quadratic, _grid(cross_quadratic))
+        sweep, labels = sweep_level_labels(*arrays, [1.5, 1.5, 2.5])
+        assert sweep.counts == (2, 2, 1)
+        assert labels[1] is labels[0]
+        assert labels[2] is not labels[1]
 
 
 class TestMonotoneContainment:
