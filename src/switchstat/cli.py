@@ -12,6 +12,7 @@ failure, 5 unsupported dimension.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -370,15 +371,11 @@ def cmd_levelsets(args) -> int:
     if args.auto is not None and args.auto < 0:
         raise ValueError(f"--auto must be >= 0, got {args.auto}")
     grid = GridSpec.for_problem(p, box, args.grid, args.feas_scale)
+    levels = None if args.levels is None else _parse_levels(args.levels)
     result = search_stationary_points(p, box, cfg)
     mask = feasibility_mask(p, grid)
     fvals = objective_values(p, grid)
-    if args.levels is not None:
-        try:
-            levels = sorted(float(v) for v in args.levels.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad --levels list: {exc}") from exc
-    else:
+    if levels is None:
         levels = _auto_levels(fvals, result.points, args.auto)
     if args.emit_labels:
         sweep, labels = sweep_level_labels(mask, fvals, levels)
@@ -454,6 +451,19 @@ def cmd_levelsets(args) -> int:
     ]
     _emit(report, args, human)
     return EXIT_OK
+
+
+def _parse_levels(text):
+    """The sorted levels of a ``--levels`` list; a nan or infinite entry has
+    no sublevel set to count and cannot be reported."""
+    try:
+        levels = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad --levels list: {exc}") from exc
+    for entry, a in zip(text.split(","), levels):
+        if not math.isfinite(a):
+            raise ValueError(f"--levels entry {entry.strip()!r} is not finite")
+    return sorted(levels)
 
 
 def _auto_levels(fvals, points, count):

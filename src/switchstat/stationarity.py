@@ -35,13 +35,17 @@ bitwise equal to the tree methods' ``val_grad`` and ``val_grad_hess``; the
 relaxed problems along a continuation path differ only in constants and
 share it.
 
-The accept filter runs once per bitwise-distinct converged ``x``: many lanes
-converge to the same bits (on the benchmark's mid3 problem, 1125 converged
-lanes hold 493 distinct ``x``).  Its verdict reads nothing of a lane but
-``x``, so a lane that repeats an earlier ``x`` bit for bit takes that
-verdict, and counting and deduplication still run per lane: the result is
-exactly that of filtering every lane.  A point where a constraint function
-is undefined is infeasible, and is dropped like any other.
+The accept filter (:func:`_accept_verdicts`) runs once per search, on the
+bitwise-distinct converged ``x``: many lanes converge to the same bits (on
+the benchmark's mid3 problem, 1125 converged lanes hold 493 distinct ``x``).
+It walks each constraint function and the objective once over all of them
+and decides the box, feasibility and activity on those arrays, the rest
+candidate by candidate, bitwise as the scalar walks would.  Its verdict
+reads nothing of a lane but ``x``, so a lane that repeats an earlier ``x``
+bit for bit takes that verdict, and counting and deduplication still run per
+lane: the result is exactly that of filtering every lane.  A point where a
+constraint function is undefined is infeasible, and is dropped like any
+other.
 """
 
 from __future__ import annotations
@@ -252,16 +256,30 @@ def feasibility_violation(p: Problem, x) -> float:
     """Max-norm violation of equalities, inequalities and switching products;
     ``inf`` where a constraint function is undefined."""
     xl = [float(v) for v in x]
-    worst = 0.0
     try:
-        for h in p.equalities:
-            worst = max(worst, abs(h.val(xl)))
-        for g in p.inequalities:
-            worst = max(worst, max(0.0, -g.val(xl)))
-        for f1, f2 in p.switches:
-            worst = max(worst, abs(f1.val(xl) * f2.val(xl)))
+        V = [_slot_expr(p, s).val(xl) for s in _problem_slots(p)]
     except EvalDomainError:
         return math.inf
+    return float(_feasibility(p, np.array(V).reshape(-1, 1))[0])
+
+
+def _feasibility(p: Problem, V) -> np.ndarray:
+    """:func:`feasibility_violation` of every column of ``V``, whose rows
+    hold the constraint values of the slots of :func:`_problem_slots`.
+
+    The terms |h|, max(0, -g) and |f1*f2| are folded in slot order as
+    Python's ``max`` folds them: a term replaces the running maximum only
+    when it is larger, so a nan term is passed over and -0.0 never replaces
+    0.0.  The maximum starts at 0.0 and never falls, so -g stands for
+    max(0, -g)."""
+    ne, ni = len(p.equalities), len(p.inequalities)
+    pairs = ne + ni
+    terms = [np.abs(V[i]) for i in range(ne)]
+    terms += [-V[ne + j] for j in range(ni)]
+    terms += [np.abs(V[pairs + 2 * m] * V[pairs + 2 * m + 1]) for m in range(p.k)]
+    worst = np.zeros(V.shape[1])
+    for t in terms:
+        worst = np.where(t > worst, t, worst)
     return worst
 
 
@@ -270,13 +288,19 @@ def complementarity_violation(p: Problem, x, mult: Multipliers) -> float:
     inequality and switching slots; ``inf`` where a constraint with a
     nonzero multiplier is undefined, as :func:`feasibility_violation`."""
     xl = [float(v) for v in x]
-    worst = 0.0
     try:
-        for (kind, _), c, y in _weighted_slots(p, mult):
-            if kind != "lam":
-                worst = max(worst, abs(y * c.val(xl)))
+        return _complementarity(p, mult, lambda s: _slot_expr(p, s).val(xl))
     except EvalDomainError:
         return math.inf
+
+
+def _complementarity(p: Problem, mult: Multipliers, value) -> float:
+    """:func:`complementarity_violation` with ``value(slot)`` the value of
+    the slot's constraint, read only for the weighted slots."""
+    worst = 0.0
+    for slot, _, y in _weighted_slots(p, mult):
+        if slot[0] != "lam":
+            worst = max(worst, abs(y * value(slot)))
     return worst
 
 
@@ -288,13 +312,22 @@ def active_sets(p: Problem, x, cfg: SolveConfig = DEFAULT_CONFIG) -> IndexSets:
     """
     xl = [float(v) for v in x]
     tol = cfg.tol_active
-    j0 = tuple(
-        j for j, g in enumerate(p.inequalities) if abs(g.val(xl)) <= tol
-    )
+    return _index_sets(p, [
+        kind != "lam" and abs(_slot_expr(p, (kind, i)).val(xl)) <= tol
+        for kind, i in _problem_slots(p)
+    ])
+
+
+def _index_sets(p: Problem, active) -> IndexSets:
+    """:func:`active_sets` from ``active``, whether the constraint of each
+    slot of :func:`_problem_slots` is active; the equalities' entries are
+    not read."""
+    ne, ni = len(p.equalities), len(p.inequalities)
+    pairs = ne + ni
+    j0 = tuple(j for j in range(ni) if active[ne + j])
     alpha, beta, gamma = [], [], []
-    for m, (f1, f2) in enumerate(p.switches):
-        z1 = abs(f1.val(xl)) <= tol
-        z2 = abs(f2.val(xl)) <= tol
+    for m in range(p.k):
+        z1, z2 = active[pairs + 2 * m], active[pairs + 2 * m + 1]
         if z1 and z2:
             beta.append(m)
         elif z1:
@@ -431,12 +464,21 @@ def stationarity_residual(p: Problem, x, mult: Multipliers) -> float:
 def _residual(p: Problem, x, mult: Multipliers, feas, comp) -> float:
     """:func:`stationarity_residual` from the finite feasibility violation
     ``feas`` and the complementarity violation ``comp`` of ``x``."""
-    worst = max(feas, comp, max([0.0] + [-mu for mu in mult.mu]))
     xl = [float(v) for v in x]
-    _, df = p.objective.val_grad(xl)
+    return _residual_from(
+        p, mult, feas, comp, p.objective.val_grad(xl)[1],
+        lambda s: _slot_expr(p, s).val_grad(xl)[1],
+    )
+
+
+def _residual_from(p: Problem, mult: Multipliers, feas, comp, df, grad) -> float:
+    """:func:`_residual` from the objective gradient ``df`` and
+    ``grad(slot)``, the gradient of the slot's constraint, as lists of
+    floats; ``grad`` is read only for the weighted slots."""
+    worst = max(feas, comp, max([0.0] + [-mu for mu in mult.mu]))
     acc = list(df)
-    for _, c, y in _weighted_slots(p, mult):
-        _, g = c.val_grad(xl)
+    for slot, _, y in _weighted_slots(p, mult):
+        g = grad(slot)
         for t in range(p.n):
             acc[t] -= y * g[t]
     return max(worst, max(abs(a) for a in acc))
@@ -460,7 +502,9 @@ def recover_multipliers(
             f"LICQ fails at {tuple(float(v) for v in x)}:"
             f" rank {r} < {G.shape[0]} active gradients"
         )
-    mult, error = _multiplier_rule(p, x, slots, G, True, cfg)
+    mult, error = _multiplier_rule(
+        p, eval_gradient(p.objective, x), slots, G, True, cfg
+    )
     if error is not None:
         raise error
     resid = _residual(p, x, mult, feas, complementarity_violation(p, x, mult))
@@ -472,9 +516,10 @@ def recover_multipliers(
     return mult
 
 
-def _multiplier_rule(p: Problem, x, slots, G, licq, cfg: SolveConfig):
-    """Least-squares multipliers of the multiplier rule at ``x`` on the
-    gradient stack ``G`` of the LICQ-order ``slots``: the unique ones when
+def _multiplier_rule(p: Problem, df, slots, G, licq, cfg: SolveConfig):
+    """Least-squares multipliers of the multiplier rule for the objective
+    gradient ``df`` (an array) on the gradient stack ``G`` of the LICQ-order
+    ``slots``, both at one point: the unique ones when
     ``licq`` (G has full row rank), a representative of the multiplier set
     otherwise.  Returns them and, under LICQ, the
     :class:`SingularSystemError` of :func:`solve_linear`'s square residual
@@ -482,7 +527,6 @@ def _multiplier_rule(p: Problem, x, slots, G, licq, cfg: SolveConfig):
     on ``G.T`` would repeat the row-rank test on ``G`` that decided ``licq``
     (on mid3, the examples and the criterion-7 corpus no QR diagonal entry
     of either lies within 10^7.8 of the cutoff), so it does not run."""
-    df = eval_gradient(p.objective, x)
     y = np.linalg.lstsq(G.T, df, rcond=None)[0] if slots else np.zeros(0)
     error = None
     if licq and slots:
@@ -1088,10 +1132,11 @@ def _grid_starts(n, box, cfg):
 
 
 class _Verdict(NamedTuple):
-    """The accept filter's verdict on one candidate: ``kind`` is "drop"
-    (outside the inflated box, infeasible, undefined there, or violating
-    complementarity), "residual" (stationarity residual too large), "sign"
-    (a negative inequality multiplier) or "accept"."""
+    """The accept filter's verdict on one candidate: ``kind`` is "box"
+    (outside the inflated box), "infeasible" (beyond ``tol_feas``, a
+    constraint undefined there, or an active constraint whose gradient is
+    undefined there), "complementarity", "residual" (stationarity residual
+    too large), "sign" (a negative inequality multiplier) or "accept"."""
 
     kind: str
     mult: Optional[Multipliers] = None
@@ -1100,58 +1145,106 @@ class _Verdict(NamedTuple):
     licq: bool = False
 
 
-_DROP = _Verdict("drop")
+_BOX = _Verdict("box")
+_INFEASIBLE = _Verdict("infeasible")
+_COMPLEMENTARITY = _Verdict("complementarity")
 _RESIDUAL = _Verdict("residual")
 
-
-def _accept_verdict(p: Problem, x, lo, hi, cfg: SolveConfig) -> _Verdict:
-    """The accept filter on one converged candidate ``x``, inside the
-    inflated box ``[lo, hi]`` per axis: feasibility, the index sets, the LICQ
-    rank, least-squares multipliers and their sign, then an independent
-    residual.  It reads nothing of the candidate but ``x``."""
-    if np.any(x < lo) or np.any(x > hi):
-        return _DROP
-    try:
-        idx, slots, G, r, feas = _licq_stack(p, x, cfg)
-    except (InfeasiblePointError, EvalDomainError):
-        # infeasible, a constraint function undefined there included; or an
-        # active constraint defined there whose gradient is not (x2*x1^(-1)
-        # at (1e-300, 0)), which leaves no gradient stack to judge
-        return _DROP
-    licq = r == G.shape[0]
-    mult, error = _multiplier_rule(p, x, slots, G, licq, cfg)
-    if any(mj < -cfg.tol_sign for mj in mult.mu):
-        return _Verdict("sign", mult, idx)
-    if error is not None:
-        # recover_multipliers would raise here: the candidate is not
-        # stationary at the required residual
-        return _RESIDUAL
-    comp = complementarity_violation(p, x, mult)
-    resid = _residual(p, x, mult, feas, comp)
-    # under LICQ the residual is judged first, as in recover_multipliers, so
-    # a candidate failing both checks counts as residual-rejected
-    if licq and resid > cfg.tol_resid:
-        return _RESIDUAL
-    if comp > cfg.tol_comp:
-        return _DROP
-    if resid > cfg.tol_resid:
-        return _RESIDUAL
-    return _Verdict("accept", mult, idx, resid, licq)
+# the diagnostics key counting the candidates of each verdict kind the search
+# does not accept
+_COUNTER = {
+    "box": "dropped_box",
+    "infeasible": "dropped_infeasible",
+    "complementarity": "dropped_complementarity",
+    "residual": "residual_rejected",
+    "sign": "rejected_sign_candidates",
+}
 
 
-def _per_distinct_x(verdict):
-    """``verdict(x)`` run once per bitwise-distinct ``x``: later calls with
-    the same bytes return the first result.  The key is ``x.tobytes()``, so
-    ``-0.0`` and ``0.0`` stay apart."""
-    memo = {}
+def _accept_verdicts(p: Problem, X, lo, hi, cfg: SolveConfig) -> list[_Verdict]:
+    """The accept filter on every row of the candidates ``X[D, n]``, inside
+    the inflated box ``[lo, hi]`` per axis: feasibility, the index sets, the
+    LICQ rank, least-squares multipliers and their sign, then an independent
+    residual.  A verdict reads nothing of its candidate but the row.
 
-    def cached(x):
-        key = x.tobytes()
-        if key not in memo:
-            memo[key] = verdict(x)
-        return memo[key]
+    Each slot's constraint and the objective are walked once over all rows
+    (:func:`expr.eval_batch`: values and gradients, bitwise those of
+    ``val_grad``).  The box, feasibility and activity are decided on these
+    arrays, the rest row by row.  Where a constraint's walk is undefined at
+    a row, its scalar ``val`` decides whether the value is: if not, the row
+    is infeasible; if so, the gradient is needed only when the constraint is
+    active, and an active constraint without one leaves no gradient stack to
+    judge (x2*x1^(-1) at (1e-300, 0)).  An undefined objective gradient at a
+    row that reaches the multiplier rule raises the scalar walk's error."""
+    X = np.asarray(X, dtype=float)
+    slots = _problem_slots(p)
+    where = {s: k for k, s in enumerate(slots)}
+    D = len(X)
+    V = np.empty((len(slots), D))
+    grads = np.empty((len(slots), D, p.n))
+    no_grad = np.empty((len(slots), D), dtype=bool)
+    undefined = np.zeros(D, dtype=bool)
+    for k, s in enumerate(slots):
+        c = _slot_expr(p, s)
+        V[k], grads[k], _, no_grad[k] = eval_batch(c, X)
+        for r in np.flatnonzero(no_grad[k]):
+            try:
+                V[k, r] = c.val(X[r].tolist())
+            except EvalDomainError:
+                undefined[r] = True
+    _, df, _, df_bad = eval_batch(p.objective, X)
+    outside = (X < lo).any(axis=1) | (X > hi).any(axis=1)
+    feas = np.where(undefined, math.inf, _feasibility(p, V))
+    active = np.abs(V) <= cfg.tol_active
 
-    return cached
+    stacks = {}  # active pattern -> index sets, LICQ-order slots, their rows
+    verdicts = []
+    for r in range(D):
+        if outside[r]:
+            verdicts.append(_BOX)
+            continue
+        if feas[r] > cfg.tol_feas:
+            verdicts.append(_INFEASIBLE)
+            continue
+        key = active[:, r].tobytes()
+        if key not in stacks:
+            idx = _index_sets(p, active[:, r].tolist())
+            act = _active_slots(p, idx)
+            stacks[key] = idx, act, [where[s] for s in act]
+        idx, act, rows = stacks[key]
+        if no_grad[rows, r].any():
+            verdicts.append(_INFEASIBLE)
+            continue
+        G = grads[rows, r]
+        licq = rank(G, cfg.lin) == G.shape[0]
+        if df_bad[r]:
+            p.objective.val_grad(X[r].tolist())  # raises EvalDomainError
+        mult, error = _multiplier_rule(p, df[r], act, G, licq, cfg)
+        if any(mj < -cfg.tol_sign for mj in mult.mu):
+            verdicts.append(_Verdict("sign", mult, idx))
+            continue
+        if error is not None:
+            # recover_multipliers would raise here: the candidate is not
+            # stationary at the required residual
+            verdicts.append(_RESIDUAL)
+            continue
+        values = V[:, r].tolist()
+        comp = _complementarity(p, mult, lambda s: values[where[s]])
+        resid = _residual_from(
+            p, mult, float(feas[r]), comp, df[r].tolist(),
+            lambda s: grads[where[s], r].tolist(),
+        )
+        # under LICQ the residual is judged first, as in recover_multipliers,
+        # so a candidate failing both checks counts as residual-rejected
+        if licq and resid > cfg.tol_resid:
+            verdicts.append(_RESIDUAL)
+        elif comp > cfg.tol_comp:
+            verdicts.append(_COMPLEMENTARITY)
+        elif resid > cfg.tol_resid:
+            verdicts.append(_RESIDUAL)
+        else:
+            verdicts.append(_Verdict("accept", mult, idx, resid, licq))
+    return verdicts
 
 
 def search_stationary_points(
@@ -1165,11 +1258,21 @@ def search_stationary_points(
     filter accepts nothing; ``diagnostics["inconsistent_patterns"]`` counts
     them, and ``solves`` still counts every (pattern, start) pair.
 
-    The accept filter runs once per bitwise-distinct converged ``x``.  Its
-    verdict depends on nothing but ``x``, so a repeat takes the first
-    verdict, and the counting and the deduplication that follow run for
-    every candidate as before: ``points``, ``rejected_sign`` and
-    ``diagnostics`` are those of filtering every candidate.
+    The accept filter (:func:`_accept_verdicts`) runs once per search, on
+    the bitwise-distinct converged ``x`` in first-seen order, with one
+    batched walk per constraint function and one for the objective.  A
+    verdict depends on nothing but ``x``, so a repeat takes the first one,
+    and the counting and the deduplication that follow run for every
+    candidate: ``points``, ``rejected_sign`` and ``diagnostics`` are those
+    of filtering every candidate.  Besides ``solves``, ``singular_jacobian``
+    and ``inconsistent_patterns``, ``diagnostics`` counts per converged
+    candidate, repeats included: ``converged`` in all, and how each left
+    the search unless it became a point: ``dropped_box``,
+    ``dropped_infeasible`` (an undefined constraint included),
+    ``dropped_complementarity``, ``residual_rejected``,
+    ``rejected_sign_candidates`` and ``duplicates`` (accepted, but within
+    ``dedup_radius`` of an earlier point).  These and ``len(points)`` sum to
+    ``converged``.
     """
     lo, hi = float(box[0]), float(box[1])
     if not hi > lo:
@@ -1186,54 +1289,64 @@ def search_stationary_points(
     solved = [
         q for q in patterns if not _pins_inconsistent(p, q, forms, cfg.tol_resid)
     ]
-    diagnostics = {"solves": len(patterns) * len(starts), "converged": 0,
-                   "singular_jacobian": 0,
-                   "inconsistent_patterns": len(patterns) - len(solved),
-                   "residual_rejected": 0}
+    diagnostics = {"solves": len(patterns) * len(starts), "singular_jacobian": 0,
+                   "inconsistent_patterns": len(patterns) - len(solved)}
     candidates = [
-        (pattern, outcome)
+        (pattern, outcome[0])
         for pattern, outcomes in zip(
             solved, _newton_solve_patterns(p, solved, starts, cfg, diagnostics)
         )
         for outcome in outcomes
+        if outcome is not None
     ]
+    diagnostics["converged"] = len(candidates)
+    diagnostics.update(dict.fromkeys(_COUNTER.values(), 0), duplicates=0)
 
-    verdict_of = _per_distinct_x(
-        lambda x: _accept_verdict(p, x, lo - pad, hi + pad, cfg)
+    # the distinct x in first-seen order, and each candidate's row among them
+    row_of, distinct, rows = {}, [], []
+    for _, x in candidates:
+        key = x.tobytes()
+        if key not in row_of:
+            row_of[key] = len(distinct)
+            distinct.append(x)
+        rows.append(row_of[key])
+    verdicts = _accept_verdicts(
+        p, np.array(distinct).reshape(-1, p.n), lo - pad, hi + pad, cfg
     )
     accepted: list[WStationaryPoint] = []
     rejected: list[Rejection] = []
-    for pattern, outcome in candidates:
-        if outcome is None:
+    judged = set()
+    for (pattern, x), row in zip(candidates, rows):
+        v = verdicts[row]
+        # the lists only grow, so a repeat of an accepted or sign-rejected x
+        # finds that x, or the point that kept it out, within dedup_radius
+        repeat = row in judged
+        judged.add(row)
+        if v.kind != "accept":
+            diagnostics[_COUNTER[v.kind]] += 1
+            if v.kind == "sign" and not repeat:
+                xt = tuple(float(c) + 0.0 for c in x)
+                if all(_dist(xt, r.x) > cfg.dedup_radius for r in rejected):
+                    rejected.append(
+                        Rejection(xt, v.mult, v.idx, reason="sign condition")
+                    )
             continue
-        diagnostics["converged"] += 1
-        x, _ = outcome
-        v = verdict_of(x)
-        if v.kind == "drop":
-            continue
-        if v.kind == "residual":
-            diagnostics["residual_rejected"] += 1
-            continue
-        xt = tuple(float(c) + 0.0 for c in x)
-        if v.kind == "sign":
-            if all(_dist(xt, r.x) > cfg.dedup_radius for r in rejected):
-                rejected.append(
-                    Rejection(xt, v.mult, v.idx, reason="sign condition")
+        if not repeat:
+            xt = tuple(float(c) + 0.0 for c in x)
+            if all(_dist(xt, a.x) > cfg.dedup_radius for a in accepted):
+                accepted.append(
+                    WStationaryPoint(
+                        x=xt,
+                        f_value=eval_value(p.objective, x),
+                        mult=v.mult,
+                        idx=v.idx,
+                        residual=v.resid,
+                        licq=v.licq,
+                        source_pattern=pattern,
+                    )
                 )
-            continue
-        if any(_dist(xt, a.x) <= cfg.dedup_radius for a in accepted):
-            continue
-        accepted.append(
-            WStationaryPoint(
-                x=xt,
-                f_value=eval_value(p.objective, x),
-                mult=v.mult,
-                idx=v.idx,
-                residual=v.resid,
-                licq=v.licq,
-                source_pattern=pattern,
-            )
-        )
+                continue
+        diagnostics["duplicates"] += 1
     accepted.sort(key=lambda pt: pt.x)
     rejected.sort(key=lambda r: r.x)
     return SearchResult(accepted, rejected, diagnostics)

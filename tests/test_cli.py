@@ -149,8 +149,12 @@ class TestAnalyze:
         [(["analyze", "--seed", "-1"], "seed"),
          (["levelsets", "--auto", "-3"], "--auto"),
          (["levelsets", "--auto", "8", "--feas-scale", "-1"], "feas_scale"),
-         (["levelsets", "--auto", "8", "--feas-scale", "nan"], "feas_scale")],
-        ids=["seed", "auto", "feas-scale-negative", "feas-scale-nan"],
+         (["levelsets", "--auto", "8", "--feas-scale", "nan"], "feas_scale"),
+         (["levelsets", "--levels=nan,1"], "--levels entry 'nan'"),
+         (["levelsets", "--levels=1,inf"], "--levels entry 'inf'"),
+         (["levelsets", "--levels=-inf,1"], "--levels entry '-inf'")],
+        ids=["seed", "auto", "feas-scale-negative", "feas-scale-nan",
+             "levels-nan", "levels-inf", "levels-minus-inf"],
     )
     def test_out_of_range_option_exit_2(
         self, tmp_path, capsys, monkeypatch, argv, name
@@ -348,8 +352,9 @@ class TestLevelsetsCommand:
 
 # SHA-256 of each example's `analyze --json` report at the default box and
 # configuration: a change to any byte of them must be deliberate and update
-# these digests.  mid3 and relax reports are left out because their bits
-# depend on the LAPACK and libm builds; one levelsets report is pinned below.
+# these digests.  relax reports are left out because their bits depend on the
+# LAPACK and libm builds; mid3's analyze reports and one levelsets report are
+# pinned below.
 ANALYZE_DIGESTS = [
     (CROSS_LINEAR,
      "50c9fcad856d16f2a0a1570e71e10781a531df6f3f9cba352306b7fbedba8dc2"),
@@ -361,6 +366,15 @@ ANALYZE_DIGESTS = [
      "002d580e17e483acdc9631d35465bde53e5a3f8798117d65862dca4b12c9ea9f"),
     (STABLE_WITHOUT_ND2,
      "60c2066472bcf50b4b8ee23fbfdcf5af64481a51027ad1b62c723c76a730cc0b"),
+]
+
+
+# SHA-256 of mid3's `analyze --json` report at seeds 0 and 7.  Its multipliers
+# pass through LAPACK's least-squares solve: on another LAPACK build, record
+# them again from a checkout whose search is known to be unchanged.
+MID3_DIGESTS = [
+    ("0", "0cecbc1c6c807cf78a44e72bd289bf597fd4a373f898a802b190ccff1d673059"),
+    ("7", "9cc82dde27fd25cd029bb7e42266a406917aa227f1acfd1dda876712d0313c11"),
 ]
 
 
@@ -390,6 +404,13 @@ class TestDeterminism:
         src = _write(tmp_path, "p.txt", text)
         out = tmp_path / "report.json"
         assert main(["analyze", src, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, digest", MID3_DIGESTS, ids=["seed0", "seed7"])
+    def test_mid3_analyze_report_digest(self, tmp_path, seed, digest):
+        src = _write(tmp_path, "p.txt", MID3)
+        out = tmp_path / "report.json"
+        assert main(["analyze", src, "--seed", seed, "--json", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_across_runs(self, tmp_path):

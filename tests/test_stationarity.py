@@ -19,7 +19,7 @@ from switchstat.expr import (
     eval_hessian,
     parse_problem,
 )
-from switchstat.linalg import SingularSystemError, ToleranceConfig, solve_linear
+from switchstat.linalg import SingularSystemError, ToleranceConfig, rank, solve_linear
 from switchstat.relaxation import continue_path, kkt_points_relaxed, relax
 from tests.conftest import (
     CROSS_LINEAR,
@@ -51,6 +51,7 @@ from switchstat.stationarity import (
     _slot_values,
     BranchPattern,
     CombinatorialCapError,
+    IndexSets,
     InfeasiblePointError,
     LicqViolationError,
     Multipliers,
@@ -344,10 +345,9 @@ class TestRecoverMultipliers:
         with pytest.raises(SingularSystemError) as raised:
             recover_multipliers(p, x, strict)
         assert str(raised.value) == str(expected.value)
-        assert stationarity._accept_verdict(p, x, -3.0, 3.0, strict).kind == (
-            "residual"
-        )
-        verdict = stationarity._accept_verdict(p, x, -3.0, 3.0, CFG)
+        verdicts = stationarity._accept_verdicts(p, x[None], -3.0, 3.0, strict)
+        assert verdicts[0].kind == "residual"
+        verdict = stationarity._accept_verdicts(p, x[None], -3.0, 3.0, CFG)[0]
         assert verdict.kind == "accept"
         assert repr(verdict.mult) == repr(recover_multipliers(p, x))
 
@@ -746,7 +746,8 @@ class TestUndefinedConstraint:
         with pytest.raises(EvalDomainError):
             check_licq(p, x)
         lo, hi = np.full(2, -3.0), np.full(2, 3.0)
-        assert stationarity._accept_verdict(p, x, lo, hi, CFG).kind == "drop"
+        verdict = stationarity._accept_verdicts(p, x[None], lo, hi, CFG)[0]
+        assert verdict.kind == "infeasible"
 
 
 def _outcome_bits(out):
@@ -1180,6 +1181,11 @@ class TestSearchDiagnostics:
             "singular_jacobian": 0,
             "inconsistent_patterns": 27,
             "residual_rejected": 0,
+            "dropped_box": 0,
+            "dropped_infeasible": 0,
+            "dropped_complementarity": 0,
+            "rejected_sign_candidates": 500,
+            "duplicates": 620,
         }
         assert len(res.points) == 5
         assert len(res.rejected_sign) == 4
@@ -1194,6 +1200,11 @@ class TestSearchDiagnostics:
             "singular_jacobian": 0,
             "inconsistent_patterns": 20,
             "residual_rejected": 0,
+            "dropped_box": 48,
+            "dropped_infeasible": 52,
+            "dropped_complementarity": 0,
+            "rejected_sign_candidates": 8,
+            "duplicates": 17,
         }
         assert len(res.points) == 3
         assert len(res.rejected_sign) == 1
@@ -1215,6 +1226,11 @@ class TestSearchDiagnostics:
             "singular_jacobian": singular,
             "inconsistent_patterns": 28,
             "residual_rejected": 0,
+            "dropped_box": 0,
+            "dropped_infeasible": 0,
+            "dropped_complementarity": 0,
+            "rejected_sign_candidates": 0,
+            "duplicates": converged - 4,
         }
         assert len(res.points) == 4
         assert res.rejected_sign == []
@@ -1227,26 +1243,125 @@ class TestSearchDiagnostics:
             "singular_jacobian": 0,
             "inconsistent_patterns": 0,
             "residual_rejected": 0,
+            "dropped_box": 0,
+            "dropped_infeasible": 0,
+            "dropped_complementarity": 0,
+            "rejected_sign_candidates": 0,
+            "duplicates": 360,
         }
         assert len(res.points) == 15
 
 
-def _count_verdicts(monkeypatch):
-    """Count the accept filter's runs from here on."""
-    runs = []
-    verdict = stationarity._accept_verdict
+def _reference_verdict(p, x, lo, hi, cfg):
+    """The accept filter on one candidate by scalar tree walks at ``x`` alone,
+    with feasibility and complementarity folded by Python's ``max``: the
+    filter the batched :func:`stationarity._accept_verdicts` replaced, each
+    of its drops labelled by its reason."""
+    if np.any(x < lo) or np.any(x > hi):
+        return stationarity._Verdict("box")
+    xl = [float(v) for v in x]
+    infeasible = stationarity._Verdict("infeasible")
+    try:
+        feas = 0.0
+        for h in p.equalities:
+            feas = max(feas, abs(h.val(xl)))
+        for g in p.inequalities:
+            feas = max(feas, max(0.0, -g.val(xl)))
+        for f1, f2 in p.switches:
+            feas = max(feas, abs(f1.val(xl) * f2.val(xl)))
+    except EvalDomainError:
+        return infeasible
+    if feas > cfg.tol_feas:
+        return infeasible
+    tol = cfg.tol_active
+    j0 = tuple(j for j, g in enumerate(p.inequalities) if abs(g.val(xl)) <= tol)
+    zero = [(abs(f1.val(xl)) <= tol, abs(f2.val(xl)) <= tol) for f1, f2 in p.switches]
+    idx = IndexSets(
+        j0,
+        tuple(m for m, (z1, z2) in enumerate(zero) if z1 and not z2),
+        tuple(m for m, (z1, z2) in enumerate(zero) if z1 and z2),
+        tuple(m for m, (z1, z2) in enumerate(zero) if z2 and not z1),
+    )
+    slots = _active_slots(p, idx)
+    try:
+        G = _gradient_rows(p, x, slots)
+    except EvalDomainError:
+        return infeasible
+    licq = rank(G, cfg.lin) == G.shape[0]
+    mult, error = stationarity._multiplier_rule(
+        p, eval_gradient(p.objective, x), slots, G, licq, cfg
+    )
+    if any(mj < -cfg.tol_sign for mj in mult.mu):
+        return stationarity._Verdict("sign", mult, idx)
+    if error is not None:
+        return stationarity._Verdict("residual")
+    weighted = list(stationarity._weighted_slots(p, mult))
+    comp = 0.0
+    for (kind, _), c, y in weighted:
+        if kind != "lam":
+            comp = max(comp, abs(y * c.val(xl)))
+    resid = max(feas, comp, max([0.0] + [-mu for mu in mult.mu]))
+    acc = list(p.objective.val_grad(xl)[1])
+    for _, c, y in weighted:
+        g = c.val_grad(xl)[1]
+        for t in range(p.n):
+            acc[t] -= y * g[t]
+    resid = max(resid, max(abs(a) for a in acc))
+    if licq and resid > cfg.tol_resid:
+        return stationarity._Verdict("residual")
+    if comp > cfg.tol_comp:
+        return stationarity._Verdict("complementarity")
+    if resid > cfg.tol_resid:
+        return stationarity._Verdict("residual")
+    return stationarity._Verdict("accept", mult, idx, resid, licq)
+
+
+def _verdict_bits(v):
+    """A verdict's fields as exact text and bytes: repr tells -0.0 from 0.0
+    and prints every float exactly."""
+    return (v.kind, repr(v.mult), repr(v.idx), type(v.resid),
+            np.float64(v.resid).tobytes(), v.licq)
+
+
+def _filter_calls(monkeypatch):
+    """Record each run of the accept filter from here on: its arguments and
+    its verdicts."""
+    calls = []
+    verdicts = stationarity._accept_verdicts
 
     def spy(*args):
-        runs.append(args[1].tobytes())
-        return verdict(*args)
+        out = verdicts(*args)
+        calls.append((args, out))
+        return out
 
-    monkeypatch.setattr(stationarity, "_accept_verdict", spy)
-    return runs
+    monkeypatch.setattr(stationarity, "_accept_verdicts", spy)
+    return calls
+
+
+def _assert_calls_match_reference(calls):
+    for (p, X, lo, hi, cfg), out in calls:
+        assert len(out) == len(X)
+        for x, v in zip(X, out):
+            assert _verdict_bits(v) == _verdict_bits(
+                _reference_verdict(p, x, lo, hi, cfg)
+            ), x
+
+
+# every way a converged candidate can leave the search but as a point
+_OUTCOMES = ("dropped_box", "dropped_infeasible", "dropped_complementarity",
+             "residual_rejected", "rejected_sign_candidates", "duplicates")
+
+
+def _assert_outcomes_sum(res):
+    diag = res.diagnostics
+    assert sum(diag[k] for k in _OUTCOMES) + len(res.points) == diag["converged"]
+    assert diag["rejected_sign_candidates"] >= len(res.rejected_sign)
 
 
 class TestAcceptFilterOncePerX:
-    """The accept filter runs once per bitwise-distinct candidate x, and the
-    search result is the one of filtering every candidate."""
+    """The accept filter runs once per search on the bitwise-distinct
+    candidates, with the verdicts of the scalar filter, and the search
+    result is the one of filtering every candidate."""
 
     @pytest.mark.parametrize(
         "text, cfg",
@@ -1266,25 +1381,26 @@ class TestAcceptFilterOncePerX:
              "instability_both", "instability_one", "stable_without_nd2",
              "levelsets-3d", "corpus-p024", "corpus-p076-tight"],
     )
-    def test_equals_filtering_every_candidate(self, monkeypatch, text, cfg):
-        p = parse_problem(text)
-        once = search_stationary_points(p, (-2.0, 2.0), cfg)
-        monkeypatch.setattr(stationarity, "_per_distinct_x", lambda verdict: verdict)
-        every = search_stationary_points(p, (-2.0, 2.0), cfg)
-        # repr tells -0.0 from 0.0 and prints every float exactly
-        assert repr(once) == repr(every)
-        assert once.points or once.rejected_sign
+    def test_verdicts_equal_the_scalar_filter(self, monkeypatch, text, cfg):
+        calls = _filter_calls(monkeypatch)
+        res = search_stationary_points(parse_problem(text), (-2.0, 2.0), cfg)
+        assert len(calls) == 1
+        X = calls[0][0][1]
+        assert len({x.tobytes() for x in X}) == len(X)
+        _assert_calls_match_reference(calls)
+        assert res.points or res.rejected_sign
+        _assert_outcomes_sum(res)
 
     def test_tight_residual_rejection_is_counted(self):
         cfg = SolveConfig(grid_points=2, tol_resid=1e-13)
         res = search_stationary_points(parse_problem(CORPUS_P076), (-2.0, 2.0), cfg)
         assert res.diagnostics["residual_rejected"] == 1
 
-    def test_mid3_runs_once_per_distinct_x(self, monkeypatch):
-        runs = _count_verdicts(monkeypatch)
+    def test_mid3_makes_one_filter_call_with_493_rows(self, monkeypatch):
+        calls = _filter_calls(monkeypatch)
         res = search_stationary_points(parse_problem(MID3), (-2.0, 2.0))
         assert res.diagnostics["converged"] == 1125
-        assert len(runs) == len(set(runs)) == 493
+        assert [args[1].shape for args, _ in calls] == [(493, 3)]
 
     @staticmethod
     def _lanes_at(monkeypatch, xs):
@@ -1303,19 +1419,86 @@ class TestAcceptFilterOncePerX:
         # (0, 0.5) is feasible but not stationary: the objective gradient
         # (-2, -1) has a component along x2, which carries no multiplier
         self._lanes_at(monkeypatch, [(0.0, 0.5)] * 3)
-        runs = _count_verdicts(monkeypatch)
+        calls = _filter_calls(monkeypatch)
         res = search_stationary_points(cross_quadratic, (-2.0, 2.0))
         assert res.diagnostics["converged"] == 3
         assert res.diagnostics["residual_rejected"] == 3
         assert res.points == [] and res.rejected_sign == []
-        assert len(runs) == 1
+        assert [len(out) for _, out in calls] == [1]
+        _assert_calls_match_reference(calls)
 
     def test_signed_zeros_are_distinct_candidates(self, monkeypatch, cross_quadratic):
         self._lanes_at(monkeypatch, [(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)])
-        runs = _count_verdicts(monkeypatch)
+        calls = _filter_calls(monkeypatch)
         res = search_stationary_points(cross_quadratic, (-2.0, 2.0))
-        assert len(runs) == 2
+        assert [len(out) for _, out in calls] == [2]
         assert [pt.x for pt in res.points] == [(0.0, 1.0)]
+        assert res.diagnostics["duplicates"] == 2
+        _assert_calls_match_reference(calls)
+
+    @pytest.mark.parametrize(
+        "text, xs, kinds",
+        [
+            # outside the box inflated to [-2.4, 2.4], and on its edge, which
+            # is inside
+            (CROSS_QUADRATIC, [(2.5, 0.0), (0.0, -2.41), (-2.0 - 0.1 * 4.0, 0.0)],
+             ["box", "box", "residual"]),
+            # x2 + 1e-8 is exactly tol_active at x2 = 0, so it is active and
+            # needs the negative multiplier -1
+            ("vars: x1 x2\nobjective: x1^2 - x2\nineq: x2 + 0.00000001\n",
+             [(0.0, 0.0)], ["sign"]),
+            # log(x1) is undefined at x1 <= 0
+            ("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: log(x1 + 1)\n",
+             [(-1.0, 0.0), (0.0, 0.0)], ["infeasible", "accept"]),
+            # x2*x1^(-1) is 0 at (1e-300, 0) but its gradient overflows: the
+            # point is dropped where the constraint is active, judged where
+            # it is not
+            ("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2*x1^(-1)\n",
+             [(1e-300, 0.0)], ["infeasible"]),
+            ("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2*x1^(-1) + 1\n",
+             [(1e-300, 0.0)], ["accept"]),
+            # a nan constraint value passes feasibility as Python's max does
+            # and is inactive
+            ("vars: x1 x2\nobjective: x2^2\n"
+             "ineq: (10^300*x1)*(10^300*x1) - (10^300*x1)*(10^300*x1)\n",
+             [(1.0, 0.0)], ["accept"]),
+            # max(0.0, -0.0) is 0.0, so the residual is +0.0 at every sign
+            (STABLE_WITHOUT_ND2, [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)],
+             ["accept"] * 3),
+            # two copies of an inequality that is 1e-9 and active at the
+            # origin: LICQ fails, the least-squares multipliers are 20 each,
+            # and 20 * 1e-9 exceeds tol_comp
+            ("vars: x1 x2\nobjective: x1^2 + 40*x2\n"
+             "ineq: x2 + 0.000000001\nineq: x2 + 0.000000001\n",
+             [(0.0, 0.0)], ["complementarity"]),
+            # a negative inequality multiplier
+            ("vars: x1 x2\nobjective: x2 + x1^2\nineq: 0 - x2\n",
+             [(0.0, 0.0)], ["sign"]),
+        ],
+        ids=["box", "activity-edge", "undefined-value", "undefined-gradient-active",
+             "undefined-gradient-inactive", "nan-value", "signed-zeros",
+             "complementarity", "sign"],
+    )
+    def test_fabricated_lanes_equal_the_scalar_filter(
+        self, monkeypatch, text, xs, kinds
+    ):
+        self._lanes_at(monkeypatch, xs)
+        calls = _filter_calls(monkeypatch)
+        res = search_stationary_points(parse_problem(text), (-2.0, 2.0))
+        assert [v.kind for v in calls[0][1]] == kinds
+        _assert_calls_match_reference(calls)
+        _assert_outcomes_sum(res)
+
+    def test_undefined_objective_gradient_raises(self, monkeypatch):
+        # the objective is 0 at (1e-300, 0), its gradient overflows; the
+        # scalar filter raised the same error
+        p = parse_problem("vars: x1 x2\nobjective: x2*x1^(-1)\nineq: x1 + 1\n")
+        self._lanes_at(monkeypatch, [(1e-300, 0.0)])
+        with pytest.raises(EvalDomainError) as raised:
+            search_stationary_points(p, (-2.0, 2.0))
+        with pytest.raises(EvalDomainError) as expected:
+            _reference_verdict(p, np.array([1e-300, 0.0]), -2.4, 2.4, CFG)
+        assert str(raised.value) == str(expected.value)
 
 
 # the problem of TestLicqMatrix.test_full_fixed_order with every active
