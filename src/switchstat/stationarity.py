@@ -24,10 +24,12 @@ patterns.  Every lane runs the floating-point operations of the single-start
 solver :func:`newton_solve_branch` in the same order, so each outcome, and
 with it every accepted point, is bitwise the same as solving the lanes one at
 a time.  Before any lane starts, the search leaves out every pattern whose
-pinned affine constraints an exact certificate (:func:`_pins_inconsistent`)
-shows to have no common zero, up to a rigorous rounding bound, anywhere in
-the inflated search box: no lane of such a pattern can converge to a point
-the accept filter keeps.  Continuation, which solves from one start at a
+branch polyhedron an exact certificate (:func:`_branch_empty`) shows to be
+empty: no point of the inflated search box holds its pinned affine
+constraints within ``tol_resid`` and its unpinned affine inequalities within
+``tol_feas``, each up to a rigorous rounding bound.  A lane of such a
+pattern converges, if at all, to a point the accept filter drops as outside
+the box or infeasible.  Continuation, which solves from one start at a
 time, calls :func:`newton_solve_branch` directly.  Its residual and Jacobian
 run as straight-line code compiled once per shape of the branch system (the
 objective and the pinned constraints without their constant values),
@@ -254,7 +256,7 @@ class LicqReport:
 
 def feasibility_violation(p: Problem, x) -> float:
     """Max-norm violation of equalities, inequalities and switching products;
-    ``inf`` where a constraint function is undefined."""
+    ``inf`` where a constraint function is undefined or its value is nan."""
     xl = [float(v) for v in x]
     try:
         V = [_slot_expr(p, s).val(xl) for s in _problem_slots(p)]
@@ -269,9 +271,10 @@ def _feasibility(p: Problem, V) -> np.ndarray:
 
     The terms |h|, max(0, -g) and |f1*f2| are folded in slot order as
     Python's ``max`` folds them: a term replaces the running maximum only
-    when it is larger, so a nan term is passed over and -0.0 never replaces
-    0.0.  The maximum starts at 0.0 and never falls, so -g stands for
-    max(0, -g)."""
+    when it is larger, so -0.0 never replaces 0.0.  The maximum starts at
+    0.0 and never falls, so -g stands for max(0, -g).  A nan term (inf - inf
+    in a constraint's walk) makes the violation ``inf``, as an undefined
+    constraint does: no comparison passes it as feasible."""
     ne, ni = len(p.equalities), len(p.inequalities)
     pairs = ne + ni
     terms = [np.abs(V[i]) for i in range(ne)]
@@ -279,7 +282,7 @@ def _feasibility(p: Problem, V) -> np.ndarray:
     terms += [np.abs(V[pairs + 2 * m] * V[pairs + 2 * m + 1]) for m in range(p.k)]
     worst = np.zeros(V.shape[1])
     for t in terms:
-        worst = np.where(t > worst, t, worst)
+        worst = np.where(np.isnan(t), math.inf, np.where(t > worst, t, worst))
     return worst
 
 
@@ -712,10 +715,10 @@ def _newton_step(J, r, diagnostics):
     ``diagnostics`` unless that is None: patterns can pin the same function
     twice (switching pairs that share a member), leaving the square system
     singular but consistent, and the minimum-norm step still converges
-    there.  The search does not solve a pattern whose pinned affine
-    constraints are provably inconsistent (:func:`_pins_inconsistent`); the
-    solvers themselves have no such test, so on an inconsistent branch their
-    steps keep failing to improve."""
+    there.  The search does not solve a pattern whose branch polyhedron is
+    provably empty (:func:`_branch_empty`); the solvers themselves have no
+    such test, so on an inconsistent branch their steps keep failing to
+    improve."""
     b = -np.asarray(r)
     try:
         return np.linalg.solve(J, b)
@@ -910,7 +913,7 @@ def _max_norms(A):
 # batch, which is where batching across patterns saves tree walks.  Only the
 # patterns the certificate leaves are solved: mid3's 9 of 36, 125 starts
 # each, run as 2 batches (8 + 1 patterns, 1000 + 125 lanes), and the 100
-# searches of the criterion-7 corpus run 96 batches of at most 128 lanes, 4
+# searches of the criterion-7 corpus run 88 batches of at most 80 lanes, 12
 # of them solving no pattern.
 _LANE_BUDGET = 1024
 
@@ -941,52 +944,178 @@ def _pattern_steps(H, G, R, lane_pattern, cols, diagnostics):
     return step
 
 
-def _pins_inconsistent(p: Problem, pattern: BranchPattern, forms, tol) -> bool:
-    """Whether the affine constraints ``pattern`` pins certify that its
-    branch system's residual max norm exceeds ``tol`` at every ``x`` with
-    max |x_j| <= radius; ``forms`` pairs every slot of ``p`` with its
-    constraint's :func:`expr._affine_form` at that radius (None when not
-    affine), computed once for all patterns.
+# Most rows the certificate's Fourier–Motzkin elimination holds at once: a
+# pattern whose elimination grows beyond it is simply not certified, since
+# ``analyze`` puts no limit on n.  Parallel rows merge into one, so the
+# searches of the criterion-7 corpus never hold more than 5.
+_ROW_CAP = 400
 
-    Each pinned slot whose tree is affine has exact rational coefficients
-    c_i(x) = a_i·x + b_i and a bound err_i on the rounding of its float
-    value.  Fraction-free elimination in integers finds rational y with
-    Σ y_i a_i = 0; then |Σ y_i b_i| = |Σ y_i c_i(x)| <= ‖y‖₁ max_i |c_i(x)|
-    for every real x, so some pinned value is at least
-    β = |Σ y_i b_i| / ‖y‖₁ in exact arithmetic, and more than β - max err_i
-    (over the support of y) as computed.  The residual holds every pinned
-    value, so when that exceeds ``tol`` no iterate in the radius converges.
-    Patterns that are singular but consistent (one function pinned twice)
-    leave only rows with Σ y_i b_i = 0 and are not certified.
-    """
-    pinned = [f for s, f in forms if f is not None and _pins(pattern, s)]
-    # row k starts as (A, B) = D_k (a_k, b_k) with y = D_k e_k, and every
-    # row keeps (A, B) = Σ y_i (a_i, b_i)
-    rows = [
-        (list(a), b, [d if i == k else 0 for i in range(len(pinned))])
-        for k, (a, b, d, _) in enumerate(pinned)
-    ]
+
+def _certificate_rows(p: Problem, forms, lo, hi, cfg: SolveConfig):
+    """The integer rows :func:`_branch_empty` reads, built once per search:
+    ``(box, slots)``.  A row ``(a, L, U, d)`` states L/d <= a·x <= U/d, None
+    standing for an unbounded side, its ``a`` primitive with the first
+    nonzero entry positive (:func:`_normal_row`).
+
+    ``box`` holds the rows lo <= x_j <= hi of the inflated box (``lo`` and
+    ``hi`` each a float or one float per axis): the filter drops every x
+    outside it.  ``slots`` holds ``(slot, pinned, unpinned)`` for every
+    ``(slot, affine form)`` of ``forms``.  With the form c(x) = (A·x + B)/D
+    exactly and ``err`` its rounding bound, ``pinned`` states
+    |c(x)| <= _up(tol_resid + err): a lane converges only where the
+    computed pinned value is within ``tol_resid``.  ``unpinned``, for an
+    inequality, states c(x) >= -_up(tol_feas + err): the filter keeps only
+    x where the computed value is at least ``-tol_feas``.  Both are None for
+    a slot that is not affine (or whose bound is not finite)."""
+    lo, hi = np.broadcast_to(lo, p.n), np.broadcast_to(hi, p.n)
+    box = []
     for j in range(p.n):
-        k = next((k for k, row in enumerate(rows) if row[0][j]), None)
+        (ln, ld), (hn, hd) = (float(v).as_integer_ratio() for v in (lo[j], hi[j]))
+        axis = tuple(int(i == j) for i in range(p.n))
+        box.append((axis, ln * hd, hn * ld, ld * hd))
+    slots = []
+    for s, form in forms:
+        pinned = unpinned = None
+        if form is not None:
+            A, B, D, err = form
+            # -t <= (A·x + B)/D <= t with t = num/d
+            t = _up(cfg.tol_resid + err)
+            if math.isfinite(t):
+                num, d = t.as_integer_ratio()
+                pinned = _normal_row(A, -num * D - B * d, num * D - B * d, d)
+            t = _up(cfg.tol_feas + err)
+            if s[0] == "mu" and math.isfinite(t):
+                num, d = t.as_integer_ratio()
+                unpinned = _normal_row(A, -num * D - B * d, None, d)
+        slots.append((s, pinned, unpinned))
+    return box, slots
+
+
+def _normal_row(a, L, U, d):
+    """The row L/d <= a·x <= U/d with ``a`` divided by the gcd of its
+    entries, its first nonzero entry made positive, and the integers of the
+    row reduced by their gcd."""
+    g = math.gcd(*a)
+    if g and next(c for c in a if c) < 0:
+        g, L, U = -g, (None if U is None else -U), (None if L is None else -L)
+    if g:
+        a, d = tuple(c // g for c in a), d * abs(g)
+    h = math.gcd(L or 0, U or 0, d)
+    L, U = (None if L is None else L // h), (None if U is None else U // h)
+    return a, L, U, d // h
+
+
+def _combine(r1, r2, j):
+    """The row a2_j·(row 1) - a1_j·(row 2), in which x_j cancels, its
+    interval taken from the two rows' intervals; None when both of its
+    sides are unbounded."""
+    a1, L1, U1, d1 = r1
+    a2, L2, U2, d2 = r2
+    k1, k2 = a2[j] * d2, -a1[j] * d1
+    (lo1, hi1), (lo2, hi2) = _scaled(L1, U1, k1), _scaled(L2, U2, k2)
+    L = None if lo1 is None or lo2 is None else lo1 + lo2
+    U = None if hi1 is None or hi2 is None else hi1 + hi2
+    if L is None and U is None:
+        return None
+    a = [a2[j] * c1 - a1[j] * c2 for c1, c2 in zip(a1, a2)]
+    return _normal_row(a, L, U, d1 * d2)
+
+
+def _scaled(L, U, k):
+    """The interval [L, U] times the nonzero integer ``k``."""
+    L, U = (None if L is None else k * L), (None if U is None else k * U)
+    return (L, U) if k > 0 else (U, L)
+
+
+def _holds_at_zero(L, U):
+    return (L is None or L <= 0) and (U is None or U >= 0)
+
+
+def _tighter(pick, v, d2, v2, d):
+    """``pick`` of the bounds v/d and v2/d2 (None unbounded, so the other
+    one wins) as a numerator over d*d2."""
+    if v is None:
+        return None if v2 is None else v2 * d
+    if v2 is None:
+        return v * d2
+    return pick(v * d2, v2 * d)
+
+
+def _merge(table, row) -> bool:
+    """Adds the normal ``row`` to ``table`` (a -> (L, U, d)), intersected
+    with the parallel row already there; False when the row, or that
+    intersection, holds at no x."""
+    a, L, U, d = row
+    if not any(a):
+        return _holds_at_zero(L, U)
+    if a in table:
+        L2, U2, d2 = table[a]
+        L, U = _tighter(max, L, d2, L2, d), _tighter(min, U, d2, U2, d)
+        if L is not None and U is not None and L > U:
+            return False
+        _, L, U, d = _normal_row(a, L, U, d * d2)
+    table[a] = L, U, d
+    return True
+
+
+def _branch_empty(pattern: BranchPattern, rows) -> bool:
+    """Whether no ``x`` satisfies every row of ``rows``
+    (:func:`_certificate_rows`) that ``pattern`` keeps: the box rows, the
+    ``pinned`` row of each slot it pins and the ``unpinned`` row of each
+    inequality it does not.  Every lane of a certified pattern then fails to
+    converge or converges to an ``x`` the accept filter drops as outside the
+    box or infeasible, before its residual test.
+
+    First, each pinned row in turn eliminates one variable from the rows
+    after it and from the others (the box and the unpinned rows), Gaussian
+    elimination in integers; a pinned row left with no variable certifies
+    when its interval misses 0.  Then Fourier–Motzkin elimination of the
+    remaining variables runs on the others, one variable at a time, the one
+    that the fewest rows hold first, parallel rows merged into one interval;
+    an empty interval certifies.  Every row combines earlier rows with real
+    coefficients, its interval by interval arithmetic, so it holds wherever
+    they do: the certificate is exact in Python integers.  Using a pinned
+    row as the pivot loses the little that its width would give, and an
+    elimination that would hold more than ``_ROW_CAP`` rows is abandoned, so
+    some empty polyhedra go uncertified, never the reverse."""
+    box, slots = rows
+    n = len(box)
+    others = list(box)
+    pinned = []
+    for s, pin, unpin in slots:
+        if _pins(pattern, s):
+            if pin is not None:
+                pinned.append(pin)
+        elif unpin is not None:
+            others.append(unpin)
+
+    for j in range(n):
+        k = next((k for k, row in enumerate(pinned) if row[0][j]), None)
         if k is None:
             continue
-        pa, pb, py = rows.pop(k)
-        for r, (a, b, y) in enumerate(rows):
-            pj, aj = pa[j], a[j]
-            if aj:
-                a = [pj * c - aj * c2 for c, c2 in zip(a, pa)]
-                y = [pj * c - aj * c2 for c, c2 in zip(y, py)]
-                b = pj * b - aj * pb
-                h = math.gcd(*a, b, *y)  # y is never all zero
-                rows[r] = [c // h for c in a], b // h, [c // h for c in y]
-    # every row left has A = 0
-    for _, b, y in rows:
-        if b:
-            bound = _up(tol + max(pinned[i][3] for i, yi in enumerate(y) if yi))
-            if math.isfinite(bound):
-                num, den = bound.as_integer_ratio()
-                if abs(b) * den > num * sum(map(abs, y)):
+        pivot = pinned.pop(k)
+        pinned = [_combine(row, pivot, j) if row[0][j] else row for row in pinned]
+        others = [_combine(row, pivot, j) if row[0][j] else row for row in others]
+    # every pinned row left has a = 0
+    if not all(_holds_at_zero(L, U) for _, L, U, _ in pinned):
+        return True
+
+    table = {}
+    if not all(_merge(table, row) for row in others):
+        return True
+    while table:
+        j = min(
+            (sum(1 for a in table if a[j]), j) for j in range(n)
+            if any(a[j] for a in table)
+        )[1]
+        held = [(a, *table.pop(a)) for a in [a for a in table if a[j]]]
+        for k, r1 in enumerate(held):
+            for r2 in held[k + 1:]:
+                row = _combine(r1, r2, j)
+                if row is not None and not _merge(table, row):
                     return True
+            if len(table) > _ROW_CAP:
+                return False
     return False
 
 
@@ -1253,10 +1382,14 @@ def search_stationary_points(
     """Full multi-start search returning accepted points, the sign-condition
     reject list and solver diagnostics.
 
-    Patterns that :func:`_pins_inconsistent` certifies are not solved, since
-    no lane of theirs converges inside the inflated box, beyond which the
-    filter accepts nothing; ``diagnostics["inconsistent_patterns"]`` counts
-    them, and ``solves`` still counts every (pattern, start) pair.
+    Patterns that :func:`_branch_empty` certifies are not solved: their
+    pinned affine constraints, their unpinned affine inequalities and the
+    inflated box have no common point, so each of their lanes would fail to
+    converge or give a candidate the filter drops as outside the box or
+    infeasible, before its residual test.
+    ``diagnostics["inconsistent_patterns"]`` counts them, and ``solves``
+    still counts every (pattern, start) pair; ``converged`` and the drops
+    count only the lanes solved.
 
     The accept filter (:func:`_accept_verdicts`) runs once per search, on
     the bitwise-distinct converged ``x`` in first-seen order, with one
@@ -1268,7 +1401,7 @@ def search_stationary_points(
     and ``inconsistent_patterns``, ``diagnostics`` counts per converged
     candidate, repeats included: ``converged`` in all, and how each left
     the search unless it became a point: ``dropped_box``,
-    ``dropped_infeasible`` (an undefined constraint included),
+    ``dropped_infeasible`` (an undefined or nan constraint value included),
     ``dropped_complementarity``, ``residual_rejected``,
     ``rejected_sign_candidates`` and ``duplicates`` (accepted, but within
     ``dedup_radius`` of an earlier point).  These and ``len(points)`` sum to
@@ -1280,15 +1413,15 @@ def search_stationary_points(
     patterns = enumerate_branches(p, cfg)
     starts = _grid_starts(p.n, box, cfg)
     pad = cfg.box_inflation * (hi - lo)
+    box_lo, box_hi = lo - pad, hi + pad
     # the filter drops every x outside the inflated box, which lies within
     # this radius: a lane cannot give an accepted point beyond it
-    radius = max(abs(lo - pad), abs(hi + pad))
+    radius = max(abs(box_lo), abs(box_hi))
     forms = [
         (s, _affine_form(_slot_expr(p, s), p.n, radius)) for s in _problem_slots(p)
     ]
-    solved = [
-        q for q in patterns if not _pins_inconsistent(p, q, forms, cfg.tol_resid)
-    ]
+    rows = _certificate_rows(p, forms, box_lo, box_hi, cfg)
+    solved = [q for q in patterns if not _branch_empty(q, rows)]
     diagnostics = {"solves": len(patterns) * len(starts), "singular_jacobian": 0,
                    "inconsistent_patterns": len(patterns) - len(solved)}
     candidates = [
@@ -1311,7 +1444,7 @@ def search_stationary_points(
             distinct.append(x)
         rows.append(row_of[key])
     verdicts = _accept_verdicts(
-        p, np.array(distinct).reshape(-1, p.n), lo - pad, hi + pad, cfg
+        p, np.array(distinct).reshape(-1, p.n), box_lo, box_hi, cfg
     )
     accepted: list[WStationaryPoint] = []
     rejected: list[Rejection] = []

@@ -491,6 +491,21 @@ class TestRangeErrors:
         assert main(["relax", src]) == 0
         assert main(["levelsets", src, "--auto", "4"]) == 0
 
+    def test_nan_constraint_value_is_infeasible(self, tmp_path):
+        # the inequality is inf - inf - 1 = nan at every x1 != 0 (-1 in exact
+        # arithmetic), so (1, 0) is no point
+        src = _write(
+            tmp_path,
+            "p.txt",
+            "vars: x1 x2\nobjective: (x1-1)^2 + x2^2\n"
+            "ineq: (10^300*x1)*(10^300*x1) - (10^300*x1)*(10^300*x1) - 1\n",
+        )
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", src, "--json", out]) == 0
+        report = json.loads(Path(out).read_text())
+        assert report["points"] == []
+        assert report["summary"]["num_points"] == 0
+
     def test_log_of_an_underflowing_square(self, tmp_path):
         # the grid start at x1 = 0 evaluates log at 1e-310, whose square
         # underflows to 0.0 in the second derivative

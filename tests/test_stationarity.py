@@ -1,7 +1,9 @@
 """Index sets, LICQ, multiplier recovery and the branch-Newton search."""
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,18 +36,19 @@ from switchstat.stationarity import (
     _batch_lagrangian,
     _batch_residual,
     _branch_code,
+    _branch_empty,
     _branch_jacobian,
     _branch_jacobians,
     _branch_program,
     _branch_residual,
     _branch_shape,
+    _certificate_rows,
     _max_norm,
     _gradient_rows,
     _grid_starts,
     _multipliers_from_slots,
     _newton_solve_patterns,
     _pattern_slots,
-    _pins_inconsistent,
     _problem_slots,
     _slot_expr,
     _slot_values,
@@ -938,11 +941,20 @@ def _forms(p, radius=RADIUS):
     ]
 
 
-def _certified(p, radius=RADIUS, tol=CFG.tol_resid):
-    forms = _forms(p, radius)
-    return {
-        q for q in enumerate_branches(p) if _pins_inconsistent(p, q, forms, tol)
-    }
+def _inflated(box, cfg=CFG):
+    """The search's inflated box for ``box``: the filter's bounds."""
+    lo, hi = box
+    pad = cfg.box_inflation * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _certified(p, lo=-RADIUS, hi=RADIUS, cfg=CFG):
+    """The patterns _branch_empty certifies in the inflated box [lo, hi]
+    (each a float or one float per axis), with the forms taken at the radius
+    of that box, as the search takes them."""
+    radius = float(max(np.abs(lo).max(), np.abs(hi).max()))
+    rows = _certificate_rows(p, _forms(p, radius), lo, hi, cfg)
+    return {q for q in enumerate_branches(p, cfg) if _branch_empty(q, rows)}
 
 
 def _rewrite_constraints(text, rewrite):
@@ -961,19 +973,23 @@ def _rewrite_constraints(text, rewrite):
     return "\n".join(lines) + "\n"
 
 
+# each transform returns the moved text, the inflated box that corresponds to
+# (-RADIUS, RADIUS) per axis, and the map from a pattern to its moved pattern
+
 def _scaled(factors):
     def transform(text):
         def scale(k, body):
             return f"{factors[k % len(factors)]}*({body})"
 
-        return _rewrite_constraints(text, scale), RADIUS, lambda q: q
+        return _rewrite_constraints(text, scale), (-RADIUS, RADIUS), lambda q: q
 
     return transform
 
 
 def _permuted(text):
     # the same expressions over reordered unknowns
-    return text.replace("vars: x1 x2 x3", "vars: x3 x1 x2"), RADIUS, lambda q: q
+    return (text.replace("vars: x1 x2 x3", "vars: x3 x1 x2"), (-RADIUS, RADIUS),
+            lambda q: q)
 
 
 def _pairs_reversed(text):
@@ -982,7 +998,7 @@ def _pairs_reversed(text):
     lines = [switch.pop(0) if line.startswith("switch:") else line for line in lines]
     return (
         "\n".join(lines) + "\n",
-        RADIUS,
+        (-RADIUS, RADIUS),
         lambda q: BranchPattern(q.switches[::-1], q.actives),
     )
 
@@ -997,24 +1013,37 @@ def _members_swapped(text):
     flip = {"S1": "S2", "S2": "S1", "BOTH": "BOTH"}
     return (
         "\n".join(swap(line) for line in text.splitlines()) + "\n",
-        RADIUS,
+        (-RADIUS, RADIUS),
         lambda q: BranchPattern(tuple(flip[s] for s in q.switches), q.actives),
     )
 
 
 def _translated(text):
-    # x -> x - t moves every point by t and the radius by at most max |t|
+    # x -> x - t moves every point, and the box with it, by t
     shift = {"1": "0.3", "2": "-0.7", "3": "1.25"}
     moved = re.sub(
         r"x(\d)", lambda m: f"(x{m.group(1)} - {shift[m.group(1)]})",
         text.split("\n", 1)[1],
     )
-    return text.split("\n", 1)[0] + "\n" + moved, RADIUS + 1.25, lambda q: q
+    t = np.array([float(shift[k]) for k in "123"])
+    return (text.split("\n", 1)[0] + "\n" + moved, (t - RADIUS, t + RADIUS),
+            lambda q: q)
 
 
-class TestInconsistentPins:
-    """The search does not solve a pattern whose pinned affine constraints
-    admit no common zero, certified by _pins_inconsistent."""
+def _corpus():
+    """``(text, grid_points)`` for the 100 problems of the criterion-7 corpus,
+    read from ``perfbench/corpus.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(text, module.grid_points(text)) for text in module.corpus()]
+
+
+class TestCertifiedPatterns:
+    """The search does not solve a pattern whose branch polyhedron (pinned
+    affine rows, unpinned affine inequalities, inflated box) _branch_empty
+    certifies empty: none of its lanes gives a point the filter keeps."""
 
     def test_mid3_certifies_exactly_the_dead_patterns(self):
         p = parse_problem(MID3)
@@ -1035,11 +1064,12 @@ class TestInconsistentPins:
         assert _certified(p) == set()
 
     def test_near_miss_is_not_certified(self):
-        # beta = 3e-11 / 2 lies below tol_resid = 1e-10: every lane of the
-        # pattern converges through the least-squares step, as single-start
+        # the pins miss by 3e-11, within 2 tol_resid = 2e-10: every lane of
+        # the pattern converges through the least-squares step, as
+        # single-start
         p = parse_problem(NEAR_MISS)
         both = BranchPattern(("BOTH",), ())
-        assert not _pins_inconsistent(p, both, _forms(p), 1e-10)
+        assert both not in _certified(p)
         starts = _grid_starts(p.n, (-2.0, 2.0), CFG)
         diag = {}
         outs = _newton_solve_patterns(p, [both], starts, CFG, diag)[0]
@@ -1048,8 +1078,8 @@ class TestInconsistentPins:
         for start, out in zip(starts, outs):
             ref = newton_solve_branch(p, both, start, CFG)
             assert _outcome_bits(out) == _outcome_bits(ref)
-        # and a tolerance below beta certifies it
-        assert _pins_inconsistent(p, both, _forms(p), 1e-11)
+        # and a tolerance below half the miss certifies it
+        assert both in _certified(p, cfg=SolveConfig(tol_resid=1e-11))
 
     def test_constant_member_and_nonaffine_pins(self):
         # a pinned nonzero constant is inconsistent on its own; the nonaffine
@@ -1075,7 +1105,7 @@ class TestInconsistentPins:
         assert a1 * b2 - a2 * b1 != 0
         both = BranchPattern(("BOTH",), ())
         cfg = SolveConfig(tol_resid=0.0)
-        assert not _pins_inconsistent(p, both, _forms(p), cfg.tol_resid)
+        assert both not in _certified(p, cfg=cfg)
         starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
         outs = _newton_solve_patterns(p, [both], starts, cfg)[0]
         assert [_outcome_bits(out) for out in outs] == [
@@ -1089,71 +1119,92 @@ class TestInconsistentPins:
         ids=["mid3", "narrow"],
     )
     def test_search_certifies_each_pattern_once(self, monkeypatch, text, cfg):
-        # one affine form per slot at the search's radius, one certificate
-        # per pattern, and the solver gets the uncertified patterns in order
+        # one affine form per slot at the search's radius, one set of rows
+        # in the filter's box, one certificate per pattern, and the solver
+        # gets the uncertified patterns in order
         p = parse_problem(text)
-        walked, checked, solved = [], [], []
+        walked, built, checked, solved = [], [], [], []
         affine_form = stationarity._affine_form
-        pins_inconsistent = stationarity._pins_inconsistent
+        certificate_rows = stationarity._certificate_rows
+        branch_empty = stationarity._branch_empty
         solve = stationarity._newton_solve_patterns
 
         def walk(e, n, radius):
             walked.append((e, radius))
             return affine_form(e, n, radius)
 
-        def certify(p, q, forms, tol):
-            checked.append(q)
-            return pins_inconsistent(p, q, forms, tol)
+        def build(p, forms, lo, hi, cfg):
+            built.append((lo, hi))
+            return certificate_rows(p, forms, lo, hi, cfg)
+
+        def certify(q, rows):
+            checked.append((q, id(rows)))
+            return branch_empty(q, rows)
 
         def solver(p, patterns, *args):
             solved.extend(patterns)
             return solve(p, patterns, *args)
 
         monkeypatch.setattr(stationarity, "_affine_form", walk)
-        monkeypatch.setattr(stationarity, "_pins_inconsistent", certify)
+        monkeypatch.setattr(stationarity, "_certificate_rows", build)
+        monkeypatch.setattr(stationarity, "_branch_empty", certify)
         monkeypatch.setattr(stationarity, "_newton_solve_patterns", solver)
         res = search_stationary_points(p, (-2.0, 2.0), cfg)
         slots = _problem_slots(p)
         assert len(walked) == len(slots)
         assert all(e is _slot_expr(p, s) for (e, _), s in zip(walked, slots))
         assert {radius for _, radius in walked} == {RADIUS}
-        assert checked == enumerate_branches(p, cfg)
-        certified = _certified(p)
-        assert solved == [q for q in checked if q not in certified]
+        assert built == [(-RADIUS, RADIUS)]
+        assert [q for q, _ in checked] == enumerate_branches(p, cfg)
+        assert len({rows for _, rows in checked}) == 1
+        certified = _certified(p, cfg=cfg)
+        assert solved == [q for q, _ in checked if q not in certified]
         assert res.diagnostics["inconsistent_patterns"] == len(certified) > 0
 
     @pytest.mark.parametrize(
-        "text, cfg",
-        [(MID3, CFG), (NARROW, CFG), (NARROW, SolveConfig(grid_points=2)),
-         (CORPUS_P017, SolveConfig(grid_points=3)),
-         (CORPUS_P024, SolveConfig(grid_points=2)),
-         (CORPUS_P084, SolveConfig(grid_points=3))],
+        "text, cfg, box",
+        [(MID3, CFG, (-2.0, 2.0)), (NARROW, CFG, (-2.0, 2.0)),
+         (NARROW, SolveConfig(grid_points=2), (-2.0, 2.0)),
+         (CORPUS_P017, SolveConfig(grid_points=3), (-2.0, 2.0)),
+         (CORPUS_P024, SolveConfig(grid_points=2), (-2.0, 2.0)),
+         (CORPUS_P084, SolveConfig(grid_points=3), (-2.0, 2.0)),
+         (CORPUS_P024, SolveConfig(grid_points=3), (-1.0, 2.0))],
         ids=["mid3", "narrow", "narrow-grid2", "corpus-p017", "corpus-p024",
-             "corpus-p084"],
+             "corpus-p084", "corpus-p024-box"],
     )
     def test_skipping_certified_patterns_drops_nothing(
-        self, monkeypatch, text, cfg
+        self, monkeypatch, text, cfg, box
     ):
         p = parse_problem(text)
-        certified = [q for q in enumerate_branches(p, cfg) if q in _certified(p)]
+        lo, hi = _inflated(box, cfg)
+        certified = [
+            q for q in enumerate_branches(p, cfg) if q in _certified(p, lo, hi, cfg)
+        ]
         assert certified
-        skipped = search_stationary_points(p, (-2.0, 2.0), cfg)
-        monkeypatch.setattr(stationarity, "_pins_inconsistent", lambda *a: False)
-        every = search_stationary_points(p, (-2.0, 2.0), cfg)
+        skipped = search_stationary_points(p, box, cfg)
+        monkeypatch.setattr(stationarity, "_branch_empty", lambda *a: False)
+        every = search_stationary_points(p, box, cfg)
         # repr tells -0.0 from 0.0 and prints every float exactly; a point's
         # repr holds its multipliers and source pattern
         assert repr(skipped.points) == repr(every.points)
         assert repr(skipped.rejected_sign) == repr(every.rejected_sign)
-        assert (skipped.diagnostics["residual_rejected"]
-                == every.diagnostics["residual_rejected"])
+        for key in ("residual_rejected", "dropped_complementarity",
+                    "rejected_sign_candidates", "duplicates"):
+            assert skipped.diagnostics[key] == every.diagnostics[key]
         assert skipped.diagnostics["inconsistent_patterns"] == len(certified)
         assert every.diagnostics["inconsistent_patterns"] == 0
-        # solved anyway, no lane of a certified pattern converges inside the
-        # radius, beyond which the search accepts nothing
-        starts = _grid_starts(p.n, (-2.0, 2.0), cfg)
-        for outs in _newton_solve_patterns(p, certified, starts, cfg):
-            for out in outs:
-                assert out is None or np.abs(out[0]).max() > RADIUS
+        # solved anyway, every converged lane of a certified pattern is
+        # dropped as outside the box or infeasible
+        starts = _grid_starts(p.n, box, cfg)
+        X = [
+            out[0]
+            for outs in _newton_solve_patterns(p, certified, starts, cfg)
+            for out in outs if out is not None
+        ]
+        verdicts = stationarity._accept_verdicts(
+            p, np.array(X).reshape(-1, p.n), lo, hi, cfg
+        )
+        assert {v.kind for v in verdicts} <= {"box", "infeasible"}
 
     @pytest.mark.parametrize("text", [MID3, NARROW], ids=["mid3", "narrow"])
     @pytest.mark.parametrize(
@@ -1166,10 +1217,117 @@ class TestInconsistentPins:
     def test_certified_set_is_invariant(self, text, transform):
         base = _certified(parse_problem(text))
         assert 0 < len(base) < len(enumerate_branches(parse_problem(text)))
-        moved, radius, relabel = transform(text)
+        moved, (lo, hi), relabel = transform(text)
         assert moved != text
-        certified = _certified(parse_problem(moved), radius)
+        certified = _certified(parse_problem(moved), lo, hi)
         assert {relabel(q) for q in certified} == base
+
+    def test_corpus_searches_are_unchanged(self, monkeypatch):
+        # the 100 criterion-7 problems at their grid_points, with and without
+        # the certificate: about 4 s on 2 vCPUs
+        problems = [
+            (parse_problem(text), SolveConfig(grid_points=g))
+            for text, g in _corpus()
+        ]
+        skipped = [search_stationary_points(p, (-2.0, 2.0), cfg)
+                   for p, cfg in problems]
+        monkeypatch.setattr(stationarity, "_branch_empty", lambda *a: False)
+        every = [search_stationary_points(p, (-2.0, 2.0), cfg)
+                 for p, cfg in problems]
+        for a, b in zip(skipped, every):
+            assert repr(a.points) == repr(b.points)
+            assert repr(a.rejected_sign) == repr(b.rejected_sign)
+            for key in ("residual_rejected", "rejected_sign_candidates",
+                        "duplicates"):
+                assert a.diagnostics[key] == b.diagnostics[key]
+            _assert_outcomes_sum(a)
+            _assert_outcomes_sum(b)
+        total = sum(r.diagnostics["inconsistent_patterns"] for r in skipped)
+        assert total == 508
+
+
+# pins x1 = c and x2 = 0 (the pattern BOTH)
+def _pinned_at(c):
+    return parse_problem(
+        f"vars: x1 x2\nobjective: (x1-3)^2 + x2^2\nswitch: x1 - ({c!r}) | x2\n"
+    )
+
+
+class TestBranchEmpty:
+    """Unit cases of the certificate in the inflated box [-2.4, 2.4]^n."""
+
+    BOTH = BranchPattern(("BOTH",), ())
+
+    @pytest.mark.parametrize(
+        "c, empty",
+        [(RADIUS, False), (-RADIUS, False),
+         (RADIUS + 2e-10, True), (-RADIUS - 2e-10, True)],
+        ids=["upper-face", "lower-face", "above", "below"],
+    )
+    def test_pins_meeting_at_a_point_and_the_box(self, c, empty):
+        # the filter's box is closed, so a point on a face is kept; beyond
+        # tol_resid plus the rounding bound outside it, none is
+        assert (self.BOTH in _certified(_pinned_at(c))) is empty
+
+    @pytest.mark.parametrize("outside, empty", [(0, False), (1, True)])
+    @pytest.mark.parametrize("kind", ["pins", "inequality"])
+    def test_box_face_touching_a_row_is_exact(self, kind, outside, empty):
+        # x1 has no rounding, so pinning it leaves |x1| <= t = _up(tol_resid)
+        # and the unpinned x1 >= 0 leaves x1 >= -_up(tol_feas); the box's
+        # upper face x1 = hi touches that at hi = -t and misses it one float
+        # below
+        if kind == "pins":
+            text, q, tol = "switch: x1 | x2", self.BOTH, CFG.tol_resid
+        else:
+            text, q, tol = "ineq: x1", BranchPattern((), (False,)), CFG.tol_feas
+        p = parse_problem(f"vars: x1 x2\nobjective: x1^2 + x2^2\n{text}\n")
+        hi = -math.nextafter(tol, math.inf)
+        for _ in range(outside):
+            hi = math.nextafter(hi, -math.inf)
+        assert (q in _certified(p, (-1.0, -1.0), (hi, 1.0))) is empty
+
+    @pytest.mark.parametrize("miss, empty", [(0.9e-8, False), (1.1e-8, True)])
+    def test_unpinned_inequality_margin(self, miss, empty):
+        # x1 = 0 is pinned and x1 >= miss is not: the filter keeps values
+        # down to -tol_feas = -1e-8
+        p = parse_problem(
+            f"vars: x1 x2\nobjective: x1^2 + x2^2\neq: x1\nineq: x1 - {miss!r}\n"
+        )
+        inactive = BranchPattern((), (False,))
+        assert (inactive in _certified(p)) is empty
+        # pinning both x1 and x1 - miss misses by far more than tol_resid
+        assert BranchPattern((), (True,)) in _certified(p)
+
+    @pytest.mark.parametrize(
+        "ineq, certified", [("-x1^2 - 1", False), ("-x1 - 3", True)],
+        ids=["nonaffine", "affine"],
+    )
+    def test_nonaffine_inequality_takes_no_part(self, ineq, certified):
+        # both inequalities fail everywhere in the box, but only an affine
+        # one is a row of the certificate
+        p = parse_problem(
+            f"vars: x1 x2\nobjective: x1^2 + x2^2\nineq: {ineq}\nswitch: x1 | x2\n"
+        )
+        patterns = set(enumerate_branches(p))
+        assert _certified(p) == (patterns if certified else set())
+
+    def test_row_cap(self, monkeypatch):
+        # x1 + x2 + x3 >= 7.3 misses the box, whose corner gives 7.2; the
+        # elimination holds 3 rows after its first variable
+        p = parse_problem(
+            "vars: x1 x2 x3\nobjective: x1^2 + x2^2 + x3^2\n"
+            "ineq: x1 + x2 + x3 - 7.3\n"
+        )
+        inactive = BranchPattern((), (False,))
+        assert inactive in _certified(p)
+        res = search_stationary_points(p, (-2.0, 2.0))
+        monkeypatch.setattr(stationarity, "_ROW_CAP", 2)
+        assert inactive not in _certified(p)
+        capped = search_stationary_points(p, (-2.0, 2.0))
+        assert repr(capped.points) == repr(res.points)
+        assert repr(capped.rejected_sign) == repr(res.rejected_sign)
+        assert (capped.diagnostics["inconsistent_patterns"]
+                == res.diagnostics["inconsistent_patterns"] - 1)
 
 
 class TestSearchDiagnostics:
@@ -1196,12 +1354,12 @@ class TestSearchDiagnostics:
         res = search_stationary_points(p, (-2.0, 2.0), SolveConfig(grid_points=2))
         assert res.diagnostics == {
             "solves": 288,
-            "converged": 128,
+            "converged": 48,
             "singular_jacobian": 0,
-            "inconsistent_patterns": 20,
+            "inconsistent_patterns": 30,
             "residual_rejected": 0,
-            "dropped_box": 48,
-            "dropped_infeasible": 52,
+            "dropped_box": 12,
+            "dropped_infeasible": 8,
             "dropped_complementarity": 0,
             "rejected_sign_candidates": 8,
             "duplicates": 17,
@@ -1256,22 +1414,22 @@ def _reference_verdict(p, x, lo, hi, cfg):
     """The accept filter on one candidate by scalar tree walks at ``x`` alone,
     with feasibility and complementarity folded by Python's ``max``: the
     filter the batched :func:`stationarity._accept_verdicts` replaced, each
-    of its drops labelled by its reason."""
+    of its drops labelled by its reason.  A nan feasibility term is
+    infeasible, as an undefined constraint is."""
     if np.any(x < lo) or np.any(x > hi):
         return stationarity._Verdict("box")
     xl = [float(v) for v in x]
     infeasible = stationarity._Verdict("infeasible")
     try:
-        feas = 0.0
-        for h in p.equalities:
-            feas = max(feas, abs(h.val(xl)))
-        for g in p.inequalities:
-            feas = max(feas, max(0.0, -g.val(xl)))
-        for f1, f2 in p.switches:
-            feas = max(feas, abs(f1.val(xl) * f2.val(xl)))
+        terms = [abs(h.val(xl)) for h in p.equalities]
+        terms += [-g.val(xl) for g in p.inequalities]
+        terms += [abs(f1.val(xl) * f2.val(xl)) for f1, f2 in p.switches]
     except EvalDomainError:
         return infeasible
-    if feas > cfg.tol_feas:
+    feas = 0.0  # never falls, so -g stands for max(0, -g)
+    for t in terms:
+        feas = max(feas, t)
+    if any(math.isnan(t) for t in terms) or feas > cfg.tol_feas:
         return infeasible
     tol = cfg.tol_active
     j0 = tuple(j for j, g in enumerate(p.inequalities) if abs(g.val(xl)) <= tol)
@@ -1457,11 +1615,11 @@ class TestAcceptFilterOncePerX:
              [(1e-300, 0.0)], ["infeasible"]),
             ("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x2*x1^(-1) + 1\n",
              [(1e-300, 0.0)], ["accept"]),
-            # a nan constraint value passes feasibility as Python's max does
-            # and is inactive
+            # a nan constraint value (inf - inf) is infeasible, as an
+            # undefined one is
             ("vars: x1 x2\nobjective: x2^2\n"
              "ineq: (10^300*x1)*(10^300*x1) - (10^300*x1)*(10^300*x1)\n",
-             [(1.0, 0.0)], ["accept"]),
+             [(1.0, 0.0)], ["infeasible"]),
             # max(0.0, -0.0) is 0.0, so the residual is +0.0 at every sign
             (STABLE_WITHOUT_ND2, [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)],
              ["accept"] * 3),
