@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .classify import classify_point
-from .expr import ParseError, Problem, format_problem, parse_problem
+from .expr import Problem, format_problem, parse_problem
 from .linalg import SingularSystemError
 from .relaxation import PathLossError, continue_path, kkt_points_relaxed, relax
 from .stationarity import (
@@ -48,6 +48,15 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 EXIT_DIMENSION = 5
+
+# exit code per exception type, the first match winning: the ValueError
+# subclasses come before ValueError itself
+_EXIT_CODES = (
+    (CombinatorialCapError, EXIT_CAP),
+    (DimensionError, EXIT_DIMENSION),
+    ((SingularSystemError, NotStationaryError, DegenerateInputError), EXIT_NUMERICAL),
+    ((OSError, ValueError), EXIT_INPUT),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -584,24 +593,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CombinatorialCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (SingularSystemError, NotStationaryError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

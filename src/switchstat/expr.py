@@ -16,15 +16,17 @@ can be written through exp/log.
 
 Evaluation propagates (value, gradient, Hessian) triples through the tree,
 so all derivatives are exact up to floating rounding; no finite differences
-are involved.  Hessians are assembled so that transposed entries are the
-bitwise-identical floats.  ``eval_batch`` walks the tree once for a whole
-array of points and reproduces the scalar results bit for bit, lane by lane.
-``_StraightLine`` compiles the same derivatives of a tree's shape (its nodes
-without their constant values) into straight-line Python, again bit for bit,
-for callers that evaluate one point at a time many times.  ``_affine_form``
-reads an affine tree's exact coefficients and a bound on its float rounding.
-Expressions and problems are immutable after construction and all
-evaluation entry points are reentrant.
+are involved.  Each node states its derivative rules once, in one walk that
+computes the Hessian only when asked: ``val_grad`` and ``val_grad_hess`` are
+that walk without and with it.  Hessians are assembled so that transposed
+entries are the bitwise-identical floats.  ``eval_batch`` walks the tree once
+for a whole array of points and reproduces the scalar walk bit for bit, lane
+by lane.  ``_StraightLine`` compiles the same derivatives of a tree's shape
+(its nodes without their constant values) into straight-line Python, again
+bit for bit, for callers that evaluate one point at a time many times.
+``_affine_form`` reads an affine tree's exact coefficients and a bound on its
+float rounding.  Expressions and problems are immutable after construction
+and all evaluation entry points are reentrant.
 """
 
 from __future__ import annotations
@@ -92,19 +94,26 @@ def _zmat(n):
 
 
 class Expr:
-    """Base class for expression nodes.  Subclasses implement the plain-list
-    evaluation API ``val`` / ``val_grad`` / ``val_grad_hess``."""
+    """Base class for expression nodes.  Subclasses implement ``val``, the
+    value alone, and ``_derivatives(x, hess)``, one walk of the tree that
+    returns the value, the gradient and, when ``hess``, the Hessian as lists
+    (else None); whatever only the Hessian needs runs only then.
+    ``val_grad`` and ``val_grad_hess`` are that walk without and with it."""
 
     __slots__ = ()
 
     def val(self, x):
         raise NotImplementedError
 
-    def val_grad(self, x):
+    def _derivatives(self, x, hess):
         raise NotImplementedError
 
+    def val_grad(self, x):
+        v, g, _ = self._derivatives(x, False)
+        return v, g
+
     def val_grad_hess(self, x):
-        raise NotImplementedError
+        return self._derivatives(x, True)
 
     def max_var_index(self):
         """Largest 0-based variable index referenced, or -1 if none."""
@@ -118,12 +127,9 @@ class Const(Expr):
     def val(self, x):
         return self.value
 
-    def val_grad(self, x):
-        return self.value, _zeros(len(x))
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        return self.value, _zeros(n), _zmat(n)
+        return self.value, _zeros(n), _zmat(n) if hess else None
 
     def max_var_index(self):
         return -1
@@ -136,16 +142,11 @@ class Var(Expr):
     def val(self, x):
         return x[self.index]
 
-    def val_grad(self, x):
-        g = _zeros(len(x))
-        g[self.index] = 1.0
-        return x[self.index], g
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
         g = _zeros(n)
         g[self.index] = 1.0
-        return x[self.index], g, _zmat(n)
+        return x[self.index], g, _zmat(n) if hess else None
 
     def max_var_index(self):
         return self.index
@@ -159,18 +160,12 @@ class Add(Expr):
     def val(self, x):
         return self.a.val(x) + self.b.val(x)
 
-    def val_grad(self, x):
-        va, ga = self.a.val_grad(x)
-        vb, gb = self.b.val_grad(x)
-        return va + vb, [ga[i] + gb[i] for i in range(len(x))]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        va, ga, Ha = self.a.val_grad_hess(x)
-        vb, gb, Hb = self.b.val_grad_hess(x)
-        g = [ga[i] + gb[i] for i in range(n)]
-        H = [[Ha[i][j] + Hb[i][j] for j in range(n)] for i in range(n)]
-        return va + vb, g, H
+        va, ga, Ha = self.a._derivatives(x, hess)
+        vb, gb, Hb = self.b._derivatives(x, hess)
+        H = [[Ha[i][j] + Hb[i][j] for j in range(n)] for i in range(n)] if hess else None
+        return va + vb, [ga[i] + gb[i] for i in range(n)], H
 
     def max_var_index(self):
         return max(self.a.max_var_index(), self.b.max_var_index())
@@ -184,18 +179,12 @@ class Sub(Expr):
     def val(self, x):
         return self.a.val(x) - self.b.val(x)
 
-    def val_grad(self, x):
-        va, ga = self.a.val_grad(x)
-        vb, gb = self.b.val_grad(x)
-        return va - vb, [ga[i] - gb[i] for i in range(len(x))]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        va, ga, Ha = self.a.val_grad_hess(x)
-        vb, gb, Hb = self.b.val_grad_hess(x)
-        g = [ga[i] - gb[i] for i in range(n)]
-        H = [[Ha[i][j] - Hb[i][j] for j in range(n)] for i in range(n)]
-        return va - vb, g, H
+        va, ga, Ha = self.a._derivatives(x, hess)
+        vb, gb, Hb = self.b._derivatives(x, hess)
+        H = [[Ha[i][j] - Hb[i][j] for j in range(n)] for i in range(n)] if hess else None
+        return va - vb, [ga[i] - gb[i] for i in range(n)], H
 
     def max_var_index(self):
         return max(self.a.max_var_index(), self.b.max_var_index())
@@ -209,26 +198,22 @@ class Mul(Expr):
     def val(self, x):
         return self.a.val(x) * self.b.val(x)
 
-    def val_grad(self, x):
-        va, ga = self.a.val_grad(x)
-        vb, gb = self.b.val_grad(x)
-        return va * vb, [va * gb[i] + vb * ga[i] for i in range(len(x))]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        va, ga, Ha = self.a.val_grad_hess(x)
-        vb, gb, Hb = self.b.val_grad_hess(x)
-        g = [va * gb[i] + vb * ga[i] for i in range(n)]
-        # the rank-one cross term is parenthesised so that (i,j) and (j,i)
-        # run through bitwise-identical operations
-        H = [
-            [
-                (va * Hb[i][j] + vb * Ha[i][j]) + (ga[i] * gb[j] + gb[i] * ga[j])
-                for j in range(n)
+        va, ga, Ha = self.a._derivatives(x, hess)
+        vb, gb, Hb = self.b._derivatives(x, hess)
+        H = None
+        if hess:
+            # the rank-one cross term is parenthesised so that (i,j) and (j,i)
+            # run through bitwise-identical operations
+            H = [
+                [
+                    (va * Hb[i][j] + vb * Ha[i][j]) + (ga[i] * gb[j] + gb[i] * ga[j])
+                    for j in range(n)
+                ]
+                for i in range(n)
             ]
-            for i in range(n)
-        ]
-        return va * vb, g, H
+        return va * vb, [va * gb[i] + vb * ga[i] for i in range(n)], H
 
     def max_var_index(self):
         return max(self.a.max_var_index(), self.b.max_var_index())
@@ -245,29 +230,23 @@ class Div(Expr):
             raise EvalDomainError("division by zero")
         return self.a.val(x) / vb
 
-    def val_grad(self, x):
-        va, ga = self.a.val_grad(x)
-        vb, gb = self.b.val_grad(x)
-        if vb == 0.0:
-            raise EvalDomainError("division by zero")
-        w = va / vb
-        return w, [(ga[i] - w * gb[i]) / vb for i in range(len(x))]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        va, ga, Ha = self.a.val_grad_hess(x)
-        vb, gb, Hb = self.b.val_grad_hess(x)
+        va, ga, Ha = self.a._derivatives(x, hess)
+        vb, gb, Hb = self.b._derivatives(x, hess)
         if vb == 0.0:
             raise EvalDomainError("division by zero")
         w = va / vb
         g = [(ga[i] - w * gb[i]) / vb for i in range(n)]
-        H = [
-            [
-                ((Ha[i][j] - w * Hb[i][j]) - (g[i] * gb[j] + gb[i] * g[j])) / vb
-                for j in range(n)
+        H = None
+        if hess:
+            H = [
+                [
+                    ((Ha[i][j] - w * Hb[i][j]) - (g[i] * gb[j] + gb[i] * g[j])) / vb
+                    for j in range(n)
+                ]
+                for i in range(n)
             ]
-            for i in range(n)
-        ]
         return w, g, H
 
     def max_var_index(self):
@@ -293,28 +272,22 @@ class Pow(Expr):
     def val(self, x):
         return _pow(self.base.val(x), self.exponent)
 
-    def val_grad(self, x):
-        m = self.exponent
-        u, gu = self.base.val_grad(x)
-        if m == 0:
-            return 1.0, _zeros(len(x))
-        a = m * _pow(u, m - 1)
-        return _pow(u, m), [a * gu[i] for i in range(len(x))]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
         m = self.exponent
-        u, gu, Hu = self.base.val_grad_hess(x)
+        u, gu, Hu = self.base._derivatives(x, hess)
         if m == 0:
-            return 1.0, _zeros(n), _zmat(n)
+            return 1.0, _zeros(n), _zmat(n) if hess else None
         a = m * _pow(u, m - 1)
-        b = 0.0 if m * (m - 1) == 0 else m * (m - 1) * _pow(u, m - 2)
-        g = [a * gu[i] for i in range(n)]
-        H = [
-            [a * Hu[i][j] + b * (gu[i] * gu[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return _pow(u, m), g, H
+        H = None
+        if hess:
+            # u^(m-2) may overflow where u^(m-1) does not
+            b = 0.0 if m * (m - 1) == 0 else m * (m - 1) * _pow(u, m - 2)
+            H = [
+                [a * Hu[i][j] + b * (gu[i] * gu[j]) for j in range(n)]
+                for i in range(n)
+            ]
+        return _pow(u, m), [a * gu[i] for i in range(n)], H
 
     def max_var_index(self):
         return self.base.max_var_index()
@@ -327,14 +300,9 @@ class Neg(Expr):
     def val(self, x):
         return -self.a.val(x)
 
-    def val_grad(self, x):
-        v, g = self.a.val_grad(x)
-        return -v, [-gi for gi in g]
-
-    def val_grad_hess(self, x):
-        n = len(x)
-        v, g, H = self.a.val_grad_hess(x)
-        return -v, [-gi for gi in g], [[-H[i][j] for j in range(n)] for i in range(n)]
+    def _derivatives(self, x, hess):
+        v, g, H = self.a._derivatives(x, hess)
+        return -v, [-gi for gi in g], [[-h for h in row] for row in H] if hess else None
 
     def max_var_index(self):
         return self.a.max_var_index()
@@ -383,21 +351,17 @@ class Func(Expr):
     def val(self, x):
         return FUNCTIONS[self.name](self.arg.val(x))[0]
 
-    def val_grad(self, x):
-        u, gu = self.arg.val_grad(x)
-        w, d1, _ = FUNCTIONS[self.name](u)
-        return w, [d1 * gi for gi in gu]
-
-    def val_grad_hess(self, x):
+    def _derivatives(self, x, hess):
         n = len(x)
-        u, gu, Hu = self.arg.val_grad_hess(x)
+        u, gu, Hu = self.arg._derivatives(x, hess)
         w, d1, d2 = FUNCTIONS[self.name](u)
-        g = [d1 * gi for gi in gu]
-        H = [
-            [d1 * Hu[i][j] + d2 * (gu[i] * gu[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return w, g, H
+        H = None
+        if hess:
+            H = [
+                [d1 * Hu[i][j] + d2 * (gu[i] * gu[j]) for j in range(n)]
+                for i in range(n)
+            ]
+        return w, [d1 * gi for gi in gu], H
 
     def max_var_index(self):
         return self.arg.max_var_index()
@@ -448,13 +412,13 @@ def eval_value(e: Expr, x: Sequence[float]) -> float:
 
 def eval_gradient(e: Expr, x: Sequence[float]) -> np.ndarray:
     """Exact gradient of ``e`` at ``x`` (forward-propagated, length n)."""
-    _, g = e.val_grad([float(v) for v in x])
+    _, g, _ = e._derivatives([float(v) for v in x], False)
     return np.array(g, dtype=float)
 
 
 def eval_hessian(e: Expr, x: Sequence[float]) -> np.ndarray:
     """Exact Hessian of ``e`` at ``x``; transposed entries are bitwise equal."""
-    _, _, H = e.val_grad_hess([float(v) for v in x])
+    _, _, H = e._derivatives([float(v) for v in x], True)
     return np.array(H, dtype=float)
 
 
@@ -467,9 +431,9 @@ def eval_batch(e: Expr, X, hessian: bool = False):
     """Value, gradient and (when ``hessian``) Hessian of ``e`` at every row of
     ``X[B, n]``; returns ``(v[B], g[B, n], H[B, n, n] or None, bad[B])``.
 
-    Every lane runs the floating-point operations of ``val_grad`` (or
-    ``val_grad_hess``) in the same order, so the lanes not marked in ``bad``
-    are bitwise equal to the scalar results.  ``bad`` marks exactly the lanes
+    Every lane runs the floating-point operations of the scalar walk
+    (``val_grad``, or ``val_grad_hess`` when ``hessian``) in the same order,
+    so the lanes not marked in ``bad`` are bitwise equal to its results.  ``bad`` marks exactly the lanes
     where the scalar walk raises :class:`EvalDomainError`; their entries are
     meaningless.  Transcendental functions run lane by lane through the
     scalar :mod:`math`-based table and powers through ``np.float_power``
@@ -716,8 +680,8 @@ class _StraightLine:
     ``Z`` holds the point ``x0 .. x{n-1}`` followed by ``extra`` further
     floats ``y0 ..``; ``C`` holds the shapes' constants in the order of
     :func:`_expr_shape`.  Every node runs the floating-point operations of
-    ``val_grad`` (or ``val_grad_hess``) and raises :class:`EvalDomainError`
-    where they raise: powers go through the same checked power, functions
+    the tree's scalar walk with or without its Hessian (``val_grad_hess`` or
+    ``val_grad``) and raises :class:`EvalDomainError` where it raises: powers go through the same checked power, functions
     through the same :data:`FUNCTIONS` entries, and a division checks its
     divisor first.  An operation whose operands are all derivative constants
     of the node types (the 0.0 and 1.0 of leaves) is done while writing, and
@@ -858,7 +822,7 @@ class _StraightLine:
             self._consts += 1
             return f"c{self._consts - 1}", [0.0] * n, zeros
         if tag is Var:
-            # the list indexing of Var.val_grad, negative indices included
+            # the list indexing of the scalar walk, negative indices included
             i = shape[1]
             if not -n <= i < n:
                 raise IndexError(f"variable index {i} out of range for n={n}")
@@ -913,7 +877,7 @@ class _StraightLine:
         if tag is Mul:
             g = [self.add(self.mul(va, gb[i]), self.mul(vb, ga[i])) for i in range(n)]
             if hess:
-                # the parenthesisation of Mul.val_grad_hess
+                # the parenthesisation of the scalar walk's Mul
                 H = self._sym(lambda i, j: self.add(
                     self.add(self.mul(va, Hb[i][j]), self.mul(vb, Ha[i][j])),
                     self.add(self.mul(ga[i], gb[j]), self.mul(gb[i], ga[j])),

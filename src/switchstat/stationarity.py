@@ -33,8 +33,9 @@ the box or infeasible.  Continuation, which solves from one start at a
 time, calls :func:`newton_solve_branch` directly.  Its residual and Jacobian
 run as straight-line code compiled once per shape of the branch system (the
 objective and the pinned constraints without their constant values),
-bitwise equal to the tree methods' ``val_grad`` and ``val_grad_hess``; the
-relaxed problems along a continuation path differ only in constants and
+bitwise equal to the trees' scalar derivative walk, without the Hessian for
+the residual (``val_grad``) and with it for the Jacobian (``val_grad_hess``);
+the relaxed problems along a continuation path differ only in constants and
 share it.
 
 The accept filter (:func:`_accept_verdicts`) runs once per search, on the
@@ -644,9 +645,11 @@ def _branch_program(shape):
     ``C`` the constants from :func:`_branch_shape`.  They return lists
     bitwise equal to :func:`_branch_residual` and :func:`_branch_jacobian`
     (a nested list for the Jacobian) and raise where those raise: each tree
-    is :class:`expr._StraightLine` code, the updates by multiplier ``y_i``
-    are skipped when ``y_i`` is zero, and they subtract ``y_i * gradient``
-    and ``y_i * Hessian`` entry by entry as the reference's arrays do."""
+    is :class:`expr._StraightLine` code of its one scalar walk, without the
+    Hessian in ``residual`` and with it in ``jacobian``, the updates by
+    multiplier ``y_i`` are skipped when ``y_i`` is zero, and they subtract
+    ``y_i * gradient`` and ``y_i * Hessian`` entry by entry as the
+    reference's arrays do."""
     n, objective, cons = shape
     m = len(cons)
     code = _StraightLine(n)
@@ -1410,10 +1413,15 @@ def search_stationary_points(
     lo, hi = float(box[0]), float(box[1])
     if not hi > lo:
         raise ValueError(f"empty box [{lo}, {hi}]")
-    patterns = enumerate_branches(p, cfg)
-    starts = _grid_starts(p.n, box, cfg)
     pad = cfg.box_inflation * (hi - lo)
     box_lo, box_hi = lo - pad, hi + pad
+    if not (math.isfinite(box_lo) and math.isfinite(box_hi)):
+        raise ValueError(
+            f"box [{lo}, {hi}] inflated by box_inflation={cfg.box_inflation}"
+            " is not finite"
+        )
+    patterns = enumerate_branches(p, cfg)
+    starts = _grid_starts(p.n, box, cfg)
     # the filter drops every x outside the inflated box, which lies within
     # this radius: a lane cannot give an accepted point beyond it
     radius = max(abs(box_lo), abs(box_hi))

@@ -79,6 +79,8 @@ class GridSpec:
         for lo, hi in self.box:
             if not hi > lo:
                 raise ValueError(f"empty axis range [{lo}, {hi}]")
+            if not hi - lo < np.inf:
+                raise ValueError(f"box axis [{lo}, {hi}] has no finite width")
         if not 0.0 <= self.feas_scale < np.inf:
             raise ValueError(
                 f"feas_scale must be finite and >= 0, got {self.feas_scale}"

@@ -506,6 +506,26 @@ class TestRangeErrors:
         assert report["points"] == []
         assert report["summary"]["num_points"] == 0
 
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["relax"], ["levelsets", "--auto", "3"]], ids=" ".join
+    )
+    @pytest.mark.parametrize(
+        "options",
+        [["--box", "0", "inf"], ["--box", "0", "1.7e308"],
+         ["--tol", "box_inflation=1e308"]],
+        ids=" ".join,
+    )
+    def test_box_not_finite_after_inflation_exit_2(
+        self, tmp_path, capsys, command, options
+    ):
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        out = tmp_path / "report.json"
+        argv = [command[0], src, *command[1:], *options, "--json", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: box [^\n]*\n", err), err
+        assert not out.exists()
+
     def test_log_of_an_underflowing_square(self, tmp_path):
         # the grid start at x1 = 0 evaluates log at 1e-310, whose square
         # underflows to 0.0 in the second derivative

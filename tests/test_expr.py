@@ -166,6 +166,11 @@ class TestEvalValue:
         assert eval_value(e, (1e-78,)) == 1e-78 ** -3
         with pytest.raises(EvalDomainError):
             eval_gradient(e, (1e-78,))
+        # only the Hessian's power u^-3 overflows
+        e = Pow(Var(0), -1)
+        assert e.val_grad([1e-103]) == (1e103, [-1e206])
+        with pytest.raises(EvalDomainError, match="power overflows"):
+            e.val_grad_hess([1e-103])
 
 
 class TestGradientsAndHessians:
@@ -215,6 +220,11 @@ class TestGradientsAndHessians:
         g = eval_gradient(e, x)
         assert g[0] == pytest.approx(w * math.cos(0.7), rel=1e-14)
         assert g[1] == pytest.approx(w / 1.3, rel=1e-14)
+
+    def test_each_node_states_its_derivatives_once(self):
+        for node in (Const, Var, Add, Sub, Mul, Div, Pow, Neg, Func):
+            assert "_derivatives" in vars(node), node
+            assert not {"val_grad", "val_grad_hess"} & set(vars(node)), node
 
 
 def _random_polynomial(rng, n, max_terms=6, max_degree=3):

@@ -473,6 +473,17 @@ class TestFindStationaryPoints:
         with pytest.raises(ValueError):
             find_stationary_points(cross_linear, (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "box, inflation",
+        [((0.0, math.inf), 0.1), ((-math.inf, 0.0), 0.0), ((0.0, 1.7e308), 0.1),
+         ((-2.0, 2.0), 1e308)],
+        ids=["inf", "minus-inf", "overflowing-bound", "overflowing-inflation"],
+    )
+    def test_box_not_finite_after_inflation_rejected(self, cross_linear, box, inflation):
+        cfg = with_overrides(CFG, box_inflation=inflation)
+        with pytest.raises(ValueError, match="box .* is not finite"):
+            search_stationary_points(cross_linear, box, cfg)
+
 
 class TestResidualIndependence:
     def test_residual_reevaluation(self, cross_quadratic):

@@ -75,6 +75,9 @@ class TestGridSpec:
             GridSpec(((1.0, 1.0),), 32)
         with pytest.raises(DimensionError):
             GridSpec(((0.0, 1.0),) * 4, 32)
+        for axis in (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (-1e308, 1e308):
+            with pytest.raises(ValueError, match="finite width"):
+                GridSpec((axis,), 21)
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0])
     def test_feas_scale_must_be_finite_and_non_negative(self, scale):
