@@ -541,8 +541,32 @@ def _add_common(sp):
     )
 
 
+class _NumberTokens:
+    """Stands in for argparse's negative-number pattern, which knows only
+    ``-N`` and ``-N.N``: every token that ``float`` reads, such as ``-1e1``
+    or ``-inf``, is a value, never an option."""
+
+    @staticmethod
+    def match(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and the class of its subparsers, that takes
+    every float token as a value, so ``--box -1e1 1`` parses like
+    ``--box -10 1``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NumberTokens
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchstat",
         description=(
             "Find, classify and stability-check W-stationary points of"

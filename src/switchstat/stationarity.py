@@ -15,8 +15,11 @@ multiplier signs and an independently re-evaluated stationarity residual.
 The search solves every pattern from every start in one batched damped
 Newton run (:func:`_newton_solve_patterns`).  A lane is one (pattern, start)
 pair; each expression is walked once per residual or Jacobian for all lanes
-that need it, each pattern's linear systems are solved in one stacked solve,
-and damping is decided lane by lane.  All lanes share
+that need it, and each pattern's linear systems are solved in one stacked
+solve.  A damping round's residual walks cover several damping factors of
+every lane still searching, the first walk as many per lane as fit in a
+fixed number of rows and each later one twice as many, and each lane takes
+the first factor that strictly lowers its residual.  All lanes share
 one multiplier layout, a column per slot of the problem, and the columns a
 lane's pattern does not pin stay exactly 0.0.  A batch holds at most
 ``_LANE_BUDGET`` lanes, so wide searches run as a few batches of whole
@@ -918,6 +921,13 @@ def _max_norms(A):
 # each, run as 2 batches (8 + 1 patterns, 1000 + 125 lanes), and the 100
 # searches of the criterion-7 corpus run 88 batches of at most 80 lanes, 12
 # of them solving no pattern.
+#
+# The budget also sizes a damping round's first residual walk to about
+# _LANE_BUDGET // 4 rows: each of the L lanes still searching tries its first
+# max(1, _LANE_BUDGET // 4 // L) damping factors in it.  A walk over a few
+# rows costs about what one over a few hundred does, so in narrow batches one
+# walk settles most halvings, while a batch of more lanes than that still
+# tries one factor first, which keeps a wide batch's walks and memory small.
 _LANE_BUDGET = 1024
 
 
@@ -1164,10 +1174,11 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
         failed[live[blown]] = True
         live, step = live[~blown], step[~blown]
         # a lane takes the first damping factor that strictly lowers its
-        # residual.  Factors are tried in chunks of doubling size, each
-        # chunk for every lane still searching in one walk, so a lane that
+        # residual.  Factors are tried in chunks, each chunk for every lane
+        # still searching in one walk: the first sized by rows (see
+        # _LANE_BUDGET), each later one twice the one before, so a lane that
         # needs many halvings costs few walks
-        done, size = 0, 1
+        done, size = 0, max(1, _LANE_BUDGET // 4 // max(1, live.size))
         while live.size and done < len(factors):
             ts = factors[done:done + size]
             k, L = len(ts), live.size

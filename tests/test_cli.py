@@ -537,6 +537,60 @@ class TestRangeErrors:
         assert main(["analyze", src, "--json", str(tmp_path / "r.json")]) == 0
 
 
+class TestNegativeNumbers:
+    """Every token ``float`` reads is an option's value, also one that starts
+    with a minus sign and that argparse alone would take for an option."""
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["relax"], ["levelsets", "--auto", "3"]], ids=" ".join
+    )
+    def test_negative_float_tokens_are_values(self, tmp_path, command):
+        # argparse alone reads only -N and -N.N as numbers, and took -1e1 for
+        # an option
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        reports = []
+        for lo in ("-10", "-1e1", "-1E1", "-1.0e+1"):
+            out = tmp_path / f"{lo}.json"
+            argv = [command[0], src, *command[1:], "--box", lo, "1", "--json", str(out)]
+            assert main(argv) == 0, lo
+            reports.append(out.read_bytes())
+        assert reports[1:] == reports[:1] * 3
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["relax"], ["levelsets", "--auto", "3"]], ids=" ".join
+    )
+    def test_negative_infinite_box_exit_2(self, tmp_path, capsys, command):
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        out = tmp_path / "report.json"
+        argv = [command[0], src, *command[1:], "--box", "-inf", "0", "--json", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: box [^\n]*\n", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--t0", "-1e-1", "--t0 must be positive, got -0.1"),
+         ("--tmin", "-1e-3", "--tmin must lie in (0, t0], got -0.001"),
+         ("--rho", "-5E-1", "--rho must lie in (0, 1), got -0.5")],
+        ids=["t0", "tmin", "rho"],
+    )
+    def test_relax_reads_negative_float_tokens(self, tmp_path, capsys, option,
+                                               value, message):
+        # the value reaches relax's own range check, not argparse's usage error
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        assert main(["relax", src, option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), err
+
+    def test_negative_levels_still_need_the_equals_form(self, tmp_path, capsys):
+        # "-1,1" is no float, so it stays an option string, as README says
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        assert main(["levelsets", src, "--levels", "-1,1"]) == 2
+        assert "--levels: expected one argument" in capsys.readouterr().err
+        assert main(["levelsets", src, "--levels=-1,1"]) == 0
+
+
 class TestSeedJitter:
     def test_seeded_runs_are_reproducible(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)

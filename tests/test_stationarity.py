@@ -934,6 +934,71 @@ class TestMultiPatternNewton:
             assert [[_outcome_bits(o) for o in row] for row in outs] == ref
             assert diag == scalar_diag
 
+    # the lane budget also sizes a damping round's first walk: at 1 it tries
+    # one factor per lane, at the default two per lane of these 100-lane
+    # batches, at 10**6 every factor at once
+    @pytest.mark.parametrize(
+        "budget", [1, stationarity._LANE_BUDGET, 10**6],
+        ids=["budget1", "default", "budget1e6"],
+    )
+    @pytest.mark.parametrize("box", [(-1.0, 2.0), (-2.0, 2.0)],
+                             ids=["box-1,2", "box-2,2"])
+    @pytest.mark.parametrize("text", [INSTABILITY_ONE, INSTABILITY_BOTH],
+                             ids=["instability_one", "instability_both"])
+    def test_relaxed_lanes_match_single_start_solver(
+        self, monkeypatch, text, box, budget
+    ):
+        # the relaxed problems at t = 0.1, as relax's first search solves
+        # them: their lanes need deep halvings, some find no improving
+        # damping, and on (-2, 2) a round of instability_both loses every
+        # lane to the step blow-up test before damping
+        q = relax(parse_problem(text), 0.1).problem
+        patterns = enumerate_branches(q, CFG)
+        starts = _grid_starts(q.n, box, CFG)
+        scalar_diag = {}
+        ref = [
+            [
+                _outcome_bits(
+                    newton_solve_branch(q, pattern, s, CFG, diagnostics=scalar_diag)
+                )
+                for s in starts
+            ]
+            for pattern in patterns
+        ]
+        monkeypatch.setattr(stationarity, "_LANE_BUDGET", budget)
+        diag = {}
+        outs = _newton_solve_patterns(q, patterns, starts, CFG, diag)
+        assert [[_outcome_bits(o) for o in row] for row in outs] == ref
+        assert diag == scalar_diag
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        walks = {False: 0, True: 0}
+        eval_batch = stationarity.eval_batch
+
+        def spy(e, X, hessian=False):
+            walks[hessian] += 1
+            return eval_batch(e, X, hessian)
+
+        monkeypatch.setattr(stationarity, "eval_batch", spy)
+        return walks
+
+    def test_narrow_batch_damping_takes_few_walks(self, monkeypatch):
+        # one batch of 100 lanes; doubling from one factor per lane took 738
+        # gradient walks
+        walks = self._count_walks(monkeypatch)
+        q = relax(parse_problem(INSTABILITY_ONE), 0.1).problem
+        search_stationary_points(q, (-1.0, 2.0))
+        assert walks[False] <= 250
+        assert walks[True] == 156
+
+    def test_wide_batches_keep_their_walks(self, monkeypatch):
+        # mid3's first batch holds 1000 lanes, more than a first damping walk
+        # holds rows, so it still tries one factor first
+        walks = self._count_walks(monkeypatch)
+        search_stationary_points(parse_problem(MID3), (-2.0, 2.0))
+        assert walks == {False: 105, True: 81}
+
 
 # a switching pair whose members differ by 3e-11: pinning both leaves the
 # residual 1.5e-11 at best, within the default tol_resid
