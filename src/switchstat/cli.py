@@ -301,6 +301,8 @@ def cmd_relax(args) -> int:
     box = (args.box[0], args.box[1])
     if args.t0 <= 0:
         raise ValueError(f"--t0 must be positive, got {args.t0}")
+    if not math.isfinite(args.t0):
+        raise ValueError(f"--t0 must be finite, got {args.t0}")
     if not 0.0 < args.rho < 1.0:
         raise ValueError(f"--rho must lie in (0, 1), got {args.rho}")
     if not 0.0 < args.tmin <= args.t0:

@@ -14,6 +14,7 @@ treated as failure, while the iterates stay accurate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,10 +87,13 @@ def relax(p: Problem, t: float) -> RelaxedProblem:
     """Relax every switching product into a band of width ``2 t``.
 
     A problem without switching pairs is returned unchanged.  Raises
-    ``ValueError`` for ``t <= 0``.
+    ``ValueError`` for ``t <= 0`` and a non-finite ``t``: continuation from
+    ``t = inf`` would never get below it.
     """
-    if not t > 0:
-        raise ValueError(f"relaxation parameter must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(
+            f"relaxation parameter must be positive and finite, got {t}"
+        )
     if p.k == 0:
         return RelaxedProblem(base=p, t=float(t), problem=p)
     extra = []

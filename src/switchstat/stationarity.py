@@ -14,14 +14,20 @@ multiplier signs and an independently re-evaluated stationarity residual.
 
 The search solves every pattern from every start in one batched damped
 Newton run (:func:`_newton_solve_patterns`).  A lane is one (pattern, start)
-pair; each expression is walked once per residual or Jacobian for all lanes
-that need it, and each pattern's linear systems are solved in one stacked
-solve.  A damping round's residual walks cover several damping factors of
-every lane still searching, the first walk as many per lane as fit in a
-fixed number of rows and each later one twice as many, and each lane takes
-the first factor that strictly lowers its residual.  All lanes share
-one multiplier layout, a column per slot of the problem, and the columns a
-lane's pattern does not pin stay exactly 0.0.  A batch holds at most
+pair.  Each solver states its Newton round once: the Jacobian, the Newton
+step, the step blow-up test and the damping walk.  Every iteration is such a
+round, and so is every polish step after convergence, with the one damping
+factor 1.0, no blow-up test and no ``singular_jacobian`` count; a failed
+polish round ends the polish and keeps the converged iterate.  A batched
+round walks each expression once over the lanes that need it for their
+Jacobians and once per damping walk for their residuals, only the former
+with the Hessian (:func:`_batch_branch`), and solves each pattern's linear
+systems in one stacked solve.  A round's damping walks cover several damping
+factors of every lane still searching, the first walk as many per lane as
+fit in a fixed number of rows and each later one twice as many, and each
+lane takes the first factor that strictly lowers its residual.  All lanes
+share one multiplier layout, a column per slot of the problem, and the
+columns a lane's pattern does not pin stay exactly 0.0.  A batch holds at most
 ``_LANE_BUDGET`` lanes, so wide searches run as a few batches of whole
 patterns.  Every lane runs the floating-point operations of the single-start
 solver :func:`newton_solve_branch` in the same order, so each outcome, and
@@ -36,9 +42,9 @@ the box or infeasible.  Continuation, which solves from one start at a
 time, calls :func:`newton_solve_branch` directly.  Its residual and Jacobian
 run as straight-line code compiled once per shape of the branch system (the
 objective and the pinned constraints without their constant values),
-bitwise equal to the trees' scalar derivative walk, without the Hessian for
-the residual (``val_grad``) and with it for the Jacobian (``val_grad_hess``);
-the relaxed problems along a continuation path differ only in constants and
+bitwise equal to the trees' scalar derivative walk (:func:`_branch_system`),
+without the Hessian for the residual and with it for the Jacobian; the
+relaxed problems along a continuation path differ only in constants and
 share it.
 
 The accept filter (:func:`_accept_verdicts`) runs once per search, on the
@@ -154,7 +160,8 @@ class SolveConfig:
         # a negative budget, cap or seed has no meaning: the batched solver,
         # which always tries the full step, would not match the single-start
         # one, every point would exceed the cap, and numpy rejects the seed
-        for name in ("max_iter", "max_halvings", "polish_steps", "subset_cap", "seed"):
+        for name in ("max_iter", "max_halvings", "polish_steps", "pattern_cap",
+                     "subset_cap", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.grid_points < 1:
@@ -581,40 +588,35 @@ def _pattern_slots(p: Problem, pattern: BranchPattern):
     return [s for s in _problem_slots(p) if _pins(pattern, s)]
 
 
-def _branch_residual(objective, cons, z, n):
-    """Residual of the square branch system at z = (x, multipliers)."""
+def _branch_system(objective, cons, z, n, hess):
+    """Residual of the square branch system at z = (x, multipliers) and,
+    when ``hess``, its Jacobian (else None), from one scalar derivative walk
+    per tree, with the Hessian only when ``hess``."""
     xl = z[:n].tolist()
     y = z[n:]
-    _, df = objective.val_grad(xl)
+    m = len(cons)
+    _, df, Hf = objective._derivatives(xl, hess)
     top = list(df)
-    resid = np.empty(n + len(cons))
+    resid = np.empty(n + m)
+    J = np.zeros((n + m, n + m)) if hess else None
+    H = np.array(Hf) if hess else None
     for i, c in enumerate(cons):
-        cv, cg = c.val_grad(xl)
+        cv, cg, cH = c._derivatives(xl, hess)
         yi = y[i]
         if yi != 0.0:
             for t in range(n):
                 top[t] -= yi * cg[t]
+            if hess:
+                H -= yi * np.array(cH)
         resid[n + i] = cv
+        if hess:
+            row = np.array(cg)
+            J[n + i, :n] = row
+            J[:n, n + i] = -row
     resid[:n] = top
-    return resid
-
-
-def _branch_jacobian(objective, cons, z, n):
-    xl = z[:n].tolist()
-    y = z[n:]
-    m = len(cons)
-    J = np.zeros((n + m, n + m))
-    _, _, Hf = objective.val_grad_hess(xl)
-    H = np.array(Hf)
-    for i, c in enumerate(cons):
-        _, cg, cH = c.val_grad_hess(xl)
-        if y[i] != 0.0:
-            H -= y[i] * np.array(cH)
-        row = np.array(cg)
-        J[n + i, :n] = row
-        J[:n, n + i] = -row
-    J[:n, :n] = H
-    return J
+    if hess:
+        J[:n, :n] = H
+    return resid, J
 
 
 # Most branch-system shapes whose compiled code is kept: continuation on the
@@ -646,12 +648,12 @@ def _branch_program(shape):
     """Straight-line ``residual(Z, C)`` and ``jacobian(Z, C)`` of the branch
     systems of one shape, with ``Z`` the list of z = (x, multipliers) and
     ``C`` the constants from :func:`_branch_shape`.  They return lists
-    bitwise equal to :func:`_branch_residual` and :func:`_branch_jacobian`
-    (a nested list for the Jacobian) and raise where those raise: each tree
-    is :class:`expr._StraightLine` code of its one scalar walk, without the
-    Hessian in ``residual`` and with it in ``jacobian``, the updates by
-    multiplier ``y_i`` are skipped when ``y_i`` is zero, and they subtract
-    ``y_i * gradient`` and ``y_i * Hessian`` entry by entry as the
+    bitwise equal to the residual of :func:`_branch_system` without
+    ``hess`` and its Jacobian with it (a nested list for the Jacobian), and
+    raise where those raise: each tree is :class:`expr._StraightLine` code
+    of its one scalar walk, with the Hessian only in ``jacobian``, the
+    updates by multiplier ``y_i`` are skipped when ``y_i`` is zero, and they
+    subtract ``y_i * gradient`` and ``y_i * Hessian`` entry by entry as the
     reference's arrays do."""
     n, objective, cons = shape
     m = len(cons)
@@ -736,6 +738,15 @@ def _newton_step(J, r, diagnostics):
         return np.linalg.lstsq(J, b, rcond=None)[0]
 
 
+def _damping_factors(cfg: SolveConfig):
+    """The damping factors 1, 1/2, 1/4, ... of a Newton round: 1.0 and
+    ``max_halvings`` halvings of it."""
+    factors = [1.0]
+    for _ in range(cfg.max_halvings):
+        factors.append(factors[-1] * 0.5)
+    return factors
+
+
 def newton_solve_branch(
     p: Problem,
     pattern: BranchPattern,
@@ -747,19 +758,22 @@ def newton_solve_branch(
     """Damped Newton on one branch system from ``start``.
 
     Multipliers start at zero, or at the pinned slots' entries of the
-    :class:`Multipliers` ``mult_start`` (a warm start).  Steps are halved
-    until the residual max-norm strictly decreases; a step with no improving
-    damping, a singular Jacobian or an exhausted iteration budget all yield
-    ``None``.  After reaching
-    ``tol_resid`` a few extra full steps polish the root while they keep
-    improving, so converged points are accurate well beyond the acceptance
-    threshold.
+    :class:`Multipliers` ``mult_start`` (a warm start).  Every iteration is
+    one Newton round: the Jacobian, the Newton step (:func:`_newton_step`),
+    the step blow-up test, then the first damping factor 1, 1/2, 1/4, ...
+    that strictly lowers the residual max-norm.  A round that fails (an
+    undefined Jacobian, a blown-up step, no improving factor) and an
+    exhausted iteration budget yield ``None``.  After reaching ``tol_resid``
+    up to ``polish_steps`` polish rounds run: the same round with the one
+    factor 1.0, no blow-up test and no ``singular_jacobian`` count.  The
+    first that fails ends the polish and keeps the converged iterate, so
+    converged points are accurate well beyond the acceptance threshold.
 
     The residual and the Jacobian run as straight-line code compiled once
     per shape of the branch system (:func:`_branch_code`), bitwise equal to
-    :func:`_branch_residual` and :func:`_branch_jacobian` on the tree
-    methods; the constants of the problem are arguments, so the relaxed
-    problems along a continuation path share the code of each pattern.
+    :func:`_branch_system` on the tree methods; the constants of the problem
+    are arguments, so the relaxed problems along a continuation path share
+    the code of each pattern.
     """
     n = p.n
     slots = _pattern_slots(p, pattern)
@@ -778,8 +792,27 @@ def newton_solve_branch(
         r = residual_code(zv, consts)
         return r, _max_norm(r)
 
-    def jacobian(zv):
-        return np.array(jacobian_code(zv, consts))
+    def newton_round(z, r, rnorm, factors, blow_up, diagnostics):
+        """``(z, r, rnorm)`` after one round from ``z``, or None when it
+        fails."""
+        try:
+            J = np.array(jacobian_code(z, consts))
+        except EvalDomainError:
+            return None
+        step = _newton_step(J, r, diagnostics).tolist()
+        if blow_up and (not all(map(math.isfinite, step)) or (
+            _max_norm(step) > _BLOW_UP * (1.0 + _max_norm(z))
+        )):
+            return None
+        for t in factors:
+            z_try = [zi + t * si for zi, si in zip(z, step)]
+            try:
+                r_try, rn_try = residual(z_try)
+            except EvalDomainError:
+                continue
+            if math.isfinite(rn_try) and rn_try < rnorm:
+                return z_try, r_try, rn_try
+        return None
 
     try:
         r, rnorm = residual(z)
@@ -788,113 +821,67 @@ def newton_solve_branch(
     if not math.isfinite(rnorm):
         return None
 
-    converged = rnorm <= cfg.tol_resid
+    factors = _damping_factors(cfg)
     for _ in range(cfg.max_iter):
-        if converged:
+        if rnorm <= cfg.tol_resid:
             break
-        try:
-            J = jacobian(z)
-        except EvalDomainError:
+        taken = newton_round(z, r, rnorm, factors, True, diagnostics)
+        if taken is None:
             return None
-        step = _newton_step(J, r, diagnostics).tolist()
-        if not all(map(math.isfinite, step)) or (
-            _max_norm(step) > _BLOW_UP * (1.0 + _max_norm(z))
-        ):
-            return None
-        t = 1.0
-        improved = False
-        for _ in range(cfg.max_halvings + 1):
-            z_try = [zi + t * si for zi, si in zip(z, step)]
-            try:
-                r_try, rn_try = residual(z_try)
-            except EvalDomainError:
-                rn_try = np.inf
-            if math.isfinite(rn_try) and rn_try < rnorm:
-                z, r, rnorm = z_try, r_try, rn_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return None
-        converged = rnorm <= cfg.tol_resid
-    if not converged:
+        z, r, rnorm = taken
+    if not rnorm <= cfg.tol_resid:
         return None
-
-    # polish: extra full steps while they strictly improve the residual; its
-    # singular Jacobians are not counted
+    # polish: the same round with the one factor 1.0, no blow-up test and no
+    # singular_jacobian count, until the first that fails
     for _ in range(cfg.polish_steps):
-        try:
-            step = _newton_step(jacobian(z), r, None).tolist()
-            z_try = [zi + si for zi, si in zip(z, step)]
-            r_try, rn_try = residual(z_try)
-        except EvalDomainError:
+        taken = newton_round(z, r, rnorm, factors[:1], False, None)
+        if taken is None:
             break
-        if math.isfinite(rn_try) and rn_try < rnorm:
-            z, r, rnorm = z_try, r_try, rn_try
-        else:
-            break
+        z, r, rnorm = taken
 
     return np.array(z[:n]), _multipliers_from_slots(p, slots, z[n:])
 
 
-def _lanes(include, i):
-    """The rows of the lanes whose pattern pins ``cons[i]``: a full slice
-    when every lane does, None when none does."""
-    col = include[:, i]
-    if col.all():
-        return slice(None)
-    rows = np.flatnonzero(col)
-    return rows if rows.size else None
-
-
-def _batch_residual(objective, cons, Z, n, include):
-    """_branch_residual for every row of ``Z``; returns (R, failed lanes).
+def _batch_branch(objective, cons, Z, n, include, hess):
+    """:func:`_branch_system` at every row of ``Z`` from one batched walk
+    per tree, with the Hessian only when ``hess``; returns (R, H, G, failed
+    lanes), the branch Jacobians being ``[[H, -G.T], [G, 0]]`` with
+    Lagrangian Hessians ``H[B, n, n]`` and constraint gradient rows
+    ``G[B, m, n]``, both None without ``hess``.
 
     ``include[k, i]`` says whether lane k pins ``cons[i]``.  A constraint is
     walked only over the lanes that pin it, and fails only those; elsewhere
-    its residual entry is 0.0 and it leaves the gradient row untouched, as it
-    must where the lane's multiplier column holds 0.0.
+    its residual entry and gradient row are 0.0 and it leaves the
+    Lagrangian's gradient and Hessian untouched, as it must where the lane's
+    multiplier column holds 0.0.
     """
     X = Z[:, :n]
-    _, top, _, bad = eval_batch(objective, X)
+    _, top, H, bad = eval_batch(objective, X, hessian=hess)
     R = np.zeros_like(Z)
+    G = np.zeros((len(Z), len(cons), n)) if hess else None
     with np.errstate(all="ignore"):  # failed lanes carry inf and nan
         for i, c in enumerate(cons):
-            rows = _lanes(include, i)
-            if rows is None:
+            col = include[:, i]
+            if col.all():
+                rows = slice(None)
+            elif col.any():
+                rows = np.flatnonzero(col)
+            else:
                 continue
-            cv, cg, _, cbad = eval_batch(c, X[rows])
+            cv, cg, cH, cbad = eval_batch(c, X[rows], hessian=hess)
             yi = Z[rows, n + i, None]
             # where y_i == 0 the scalar path skips the update; subtracting
             # 0*g could flip the sign of a zero or turn an infinite g into nan
             t = top[rows]
             top[rows] = np.where(yi != 0.0, t - yi * cg, t)
             R[rows, n + i] = cv
+            if hess:
+                yi, Hr = yi[:, :, None], H[rows]
+                H[rows] = np.where(yi != 0.0, Hr - yi * cH, Hr)
+                G[rows, i] = cg
             bad[rows] |= cbad
     R[:, :n] = top
-    return R, bad
-
-
-def _batch_lagrangian(objective, cons, Z, n, include):
-    """Lagrangian Hessians ``H[B, n, n]`` and constraint gradient rows
-    ``G[B, m, n]`` of the branch Jacobian at every row of ``Z``; returns
-    (H, G, failed lanes).  ``include`` as for :func:`_batch_residual`; rows
-    of constraints a lane does not pin are 0.0."""
-    X = Z[:, :n]
-    G = np.zeros((len(Z), len(cons), n))
-    _, _, H, bad = eval_batch(objective, X, hessian=True)
-    with np.errstate(all="ignore"):
-        for i, c in enumerate(cons):
-            rows = _lanes(include, i)
-            if rows is None:
-                continue
-            _, cg, cH, cbad = eval_batch(c, X[rows], hessian=True)
-            yi = Z[rows, n + i, None, None]
-            Hr = H[rows]
-            H[rows] = np.where(yi != 0.0, Hr - yi * cH, Hr)
-            G[rows, i] = cg
-            bad[rows] |= cbad
-    return H, G, bad
+    return R, H, G, bad
 
 
 def _branch_jacobians(H, G):
@@ -913,21 +900,22 @@ def _max_norms(A):
 
 # Most lanes (one lane = one (pattern, start) pair) in one multi-pattern
 # Newton batch.  Every lane carries one multiplier column per slot of the
-# problem, and a damping round evaluates several trial points per lane, so a
-# batch's arrays grow with lanes x slots: the budget bounds the memory of wide
-# searches, while searches with a few starts per pattern still run as one
-# batch, which is where batching across patterns saves tree walks.  Only the
-# patterns the certificate leaves are solved: mid3's 9 of 36, 125 starts
-# each, run as 2 batches (8 + 1 patterns, 1000 + 125 lanes), and the 100
-# searches of the criterion-7 corpus run 88 batches of at most 80 lanes, 12
-# of them solving no pattern.
+# problem, and a Newton round's damping walks evaluate several trial points
+# per lane, so a batch's arrays grow with lanes x slots: the budget bounds the
+# memory of wide searches, while searches with a few starts per pattern still
+# run as one batch, which is where batching across patterns saves tree walks.
+# Only the patterns the certificate leaves are solved: mid3's 9 of 36, 125
+# starts each, run as 2 batches (8 + 1 patterns, 1000 + 125 lanes), and the
+# 100 searches of the criterion-7 corpus run 88 batches of at most 80 lanes,
+# 12 of them solving no pattern.
 #
-# The budget also sizes a damping round's first residual walk to about
+# The budget also sizes a Newton round's first damping walk to about
 # _LANE_BUDGET // 4 rows: each of the L lanes still searching tries its first
 # max(1, _LANE_BUDGET // 4 // L) damping factors in it.  A walk over a few
 # rows costs about what one over a few hundred does, so in narrow batches one
 # walk settles most halvings, while a batch of more lanes than that still
 # tries one factor first, which keeps a wide batch's walks and memory small.
+# A polish round has the one factor 1.0, so its damping walk holds L rows.
 _LANE_BUDGET = 1024
 
 
@@ -1149,30 +1137,24 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
     include = pins[lane_pattern]
     Z = np.zeros((len(lane_pattern), n + len(slots)))
     Z[:, :n] = np.tile(starts, (len(patterns), 1))
-
-    R, failed = _batch_residual(obj, cons, Z, n, include)
+    R, _, _, failed = _batch_branch(obj, cons, Z, n, include, False)
     rnorm = _max_norms(R)
     failed |= ~np.isfinite(rnorm)
-    converged = ~failed & (rnorm <= cfg.tol_resid)
-    # damping factors 1, 1/2, 1/4, ..., formed as the scalar loop forms them
-    factors = [1.0]
-    for _ in range(cfg.max_halvings):
-        factors.append(factors[-1] * 0.5)
-    factors = np.array(factors)
 
-    for _ in range(cfg.max_iter):
-        live = np.flatnonzero(~failed & ~converged)
-        if not live.size:
-            break
-        H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
-        failed[live[bad]] = True
+    def newton_round(live, factors, blow_up, diagnostics):
+        """One Newton round of the lanes ``live``, each taking its step into
+        ``Z``, ``R`` and ``rnorm``; returns the mask of the lanes it lost."""
+        lost = np.zeros(len(Z), dtype=bool)
+        _, H, G, bad = _batch_branch(obj, cons, Z[live], n, include[live], True)
+        lost[live[bad]] = True
         live, H, G = live[~bad], H[~bad], G[~bad]
         step = _pattern_steps(H, G, R[live], lane_pattern[live], cols, diagnostics)
-        blown = ~np.all(np.isfinite(step), axis=1) | (
-            _max_norms(step) > _BLOW_UP * (1.0 + _max_norms(Z[live]))
-        )
-        failed[live[blown]] = True
-        live, step = live[~blown], step[~blown]
+        if blow_up:
+            blown = ~np.all(np.isfinite(step), axis=1) | (
+                _max_norms(step) > _BLOW_UP * (1.0 + _max_norms(Z[live]))
+            )
+            lost[live[blown]] = True
+            live, step = live[~blown], step[~blown]
         # a lane takes the first damping factor that strictly lowers its
         # residual.  Factors are tried in chunks, each chunk for every lane
         # still searching in one walk: the first sized by rows (see
@@ -1183,8 +1165,8 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
             ts = factors[done:done + size]
             k, L = len(ts), live.size
             Z_try = (Z[live] + ts[:, None, None] * step).reshape(k * L, -1)
-            R_try, bad = _batch_residual(
-                obj, cons, Z_try, n, np.tile(include[live], (k, 1))
+            R_try, _, _, bad = _batch_branch(
+                obj, cons, Z_try, n, np.tile(include[live], (k, 1)), False
             )
             rn_try = _max_norms(R_try)
             ok = (~bad & np.isfinite(rn_try)).reshape(k, L) & (
@@ -1196,24 +1178,25 @@ def _solve_lanes(p: Problem, patterns, starts, cfg: SolveConfig, diagnostics):
             Z[took], R[took], rnorm[took] = Z_try[rows], R_try[rows], rn_try[rows]
             live, step = live[~hit], step[~hit]
             done, size = done + k, 2 * size
-        failed[live] = True  # no improving damping
+        lost[live] = True  # no improving damping
+        return lost
+
+    converged = ~failed & (rnorm <= cfg.tol_resid)
+    factors = np.array(_damping_factors(cfg))
+    for _ in range(cfg.max_iter):
+        live = np.flatnonzero(~failed & ~converged)
+        if not live.size:
+            break
+        failed |= newton_round(live, factors, True, diagnostics)
         converged = ~failed & (rnorm <= cfg.tol_resid)
     failed |= ~converged
-
-    # polish: extra full steps while they strictly improve the residual
+    # polish: the same round with the one factor 1.0, no blow-up test and no
+    # singular_jacobian count; a lane's first failed round ends its polish
     live = np.flatnonzero(~failed)
     for _ in range(cfg.polish_steps):
         if not live.size:
             break
-        H, G, bad = _batch_lagrangian(obj, cons, Z[live], n, include[live])
-        live, H, G = live[~bad], H[~bad], G[~bad]
-        step = _pattern_steps(H, G, R[live], lane_pattern[live], cols, None)
-        Z_try = Z[live] + step
-        R_try, bad = _batch_residual(obj, cons, Z_try, n, include[live])
-        rn_try = _max_norms(R_try)
-        ok = ~bad & np.isfinite(rn_try) & (rn_try < rnorm[live])
-        live = live[ok]
-        Z[live], R[live], rnorm[live] = Z_try[ok], R_try[ok], rn_try[ok]
+        live = live[~newton_round(live, factors[:1], False, None)[live]]
 
     # unpinned columns hold 0.0, which is what the pattern's own slot list
     # would leave in the multipliers
@@ -1235,8 +1218,11 @@ def _newton_solve_patterns(
     ``(x, Multipliers)`` bitwise equal to the single-start solver's, and
     adds the single-start ``singular_jacobian`` counts to ``diagnostics``.
 
-    Every lane takes the same Newton steps, halvings, step-blow-up test,
-    least-squares fallback and polish steps.  Each pattern's unknowns are a
+    Every lane runs the single-start solver's rounds: the same Newton steps,
+    least-squares fallback, step blow-up test and halvings in every
+    iteration, and the same round with the one factor 1.0 and no blow-up
+    test in every polish step, a lane's first failed polish round ending its
+    polish.  Each pattern's unknowns are a
     subsequence of :func:`_problem_slots`, so the skipped ``y_i == 0``
     updates run in the scalar order, and the columns a pattern does not pin
     hold exactly 0.0 in the iterate, the residual and the step, which leaves

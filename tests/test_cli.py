@@ -3,8 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +25,8 @@ from tests.conftest import (
     STABLE_WITHOUT_ND2,
 )
 from tests.test_stationarity import LEVELSETS_3D, MID3
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write(tmp_path, name, text):
@@ -135,6 +140,7 @@ class TestAnalyze:
          ["analyze", "--tol", "tol_feas=-1"],
          ["analyze", "--tol", "box_inflation=-0.5"],
          ["analyze", "--tol", "rank_floor=-1e-3"],
+         ["analyze", "--tol", "pattern_cap=-1"],
          ["analyze", "--tol", "subset_cap=-1"],
          ["analyze", "--tol", "seed=-2"],
          ["relax", "--box", "-1", "2", "--tol", "match_radius=-1"]],
@@ -525,6 +531,33 @@ class TestRangeErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: box [^\n]*\n", err), err
         assert not out.exists()
+
+    def test_infinite_t0_exit_2(self, tmp_path):
+        # from t0 = inf the schedule t <- max(rho*t, tmin) never gets below
+        # inf, so the run would hang: the timeout makes that a failure
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        out = tmp_path / "report.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        run = subprocess.run(
+            [sys.executable, "-m", "switchstat.cli", "relax", src, "--t0", "inf",
+             "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: --t0 must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_infinite_t0_and_tmin_exit_2_before_search(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # with tmin = inf too the schedule ends at once, so only the check
+        # up front keeps the searches from running
+        _assert_rejected_before_search(
+            tmp_path, capsys, monkeypatch, ["relax", "--t0", "inf", "--tmin", "inf"],
+            "--t0 must be finite, got inf",
+        )
 
     def test_log_of_an_underflowing_square(self, tmp_path):
         # the grid start at x1 = 0 evaluates log at 1e-310, whose square

@@ -58,6 +58,11 @@ class TestRelax:
             relax(cross_quadratic, 0.0)
         with pytest.raises(ValueError):
             relax(cross_quadratic, -0.3)
+        # nor a non-finite t: from inf the schedule max(rho*t, t_min) stays
+        # at inf
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                relax(cross_quadratic, t)
 
 
 class TestRelaxedKkt:

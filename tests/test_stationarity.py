@@ -33,15 +33,13 @@ from tests.conftest import (
 from tests.test_expr import _random_tree
 from switchstat.stationarity import (
     _active_slots,
-    _batch_lagrangian,
-    _batch_residual,
+    _batch_branch,
     _branch_code,
     _branch_empty,
-    _branch_jacobian,
     _branch_jacobians,
     _branch_program,
-    _branch_residual,
     _branch_shape,
+    _branch_system,
     _certificate_rows,
     _max_norm,
     _gradient_rows,
@@ -172,7 +170,7 @@ class TestSolveConfig:
          ("grid_points", 0), ("grid_points", -3),
          ("tol_feas", math.nan), ("tol_feas", math.inf),
          ("tol_feas", -math.inf), ("tol_feas", -1.0),
-         ("subset_cap", -1), ("seed", -1),
+         ("pattern_cap", -1), ("subset_cap", -1), ("seed", -1),
          ("box_inflation", -0.5), ("match_radius", -1.0),
          ("rank_floor", -1e-3), ("eig_zero", math.nan),
          ("solve_residual", math.inf)],
@@ -801,6 +799,22 @@ class TestBatchedNewton:
             assert batch_diag == scalar_diag, pattern
         assert 0 < converged < len(starts) * len(enumerate_branches(p, cfg))
 
+    def test_failed_polish_round_keeps_the_lane(self):
+        # 0*x1^(-1) has a finite gradient at x1 = 1e-110 but no Hessian
+        # there (x1^(-3) overflows).  The start (1e-110, 0) is converged, so
+        # only its polish walks the Hessian: that round fails and the lane
+        # keeps the start's bits.  From (1e-110, 0.5) the failing Jacobian
+        # walk is an iteration's, and the lane is lost.
+        p = parse_problem("vars: x1 x2\nobjective: 0*x1^(-1) + x2^2\n")
+        (pattern,) = enumerate_branches(p, CFG)
+        starts = np.array([[1e-110, 0.0], [1e-110, 0.5], [1.0, 0.5]])
+        outs = _newton_solve_patterns(p, [pattern], starts, CFG)[0]
+        for start, out in zip(starts, outs):
+            ref = newton_solve_branch(p, pattern, start, CFG)
+            assert _outcome_bits(out) == _outcome_bits(ref), start
+        assert outs[0][0].tobytes() == starts[0].tobytes()
+        assert outs[1] is None and outs[2] is not None
+
     def test_zero_multiplier_skips_the_update(self):
         # at (1, 0) the objective's gradient and Hessian hold -0.0 entries,
         # the constraint's -1.0 and -0.0: subtracting 0*g or 0*H instead of
@@ -809,15 +823,18 @@ class TestBatchedNewton:
         cons = list(p.equalities)
         Z = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.5, -0.0, 0.0]])
         include = np.ones((len(Z), len(cons)), dtype=bool)
-        R, bad = _batch_residual(p.objective, cons, Z, p.n, include)
-        H, G, jbad = _batch_lagrangian(p.objective, cons, Z, p.n, include)
+        R, H, G, bad = _batch_branch(p.objective, cons, Z, p.n, include, False)
+        assert H is None and G is None
+        RH, H, G, jbad = _batch_branch(p.objective, cons, Z, p.n, include, True)
         J = _branch_jacobians(H, G)
         assert not bad.any() and not jbad.any()
+        assert RH.tobytes() == R.tobytes()
         shape, consts = _branch_shape(p.objective, cons, p.n)
         residual, jacobian = _branch_code(shape)
         for k, z in enumerate(Z):
-            r = _branch_residual(p.objective, cons, z, p.n)
-            jac = _branch_jacobian(p.objective, cons, z, p.n)
+            r, no_jac = _branch_system(p.objective, cons, z, p.n, False)
+            rh, jac = _branch_system(p.objective, cons, z, p.n, True)
+            assert no_jac is None and rh.tobytes() == r.tobytes()
             assert R[k].tobytes() == r.tobytes()
             assert J[k].tobytes() == jac.tobytes()
             assert np.array(residual(z.tolist(), consts)).tobytes() == r.tobytes()
@@ -1822,15 +1839,21 @@ def _system_outcome(fn, *args):
 
 def _check_branch_code(objective, cons, n, Z):
     """The compiled residual and Jacobian of a branch system against
-    _branch_residual and _branch_jacobian at every row of ``Z``: the same
-    failures and the same bits; returns how many rows failed."""
+    _branch_system's residual without ``hess`` and Jacobian with it at every
+    row of ``Z``: the same failures and the same bits; returns how many rows
+    failed."""
     shape, consts = _branch_shape(objective, cons, n)
     residual, jacobian = _branch_code(shape)
+
+    def system(z, hess):
+        r, J = _branch_system(objective, cons, z, n, hess)
+        return J if hess else r
+
     raised = 0
     for z in np.asarray(Z, dtype=float):
-        ref = _system_outcome(_branch_residual, objective, cons, z, n)
+        ref = _system_outcome(system, z, False)
         assert _system_outcome(residual, z.tolist(), consts) == ref, z
-        ref_jac = _system_outcome(_branch_jacobian, objective, cons, z, n)
+        ref_jac = _system_outcome(system, z, True)
         assert _system_outcome(jacobian, z.tolist(), consts) == ref_jac, z
         raised += not isinstance(ref, bytes)
     return raised
@@ -1855,7 +1878,7 @@ EXAMPLE_IDS = ["cross_linear", "cross_quadratic", "instability_both",
 
 class TestBranchCode:
     """newton_solve_branch's compiled residual and Jacobian are the tree
-    methods' _branch_residual and _branch_jacobian, bit for bit."""
+    methods' _branch_system, bit for bit."""
 
     def test_random_branch_systems(self):
         rng = np.random.default_rng(24)
