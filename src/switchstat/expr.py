@@ -10,9 +10,10 @@ per line, whitespace is insignificant):
     switch: x1 | x2          # switching pair, product must vanish
 
 Expressions use ``+ - * / ^`` with the usual precedence, parentheses, the
-functions ``sin cos exp log`` and decimal literals.  Exponents after ``^``
-must be integers (possibly negative, possibly parenthesised); general powers
-can be written through exp/log.
+functions ``sin cos exp log`` and decimal literals, whose floats must be
+finite.  Exponents after ``^`` must be integers m (possibly negative,
+possibly parenthesised) with m*(m-1) a finite float; general powers can be
+written through exp/log.
 
 Evaluation propagates (value, gradient, Hessian) triples through the tree,
 so all derivatives are exact up to floating rounding; no finite differences
@@ -21,12 +22,13 @@ computes the Hessian only when asked: ``val_grad`` and ``val_grad_hess`` are
 that walk without and with it.  Hessians are assembled so that transposed
 entries are the bitwise-identical floats.  ``eval_batch`` walks the tree once
 for a whole array of points and reproduces the scalar walk bit for bit, lane
-by lane.  ``_StraightLine`` compiles the same derivatives of a tree's shape
-(its nodes without their constant values) into straight-line Python, again
-bit for bit, for callers that evaluate one point at a time many times.
-``_affine_form`` reads an affine tree's exact coefficients and a bound on its
-float rounding.  Expressions and problems are immutable after construction
-and all evaluation entry points are reentrant.
+by lane.  ``_StraightLine`` writes straight-line Python for a tree's shape
+(its nodes without their constant values) by running the scalar walk itself
+on code terms, so the code gives its bits by construction; it serves callers
+that evaluate one point at a time many times.  ``_affine_form`` reads an
+affine tree's exact coefficients and a bound on its float rounding.
+Expressions and problems are immutable after construction and all
+evaluation entry points are reentrant.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ class Pow(Expr):
         m = self.exponent
         u, gu, Hu = self.base._derivatives(x, hess)
         if m == 0:
-            return 1.0, _zeros(n), _zmat(n) if hess else None
+            return _pow(u, 0), _zeros(n), _zmat(n) if hess else None
         a = m * _pow(u, m - 1)
         H = None
         if hess:
@@ -343,6 +345,13 @@ def _fn_log(u):
 FUNCTIONS = {"sin": _fn_sin, "cos": _fn_cos, "exp": _fn_exp, "log": _fn_log}
 
 
+def _apply(name, u):
+    """``FUNCTIONS[name](u)``; for a :class:`_Term` ``u``, the terms of the
+    code that makes that call."""
+    fn = FUNCTIONS[name]
+    return u.call(name) if type(u) is _Term else fn(u)
+
+
 @dataclass(frozen=True)
 class Func(Expr):
     name: str
@@ -354,7 +363,7 @@ class Func(Expr):
     def _derivatives(self, x, hess):
         n = len(x)
         u, gu, Hu = self.arg._derivatives(x, hess)
-        w, d1, d2 = FUNCTIONS[self.name](u)
+        w, d1, d2 = _apply(self.name, u)
         H = None
         if hess:
             H = [
@@ -669,8 +678,67 @@ def _expr_shape(e: Expr, consts: list):
     raise TypeError(f"unknown node {t.__name__}")
 
 
-def _negative_zero(c):
-    return c == 0.0 and math.copysign(1.0, c) < 0.0
+# the float b for which ``a op b`` is ``a`` bit for bit, and the float a for
+# which it is ``b``, as reprs: the sign of a zero matters
+_RIGHT_IDENTITY = {"+": "-0.0", "-": "0.0", "*": "1.0"}
+_LEFT_IDENTITY = {"+": "-0.0", "*": "1.0"}
+
+_TEMP_NAME = re.compile(r"\bt\d+\b")
+
+
+def _operator(op):
+    """A binary operator of :class:`_Term` and its reflected twin."""
+    return (
+        lambda self, other: self._write(self, op, other),
+        lambda self, other: self._write(other, op, self),
+    )
+
+
+class _Term:
+    """A value of :class:`_StraightLine` code, held by the name ``name``.
+
+    Each operation with a term writes one line and returns the term of its
+    result: ``+ - * /`` with floats, ints and terms, unary ``-``, and ``**``,
+    which only :func:`_pow` reaches, so a power writes the checked
+    ``_pow``.  ``a + (-0.0)``, ``a - 0.0`` and ``a * 1.0``, which give ``a``
+    bit for bit, write nothing, and a division writes the zero test of its
+    divisor first.  An operation on floats alone is Python's own and so done
+    while writing.  A term equals only itself, so the walks' own tests of a
+    value (``vb == 0.0`` in :class:`Div`, ``u == 0.0`` in :func:`_pow`) are
+    false while writing and run in the code instead.
+    """
+
+    __slots__ = ("code", "name")
+
+    def __init__(self, code, name):
+        self.code = code
+        self.name = name
+
+    def _write(self, a, op, b):
+        """The term of ``a op b``; ``self`` is ``a`` or ``b``."""
+        if type(b) is float and repr(b) == _RIGHT_IDENTITY.get(op):
+            return a
+        if type(a) is float and repr(a) == _LEFT_IDENTITY.get(op):
+            return b
+        code = self.code
+        if op == "/":
+            code.zero_test(b)
+        return code.temp(f"{code.ref(a)} {op} {code.ref(b)}")
+
+    __add__, __radd__ = _operator("+")
+    __sub__, __rsub__ = _operator("-")
+    __mul__, __rmul__ = _operator("*")
+    __truediv__, __rtruediv__ = _operator("/")
+
+    def __neg__(self):
+        return self.code.temp(f"-{self.name}")
+
+    def __pow__(self, m):
+        return self.code.temp(f"_pow({self.name}, ({m}))", call=True)
+
+    def call(self, name):
+        """The terms of ``FUNCTIONS[name]`` at this term."""
+        return self.code.temp(f"_f_{name}({self.name})", width=3, call=True)
 
 
 class _StraightLine:
@@ -679,17 +747,17 @@ class _StraightLine:
 
     ``Z`` holds the point ``x0 .. x{n-1}`` followed by ``extra`` further
     floats ``y0 ..``; ``C`` holds the shapes' constants in the order of
-    :func:`_expr_shape`.  Every node runs the floating-point operations of
-    the tree's scalar walk with or without its Hessian (``val_grad_hess`` or
-    ``val_grad``) and raises :class:`EvalDomainError` where it raises: powers go through the same checked power, functions
-    through the same :data:`FUNCTIONS` entries, and a division checks its
-    divisor first.  An operation whose operands are all derivative constants
-    of the node types (the 0.0 and 1.0 of leaves) is done while writing, and
-    ``a + (-0.0)``, ``a - 0.0`` and ``a * 1.0``, which give ``a`` bit for
-    bit, are not written; every other operation is written as it is, once
-    for all its uses with the same operands.  Only entries on and above a
-    Hessian's diagonal are computed, because the tree methods give
-    transposed entries the same bits.
+    :func:`_expr_shape`.  The code of a shape is the tree's own scalar walk
+    (``_derivatives``, with or without its Hessian) run on :class:`_Term`
+    values: the tree is rebuilt from the shape with one term per constant
+    and walked at the point of the terms ``x0 ..``.  So the code runs the
+    walk's floating-point operations and raises :class:`EvalDomainError`
+    where it raises, by construction: its powers go through the same checked
+    power, its functions through the same :data:`FUNCTIONS` entries, and a
+    division tests its divisor first.  A right-hand side already written is
+    not written again, and :meth:`end` drops the arithmetic whose result
+    nothing reads, such as the Hessian entries below the diagonal and values
+    a function does not return; calls and tests, which can raise, stay.
 
     The source holds node operations, integer variable indices and
     exponents, and the names of :data:`FUNCTIONS`; constants of the trees
@@ -708,14 +776,28 @@ class _StraightLine:
     def begin(self, name: str, extra: int = 0):
         """Start the function ``name`` of ``n + extra`` values in ``Z``."""
         self._name = name
-        self._lines = []
+        self._lines = []  # (depth, temporaries assigned, text, droppable)
         self._temps = 0
         self._consts = 0
         self._extra = extra
-        self._written = {}  # right-hand side -> the temporary holding it
+        self._written = {}  # right-hand side or test -> its term(s)
 
     def end(self, result: str):
-        """Finish the function, returning the expression ``result``."""
+        """Finish the function, returning the expression ``result``.  A line
+        of arithmetic whose temporary nothing reads is dropped.  A call
+        keeps its line, since it can raise: its unread results are assigned
+        to ``_``, or nothing is assigned when none is read."""
+        live = set(_TEMP_NAME.findall(result))
+        body = []
+        for depth, temps, text, droppable in reversed(self._lines):
+            targets = [t if t in live else "_" for t in temps]
+            if targets.count("_") == len(targets):
+                if temps and droppable:
+                    continue
+                targets = []
+            live.update(_TEMP_NAME.findall(text))
+            lead = f"{', '.join(targets)} = " if targets else ""
+            body.append("    " * depth + lead + text)
         names = [f"x{i}" for i in range(self.n)] + [
             f"y{i}" for i in range(self._extra)
         ]
@@ -724,12 +806,12 @@ class _StraightLine:
             consts = ", ".join(f"c{k}" for k in range(self._consts))
             head.append(f"    {consts}, = C")
         self._functions.append(
-            "\n".join(head + self._lines + [f"    return {result}"])
+            "\n".join(head + body[::-1] + [f"    return {result}"])
         )
         self._lines = None
 
     def line(self, text: str, depth: int = 1):
-        self._lines.append("    " * depth + text)
+        self._lines.append((depth, (), text, False))
 
     def source(self) -> str:
         """The source text of the finished functions."""
@@ -746,158 +828,55 @@ class _StraightLine:
         exec(compile(self.source(), "<straight-line code>", "exec"), namespace)
         return namespace
 
-    # -- terms: a float is a derivative constant, a str a name in the code --
+    # -- terms --------------------------------------------------------------
 
     def ref(self, term) -> str:
-        """The source text of a term."""
-        if isinstance(term, str):
-            return term
+        """The source text of a term, an int or a float."""
+        if type(term) is _Term:
+            return term.name
+        if type(term) is int:
+            return f"({term})"
         key = term.hex()
         if key not in self._pool:
             self._pool[key] = (f"k{len(self._pool)}", term)
         return self._pool[key][0]
 
-    def _temp(self, text, width=1):
-        """The temporary (``width`` > 1: a tuple of them) holding ``text``;
-        a right-hand side already written is not written again."""
+    def temp(self, text, width=1, call=False):
+        """The term (``width`` > 1: a list of them) of the temporary holding
+        ``text``, arithmetic unless ``call``; a right-hand side already
+        written is not written again."""
         if text not in self._written:
             names = [f"t{self._temps + k}" for k in range(width)]
             self._temps += width
-            self.line(f"{', '.join(names)} = {text}")
-            self._written[text] = names[0] if width == 1 else names
+            self._lines.append((1, names, text, not call))
+            terms = [_Term(self, name) for name in names]
+            self._written[text] = terms if width > 1 else terms[0]
         return self._written[text]
 
-    def add(self, a, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return a + b
-        if isinstance(b, float) and _negative_zero(b):
-            return a
-        if isinstance(a, float) and _negative_zero(a):
-            return b
-        return self._temp(f"{self.ref(a)} + {self.ref(b)}")
-
-    def sub(self, a, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return a - b
-        if isinstance(b, float) and b == 0.0 and not _negative_zero(b):
-            return a
-        return self._temp(f"{self.ref(a)} - {self.ref(b)}")
-
-    def mul(self, a, b):
-        if isinstance(a, float) and isinstance(b, float):
-            return a * b
-        if isinstance(a, float) and a == 1.0:
-            return b
-        if isinstance(b, float) and b == 1.0:
-            return a
-        return self._temp(f"{self.ref(a)} * {self.ref(b)}")
-
-    def neg(self, a):
-        if isinstance(a, float):
-            return -a
-        return self._temp(f"-{a}")
-
-    def div(self, a, b):
-        return self._temp(f"{self.ref(a)} / {self.ref(b)}")
+    def zero_test(self, divisor):
+        """Write the test that raises where ``divisor`` is zero, once."""
+        test = f"if not {self.ref(divisor)}:"
+        if test not in self._written:
+            self._written[test] = None
+            self.line(test)
+            self.line('raise EvalDomainError("division by zero")', depth=2)
 
     # -- trees --------------------------------------------------------------
 
-    def _sym(self, entry):
-        """An n x n matrix of terms from ``entry(i, j)`` on and above the
-        diagonal."""
-        n = self.n
-        H = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                H[i][j] = H[j][i] = entry(i, j)
-        return H
-
     def derivatives(self, shape, hess: bool):
-        """Write the code of one tree; returns the terms of its value, its
-        gradient and (when ``hess``) its Hessian, else None."""
-        n = self.n
-        tag = shape[0]
-        zeros = [[0.0] * n for _ in range(n)] if hess else None
+        """Write the code of one tree's scalar walk; returns the terms (the
+        derivative constants as floats) of its value, its gradient and
+        (when ``hess``) its Hessian, else None."""
+        x = [_Term(self, f"x{i}") for i in range(self.n)]
+        return self._tree(shape)._derivatives(x, hess)
+
+    def _tree(self, shape):
+        """The tree of ``shape`` with the term ``c<k>`` as its k-th constant."""
+        tag, *fields = shape
         if tag is Const:
             self._consts += 1
-            return f"c{self._consts - 1}", [0.0] * n, zeros
-        if tag is Var:
-            # the list indexing of the scalar walk, negative indices included
-            i = shape[1]
-            if not -n <= i < n:
-                raise IndexError(f"variable index {i} out of range for n={n}")
-            i %= n
-            g = [0.0] * n
-            g[i] = 1.0
-            return f"x{i}", g, zeros
-        if tag is Neg:
-            v, g, H = self.derivatives(shape[1], hess)
-            Hn = self._sym(lambda i, j: self.neg(H[i][j])) if hess else None
-            return self.neg(v), [self.neg(gi) for gi in g], Hn
-        if tag is Func:
-            FUNCTIONS[shape[1]]  # only the table's names reach the source
-            u, gu, Hu = self.derivatives(shape[2], hess)
-            w, d1, d2 = self._temp(f"_f_{shape[1]}({self.ref(u)})", width=3)
-            g = [self.mul(d1, gi) for gi in gu]
-            H = None
-            if hess:
-                H = self._sym(lambda i, j: self.add(
-                    self.mul(d1, Hu[i][j]), self.mul(d2, self.mul(gu[i], gu[j]))
-                ))
-            return w, g, H
-        if tag is Pow:
-            m = shape[2]
-            u, gu, Hu = self.derivatives(shape[1], hess)
-            if m == 0:
-                return 1.0, [0.0] * n, zeros
-            ur = self.ref(u)
-            a = self._temp(f"({m}) * _pow({ur}, ({m - 1}))")
-            H = None
-            if hess:
-                b = 0.0
-                if m * (m - 1) != 0:
-                    b = self._temp(f"({m * (m - 1)}) * _pow({ur}, ({m - 2}))")
-                H = self._sym(lambda i, j: self.add(
-                    self.mul(a, Hu[i][j]), self.mul(b, self.mul(gu[i], gu[j]))
-                ))
-            g = [self.mul(a, gi) for gi in gu]
-            return self._temp(f"_pow({ur}, ({m}))"), g, H
-
-        va, ga, Ha = self.derivatives(shape[1], hess)
-        vb, gb, Hb = self.derivatives(shape[2], hess)
-        H = None
-        if tag is Add:
-            if hess:
-                H = self._sym(lambda i, j: self.add(Ha[i][j], Hb[i][j]))
-            return self.add(va, vb), [self.add(x, y) for x, y in zip(ga, gb)], H
-        if tag is Sub:
-            if hess:
-                H = self._sym(lambda i, j: self.sub(Ha[i][j], Hb[i][j]))
-            return self.sub(va, vb), [self.sub(x, y) for x, y in zip(ga, gb)], H
-        if tag is Mul:
-            g = [self.add(self.mul(va, gb[i]), self.mul(vb, ga[i])) for i in range(n)]
-            if hess:
-                # the parenthesisation of the scalar walk's Mul
-                H = self._sym(lambda i, j: self.add(
-                    self.add(self.mul(va, Hb[i][j]), self.mul(vb, Ha[i][j])),
-                    self.add(self.mul(ga[i], gb[j]), self.mul(gb[i], ga[j])),
-                ))
-            return self.mul(va, vb), g, H
-        if tag is Div:
-            self.line(f"if not {self.ref(vb)}:")
-            self.line('raise EvalDomainError("division by zero")', depth=2)
-            w = self.div(va, vb)
-            g = [self.div(self.sub(ga[i], self.mul(w, gb[i])), vb) for i in range(n)]
-            if hess:
-                H = self._sym(lambda i, j: self.div(
-                    self.sub(
-                        self.sub(Ha[i][j], self.mul(w, Hb[i][j])),
-                        self.add(self.mul(g[i], gb[j]), self.mul(gb[i], g[j])),
-                    ),
-                    vb,
-                ))
-            return w, g, H
-        raise TypeError(f"unknown node {tag}")  # pragma: no cover
+            return Const(_Term(self, f"c{self._consts - 1}"))
+        return tag(*(self._tree(f) if type(f) is tuple else f for f in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +978,8 @@ class _ExprParser:
         return e
 
     def exponent(self):
-        """An integer literal, optionally negated and/or parenthesised."""
+        """An integer literal, optionally negated and/or parenthesised, whose
+        m*(m-1) is a finite float."""
         parens = False
         if self.peek()[0] == "op" and self.peek()[1] == "(":
             self.next()
@@ -1011,15 +991,24 @@ class _ExprParser:
         kind, text, col = self.next()
         if kind != "number" or not re.fullmatch(r"\d+", text):
             raise ParseError("exponent must be an integer", self.line, col)
+        try:
+            m = sign * int(text)  # beyond int's digit limit: ValueError
+            float(m * (m - 1))  # the factor of the Hessian's u^(m-2)
+        except (ValueError, OverflowError):
+            raise ParseError(
+                "exponent beyond the float range", self.line, col
+            ) from None
         if parens:
             kind, text2, col2 = self.next()
             if kind != "op" or text2 != ")":
                 raise ParseError("expected ')' after exponent", self.line, col2)
-        return sign * int(text)
+        return m
 
     def atom(self):
         kind, text, col = self.next()
         if kind == "number":
+            if not math.isfinite(float(text)):
+                raise ParseError("number beyond the float range", self.line, col)
             return Const(float(text))
         if kind == "ident":
             if text in FUNCTIONS:
@@ -1060,8 +1049,8 @@ def parse_problem(text: str) -> Problem:
     """Parse problem-definition text into an immutable :class:`Problem`.
 
     Raises :class:`ParseError` (with line/column) on syntax errors, unknown
-    identifiers, a missing ``vars`` or ``objective`` declaration, or
-    duplicate declarations of either.
+    identifiers, numbers beyond the float range, a missing ``vars`` or
+    ``objective`` declaration, or duplicate declarations of either.
     """
     var_names = None
     names = {}

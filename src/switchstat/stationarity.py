@@ -650,11 +650,14 @@ def _branch_program(shape):
     ``C`` the constants from :func:`_branch_shape`.  They return lists
     bitwise equal to the residual of :func:`_branch_system` without
     ``hess`` and its Jacobian with it (a nested list for the Jacobian), and
-    raise where those raise: each tree is :class:`expr._StraightLine` code
-    of its one scalar walk, with the Hessian only in ``jacobian``, the
-    updates by multiplier ``y_i`` are skipped when ``y_i`` is zero, and they
-    subtract ``y_i * gradient`` and ``y_i * Hessian`` entry by entry as the
-    reference's arrays do."""
+    raise where those raise.  Each tree's code is its own scalar walk, run
+    by :class:`expr._StraightLine` on code terms with the Hessian only in
+    ``jacobian``, so it holds the walk's bits by construction.  Around it
+    the code does what the reference does: the updates by multiplier
+    ``y_i`` are skipped when ``y_i`` is zero, and they subtract ``y_i *
+    gradient`` and ``y_i * Hessian`` entry by entry as the reference's
+    arrays do, on and above the diagonal only, since the walks give
+    transposed entries the same bits."""
     n, objective, cons = shape
     m = len(cons)
     code = _StraightLine(n)
@@ -689,7 +692,7 @@ def _branch_program(shape):
     zero = code.ref(0.0)
     rows = [
         [f"h{min(a, b)}_{max(a, b)}" for b in range(n)]
-        + [code.ref(code.neg(cg[a])) for cg in grads]
+        + [code.ref(-cg[a]) for cg in grads]
         for a in range(n)
     ] + [[code.ref(gi) for gi in cg] + [zero] * m for cg in grads]
     code.end("[" + ", ".join(f"[{', '.join(r)}]" for r in rows) + "]")
@@ -770,8 +773,9 @@ def newton_solve_branch(
     converged points are accurate well beyond the acceptance threshold.
 
     The residual and the Jacobian run as straight-line code compiled once
-    per shape of the branch system (:func:`_branch_code`), bitwise equal to
-    :func:`_branch_system` on the tree methods; the constants of the problem
+    per shape of the branch system (:func:`_branch_code`).  The code is
+    written by the tree methods' own walks, so it is bitwise equal to
+    :func:`_branch_system` by construction; the constants of the problem
     are arguments, so the relaxed problems along a continuation path share
     the code of each pattern.
     """

@@ -559,6 +559,23 @@ class TestRangeErrors:
             "--t0 must be finite, got inf",
         )
 
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["relax"], ["levelsets", "--auto", "3"]], ids=" ".join
+    )
+    @pytest.mark.parametrize(
+        "objective", ["1e999*x1 + x2^2", "x1^" + "1" * 400 + " + x2^2"],
+        ids=["literal", "exponent"],
+    )
+    def test_number_beyond_the_float_range_exit_2(self, tmp_path, capsys,
+                                                  command, objective):
+        src = _write(tmp_path, "p.txt",
+                     f"vars: x1 x2\nobjective: {objective}\nswitch: x1 | x2\n")
+        out = tmp_path / "report.json"
+        assert main([command[0], src, *command[1:], "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: line 2, column \d+: [^\n]*float range\n", err), err
+        assert not out.exists()
+
     def test_log_of_an_underflowing_square(self, tmp_path):
         # the grid start at x1 = 0 evaluates log at 1e-310, whose square
         # underflows to 0.0 in the second derivative

@@ -112,6 +112,37 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="integer"):
             parse_problem("vars: x\nobjective: x^2.5\n")
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [("1e999*x1 + x2^2", 12), ("x1 + 2e308", 17), ("9" * 400 + "*x1", 12)],
+        ids=["1e999", "2e308", "400 digits"],
+    )
+    def test_literal_beyond_the_float_range(self, text, col):
+        # a literal that reads as inf would be echoed as "inf", which no
+        # problem file can say
+        with pytest.raises(ParseError, match="float range") as err:
+            parse_problem(f"vars: x1 x2\nobjective: {text}\n")
+        assert (err.value.line, err.value.col) == (2, col)
+
+    @pytest.mark.parametrize(
+        "exponent, col",
+        [("1" * 400, 15), ("1" * 160, 15), ("(-" + "1" * 160 + ")", 17),
+         ("1" * 5000, 15)],
+        ids=["400 digits", "160 digits", "-160 digits", "5000 digits"],
+    )
+    def test_exponent_beyond_the_float_range(self, exponent, col):
+        # the Hessian of u^m multiplies by the float of m*(m-1)
+        with pytest.raises(ParseError, match="float range") as err:
+            parse_problem(f"vars: x1 x2\nobjective: x1^{exponent} + x2\n")
+        assert (err.value.line, err.value.col) == (2, col)
+
+    def test_extreme_numbers_inside_the_float_range(self):
+        m = int("1" * 154)  # m*(m-1) is about 1.2e307
+        p = parse_problem(f"vars: x1\nobjective: 1e-400*x1 + x1^{m}\n")
+        assert p.objective.a.a == Const(0.0)
+        assert p.objective.val_grad_hess([1.0]) == (1.0, [float(m)],
+                                                    [[float(m * (m - 1))]])
+
 
 class TestEvalValue:
     def test_zero_factor(self):
@@ -395,6 +426,11 @@ def _check_batch(e, points):
                 assert _bits(H[k]) == _bits(H[k].T)
 
 
+# outside a node's domain at every x, since x^0 is 1.0: compiled code must
+# raise when it runs, not while it is written
+FOLDS_TO_A_DOMAIN_ERROR = ["x1/(x1^0 - x2^0)", "log(x1^0 - x2^0)",
+                           "(x1^0 - x2^0)^(-1)"]
+
 # expressions over x1, x2 with every node type, for the evaluators compared
 # with the tree methods
 TEXTS = [
@@ -424,7 +460,7 @@ TEXTS = [
     "sin(x1*x1) + cos(x2*x2)",
     "exp(sin(x1) + log(x2))/(1 + x1^2)",
     "x2/log(x1)^(-2)",
-]
+] + FOLDS_TO_A_DOMAIN_ERROR
 
 
 class TestBatchedEvaluation:

@@ -1,5 +1,6 @@
 """Index sets, LICQ, multiplier recovery and the branch-Newton search."""
 
+import ast
 import importlib.util
 import math
 import re
@@ -19,6 +20,7 @@ from switchstat.expr import (
     _affine_form,
     eval_gradient,
     eval_hessian,
+    parse_expression,
     parse_problem,
 )
 from switchstat.linalg import SingularSystemError, ToleranceConfig, rank, solve_linear
@@ -30,7 +32,7 @@ from tests.conftest import (
     INSTABILITY_ONE,
     STABLE_WITHOUT_ND2,
 )
-from tests.test_expr import _random_tree
+from tests.test_expr import FOLDS_TO_A_DOMAIN_ERROR, _random_tree
 from switchstat.stationarity import (
     _active_slots,
     _batch_branch,
@@ -1893,6 +1895,42 @@ class TestBranchCode:
             Z = _branch_points(rng, n, m, xs, 12)
             raised += _check_branch_code(objective, cons, n, Z)
         assert raised > 100
+
+    @pytest.mark.parametrize("text", FOLDS_TO_A_DOMAIN_ERROR)
+    def test_pinned_values_folding_from_zeroth_powers(self, text):
+        names = {"x1": 0, "x2": 1}
+        objective = parse_expression("x1^2 + x2^2", names)
+        cons = [parse_expression(text, names)]
+        Z = [[0.5, -1.0, 0.0], [2.0, 0.0, 1.5]]
+        assert _check_branch_code(objective, cons, 2, Z) == len(Z)
+        p = parse_problem(f"vars: x1 x2\nobjective: x1^2 + x2^2\neq: {text}\n")
+        (pattern,) = enumerate_branches(p)
+        assert newton_solve_branch(p, pattern, [0.5, -1.0]) is None
+
+    def test_an_unread_value_that_overflows_still_raises(self):
+        # the residual reads the objective's gradient 3e206, not its value,
+        # whose power overflows: the walk raises, so the code must
+        names = {"x1": 0, "x2": 1}
+        objective = parse_expression("x1^3", names)
+        cons = [parse_expression("x2", names)]
+        Z = [[1e103, 0.0, 0.0], [1e102, 1.0, 1.5]]
+        assert _check_branch_code(objective, cons, 2, Z) == 1
+
+    @pytest.mark.parametrize("text", EXAMPLES + [MID3], ids=EXAMPLE_IDS + ["mid3"])
+    def test_every_temporary_is_read(self, text):
+        # the tree walks also give values a function does not return and
+        # the Hessian below its diagonal, which the branch code never reads
+        p = parse_problem(text)
+        for q in (p, relax(p, 0.1).problem):
+            for pattern in enumerate_branches(q):
+                cons = [_slot_expr(q, s) for s in _pattern_slots(q, pattern)]
+                shape, _ = _branch_shape(q.objective, cons, q.n)
+                for fn in ast.parse(_branch_program(shape).source()).body:
+                    names = [a for a in ast.walk(fn) if isinstance(a, ast.Name)]
+                    stored = {a.id for a in names if isinstance(a.ctx, ast.Store)}
+                    read = {a.id for a in names if isinstance(a.ctx, ast.Load)}
+                    unread = {a for a in stored - read if re.fullmatch(r"t\d+", a)}
+                    assert not unread, (fn.name, pattern, sorted(unread))
 
     @pytest.mark.parametrize("text", EXAMPLES, ids=EXAMPLE_IDS)
     def test_every_pattern_of_the_relaxed_examples(self, text):
