@@ -346,10 +346,10 @@ FUNCTIONS = {"sin": _fn_sin, "cos": _fn_cos, "exp": _fn_exp, "log": _fn_log}
 
 
 def _apply(name, u):
-    """``FUNCTIONS[name](u)``; for a :class:`_Term` ``u``, the terms of the
-    code that makes that call."""
-    fn = FUNCTIONS[name]
-    return u.call(name) if type(u) is _Term else fn(u)
+    """``FUNCTIONS[name](u)``, or ``u.call(name)`` for a carrier ``u``."""
+    if type(u) is float or not hasattr(u, "call"):
+        return FUNCTIONS[name](u)
+    return u.call(name)
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ class Func(Expr):
     arg: Expr
 
     def val(self, x):
-        return FUNCTIONS[self.name](self.arg.val(x))[0]
+        return _apply(self.name, self.arg.val(x))[0]
 
     def _derivatives(self, x, hess):
         n = len(x)
@@ -678,6 +678,15 @@ def _expr_shape(e: Expr, consts: list):
     raise TypeError(f"unknown node {t.__name__}")
 
 
+def _rebuild(shape, consts):
+    """The tree of ``shape`` whose constants are the next items of the
+    iterator ``consts``, in the order of :func:`_expr_shape`."""
+    tag, *fields = shape
+    if tag is Const:
+        return Const(next(consts))
+    return tag(*(_rebuild(f, consts) if type(f) is tuple else f for f in fields))
+
+
 # the float b for which ``a op b`` is ``a`` bit for bit, and the float a for
 # which it is ``b``, as reprs: the sign of a zero matters
 _RIGHT_IDENTITY = {"+": "-0.0", "-": "0.0", "*": "1.0"}
@@ -868,15 +877,13 @@ class _StraightLine:
         derivative constants as floats) of its value, its gradient and
         (when ``hess``) its Hessian, else None."""
         x = [_Term(self, f"x{i}") for i in range(self.n)]
-        return self._tree(shape)._derivatives(x, hess)
+        return _rebuild(shape, self._constant_terms())._derivatives(x, hess)
 
-    def _tree(self, shape):
-        """The tree of ``shape`` with the term ``c<k>`` as its k-th constant."""
-        tag, *fields = shape
-        if tag is Const:
+    def _constant_terms(self):
+        """The terms ``c<k>`` of the constants from the next one on."""
+        while True:
             self._consts += 1
-            return Const(_Term(self, f"c{self._consts - 1}"))
-        return tag(*(self._tree(f) if type(f) is tuple else f for f in fields))
+            yield _Term(self, f"c{self._consts - 1}")
 
 
 # ---------------------------------------------------------------------------

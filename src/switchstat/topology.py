@@ -5,8 +5,10 @@ constraint is active, so a raw grid sampling would miss it.  The mask
 therefore thickens every constraint to one grid cell, scaled by the local
 gradient magnitude: a node passes when each constraint residual is within
 ``feas_scale * spacing * (1 + |grad|)``.  The mask and the objective are
-evaluated slab by slab along the first axis, one expression-tree walk per
-slab, so their temporaries stay a few MiB at any grid size.  The caller
+the trees' own walks (``_derivatives`` and ``val``) on :class:`_Mesh`
+carriers over an open mesh, slab by slab along the first axis: each node
+runs at the broadcast shape of the axes its subtree reads, so only nodes
+reading every axis run at full size and temporaries stay a few MiB.  The caller
 computes the two arrays once per grid and every labelling and sweep reads
 them.  Connected components of ``{feasible, f <= a}`` are labelled with
 ``scipy.ndimage.label`` under full diagonal adjacency (8 neighbours in 2-D,
@@ -24,13 +26,14 @@ the probe exists for verification, not scale.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .classify import Classification
-from .expr import Add, Const, Div, Expr, Func, Mul, Neg, Pow, Problem, Sub, Var
+from .expr import Expr, Mul, Problem, _expr_shape, _rebuild
 
 __all__ = [
     "GridSpec",
@@ -117,9 +120,8 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 
-# Nodes per slab: the mask and the objective are evaluated over slabs of
-# whole rows of the first axis, each holding about this many nodes, so the
-# walker's temporaries stay small however large the grid is.
+# Nodes per slab: the mask and the objective are evaluated over slabs of whole
+# rows of the first axis of about this many nodes, so temporaries stay small.
 _SLAB_NODES = 1 << 16
 
 
@@ -133,101 +135,105 @@ _MESH_FUNCTIONS = {
 }
 
 
-def _mesh_eval(e: Expr, mesh, grad):
-    """(value array, list of partial-derivative arrays or None) over the
-    mesh; the caller sets the numpy error state."""
-    n, shape = len(mesh), mesh[0].shape
-    if isinstance(e, Const):
-        return np.full(shape, e.value), [np.zeros(shape)] * n if grad else None
-    if isinstance(e, Var):
-        if not grad:
-            return mesh[e.index], None
-        g = [np.zeros(shape) for _ in range(n)]
-        g[e.index] = np.ones(shape)
-        return mesh[e.index], g
-    if isinstance(e, Pow):
-        u, gu = _mesh_eval(e.base, mesh, grad)
-        m = e.exponent
-        v = u ** float(m)
-        if not grad:
-            return v, None
-        if m == 0:
-            return v, [np.zeros(shape)] * n
-        a = m * u ** float(m - 1)
-        return v, [a * gi for gi in gu]
-    if isinstance(e, Neg):
-        v, g = _mesh_eval(e.a, mesh, grad)
-        return -v, [-gi for gi in g] if grad else None
-    if isinstance(e, Func):
-        u, gu = _mesh_eval(e.arg, mesh, grad)
-        if e.name == "log":
-            u = np.where(u > 0, u, np.nan)
-        f, df = _MESH_FUNCTIONS[e.name]
+def _operator(op):
+    """A binary operator of :class:`_Mesh` and its reflected twin."""
+    return (
+        lambda u, v: _Mesh(op(u.a, v.a if type(v) is _Mesh else v)),
+        lambda u, v: _Mesh(op(v, u.a)),
+    )
+
+
+class _Mesh:
+    """Values ``a`` over a mesh: a carrier that the trees' own ``val`` and
+    ``_derivatives`` (without the Hessian) run on in place of floats.  Its
+    arithmetic is numpy's, at the broadcast shape of the axes a node reads.
+    It equals only itself, so the walks' zero tests are false and inf and
+    nan flow on; ``**`` is numpy's array power ``a ** float(m)``, also where
+    ``a`` is a 0-d result; :meth:`call` applies :data:`_MESH_FUNCTIONS`."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    __add__, __radd__ = _operator(operator.add)
+    __sub__, __rsub__ = _operator(operator.sub)
+    __mul__, __rmul__ = _operator(operator.mul)
+    __truediv__, __rtruediv__ = _operator(operator.truediv)
+
+    def __neg__(self):
+        return _Mesh(-self.a)
+
+    def __pow__(self, m):
+        return _Mesh(np.asarray(self.a) ** float(m))
+
+    def call(self, name):
+        f, df = _MESH_FUNCTIONS[name]
+        u = np.where(self.a > 0, self.a, np.nan) if name == "log" else self.a
         w = f(u)
-        if not grad:
-            return w, None
-        d = df(u, w)
-        return w, [d * gi for gi in gu]
-    if not isinstance(e, (Add, Sub, Mul, Div)):  # pragma: no cover
-        raise TypeError(f"unknown node {type(e).__name__}")
-    va, ga = _mesh_eval(e.a, mesh, grad)
-    vb, gb = _mesh_eval(e.b, mesh, grad)
-    if isinstance(e, Add):
-        v, rule = va + vb, lambda x, y: x + y
-    elif isinstance(e, Sub):
-        v, rule = va - vb, lambda x, y: x - y
-    elif isinstance(e, Mul):
-        v, rule = va * vb, lambda x, y: va * y + vb * x
-    else:
-        v, rule = va / vb, lambda x, y: (x - v * y) / vb
-    return v, [rule(x, y) for x, y in zip(ga, gb)] if grad else None
+        return _Mesh(w), _Mesh(df(u, w)), None  # no second derivative
 
 
-def _by_slabs(grid: GridSpec, dtype, fill):
-    """Lattice array whose slabs of the first axis are ``fill(mesh)`` for
-    that slab's mesh, all under one ``np.errstate(all="ignore")``."""
+def _mesh_tree(e: Expr):
+    """``e`` with each constant a 0-d :class:`_Mesh`, so that its own walks
+    run on carriers throughout, Var-free subtrees too."""
+    consts = []
+    shape = _expr_shape(e, consts)
+    return _rebuild(shape, (_Mesh(np.array(c)) for c in consts))
+
+
+def _by_slabs(p: Problem, grid: GridSpec, dtype, fill):
+    """Lattice array whose slabs of the first axis are ``fill(x, shape)``,
+    ``x`` being the :class:`_Mesh` carriers of the slab's open mesh, each
+    broadcast into the slab, all under one ``np.errstate(all="ignore")``."""
+    if p.n != grid.n:
+        raise ValueError(f"grid has {grid.n} axes but the problem has n={p.n}")
     axes = grid.axes()
     out = np.empty(tuple(len(a) for a in axes), dtype=dtype)
     rows = max(1, _SLAB_NODES // (out.size // len(out)))
     with np.errstate(all="ignore"):
         for lo in range(0, len(out), rows):
-            mesh = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
-            out[lo : lo + rows] = fill(mesh)
+            slab = out[lo : lo + rows]
+            mesh = np.meshgrid(
+                axes[0][lo : lo + rows], *axes[1:], indexing="ij", sparse=True
+            )
+            slab[...] = fill([_Mesh(a) for a in mesh], slab.shape)
     return out
 
 
 def objective_values(p: Problem, grid: GridSpec) -> np.ndarray:
-    """Objective sampled over the grid (NaN where undefined)."""
-    def fill(mesh):
-        return _mesh_eval(p.objective, mesh, False)[0]
-
-    return _by_slabs(grid, float, fill)
+    """Objective sampled over the grid (NaN where undefined): the tree's own
+    ``val`` on the open mesh carrier, where only the nodes whose subtree
+    reads every axis run at the full slab shape."""
+    tree = _mesh_tree(p.objective)
+    return _by_slabs(p, grid, float, lambda x, shape: tree.val(x).a)
 
 
 def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
     """Boolean lattice of nodes within one gradient-scaled cell of the
-    feasible set."""
-    if p.n != grid.n:
-        raise ValueError(f"grid has {grid.n} axes but the problem has n={p.n}")
+    feasible set: each constraint's own ``_derivatives`` on the open mesh
+    carrier, at the shape of the axes each node reads, its check broadcast
+    into a mask of the full slab shape."""
     scale = grid.feas_scale * grid.spacing
     # (constraint, two-sided): equalities and switch products must be near
     # zero, inequalities only not far below it
     checks = (
-        [(h, True) for h in p.equalities]
-        + [(g, False) for g in p.inequalities]
-        + [(Mul(f1, f2), True) for f1, f2 in p.switches]
+        [(_mesh_tree(h), True) for h in p.equalities]
+        + [(_mesh_tree(g), False) for g in p.inequalities]
+        + [(_mesh_tree(Mul(f1, f2)), True) for f1, f2 in p.switches]
     )
 
-    def fill(mesh):
-        mask = np.ones(mesh[0].shape, dtype=bool)
-        for e, two_sided in checks:
-            v, g = _mesh_eval(e, mesh, True)
-            tol = scale * (1.0 + np.sqrt(sum(gi * gi for gi in g)))
-            near = np.abs(v) <= tol if two_sided else v >= -tol
-            mask &= np.isfinite(v) & near
+    def fill(x, shape):
+        mask = np.ones(shape, dtype=bool)
+        for tree, two_sided in checks:
+            v, g, _ = tree._derivatives(x, False)
+            sq = sum(gi * gi for gi in g)  # a carrier, or a float
+            tol = scale * (1.0 + np.sqrt(getattr(sq, "a", sq)))
+            near = np.abs(v.a) <= tol if two_sided else v.a >= -tol
+            mask &= np.isfinite(v.a) & near
         return mask
 
-    return _by_slabs(grid, bool, fill)
+    return _by_slabs(p, grid, bool, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +259,6 @@ def _flat_labels(shape, box, labels):
     if box is not None:
         np.subtract(labels, 1, out=out[box])
     return out.ravel()
-
-
-def _active_labels(active):
-    """Label the True nodes under full diagonal adjacency; returns
-    (labels, count) where labels is flat int64, -1 outside, components
-    numbered in scan order."""
-    labels, count = _label(active)
-    return _flat_labels(active.shape, (slice(None),) * active.ndim, labels), count
 
 
 def _slab_minima(ok, fvals):
@@ -444,18 +442,13 @@ def mountain_pass_check(
             )
     r = sum(1 for c in classified if c.w.w == 0)
     r_s = sum(1 for c in classified if c.w.w == 1)
-    values = sorted(c.f_value for c in classified)
-    ties = []
-    group = [values[0]] if values else []
-    for v in values[1:]:
-        if v - group[-1] <= tie_tol:
-            group.append(v)
+    groups = []  # the sorted values, split where neighbours are apart
+    for v in sorted(c.f_value for c in classified):
+        if groups and v - groups[-1][-1] <= tie_tol:
+            groups[-1].append(v)
         else:
-            if len(group) > 1:
-                ties.append(tuple(group))
-            group = [v]
-    if len(group) > 1:
-        ties.append(tuple(group))
+            groups.append([v])
+    ties = [tuple(g) for g in groups if len(g) > 1]
     return MountainPassReport(
         r=r,
         r_s=r_s,

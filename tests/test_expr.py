@@ -164,6 +164,15 @@ class TestEvalValue:
         assert eval_value(parse_expression("log(x)", names), (1.0,)) == 0.0
         assert eval_value(parse_expression("cos(x)", names), (0.0,)) == 1.0
 
+    def test_functions_of_numpy_and_int_values(self):
+        # a walk at numpy scalars, or over int constants, applies the math
+        # functions as it does at floats; only a carrier has a call method
+        e = parse_expression("sin(x) + exp(x)*log(x)", {"x": 0})
+        ref = e.val_grad_hess([0.5])
+        assert e.val([np.float64(0.5)]) == ref[0]
+        assert e.val_grad_hess([np.float64(0.5)]) == ref
+        assert Func("cos", Const(2)).val(()) == math.cos(2.0)
+
     def test_precedence(self):
         names = {"x": 0}
         assert eval_value(parse_expression("2 + 3*x^2", names), (2.0,)) == 14.0

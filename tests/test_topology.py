@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,8 +36,6 @@ from switchstat.topology import (
     DimensionError,
     GridSpec,
     LevelSweep,
-    _active_labels,
-    _mesh_eval,
     critical_level_report,
     feasibility_mask,
     mountain_pass_check,
@@ -45,7 +44,14 @@ from switchstat.topology import (
     sweep_level_labels,
     sweep_levels,
 )
-from tests.conftest import CROSS_QUADRATIC
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
+)
+from tests.test_stationarity import MID3, _corpus
 
 
 def _grid(p, lo=-2.0, hi=2.0, res=401):
@@ -165,6 +171,14 @@ def _bfs_labels(active):
                     queue.append(nb)
         count += 1
     return labels.ravel(), count
+
+
+def _active_labels(active):
+    """(flat int64 labels, count) of the True nodes of the whole lattice,
+    -1 outside, components numbered in scan order."""
+    labels, count = topology._label(active)
+    box = (slice(None),) * active.ndim
+    return topology._flat_labels(active.shape, box, labels), count
 
 
 class TestActiveLabels:
@@ -434,6 +448,17 @@ class TestMountainPass:
         with pytest.raises(DegenerateInputError):
             mountain_pass_check(cls)
 
+    def test_ties_chain_within_the_tolerance(self):
+        def point(f):
+            nd = SimpleNamespace(nondegenerate=True)
+            return SimpleNamespace(x=None, f_value=f, nd=nd, w=SimpleNamespace(w=0))
+
+        values = [2.0, 5.0, 1.0 + 9e-10, 0.0, 1.0, 3.0, 5.0, 1.0 + 5e-10, 3.0 + 2e-9]
+        report = mountain_pass_check([point(f) for f in values])
+        assert report.ties == ((1.0, 1.0 + 5e-10, 1.0 + 9e-10), (5.0, 5.0))
+        assert (report.r, report.r_s) == (9, 0)
+        assert mountain_pass_check([]).ties == ()
+
     def test_hypotheses_echoed(self, cross_linear):
         pts = find_stationary_points(cross_linear, (-2.0, 2.0))
         cls = [classify_point(cross_linear, pt.x, pt.mult, pt.idx) for pt in pts]
@@ -555,8 +580,24 @@ def _mesh_exprs(p):
     return [p.objective, *p.equalities, *p.inequalities, *members, *products]
 
 
-def _full_mesh(grid):
-    return np.meshgrid(*grid.axes(), indexing="ij")
+def _open_mesh(grid):
+    return np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+
+
+def _mesh_walk(e, mesh, grad):
+    """(value, gradient list or None) of ``e``'s own walk (``val``, or
+    ``_derivatives`` when ``grad``) on the mesh carriers, as arrays and
+    floats that broadcast to the mesh."""
+    tree, x = topology._mesh_tree(e), [topology._Mesh(a) for a in mesh]
+    if not grad:
+        return tree.val(x).a, None
+    v, g, _ = tree._derivatives(x, False)
+    return v.a, [getattr(gi, "a", gi) for gi in g]
+
+
+def _dense(a, grid):
+    """An array or float of a mesh walk broadcast to the grid's shape."""
+    return np.broadcast_to(a, (grid.resolution,) * grid.n)
 
 
 class TestMeshSlabs:
@@ -571,7 +612,7 @@ class TestMeshSlabs:
         assert set().union(*map(_node_kinds, cons)) == ALL_KINDS
         grid = _grid(p, res=41)
         with np.errstate(all="ignore"):
-            v, g = _mesh_eval(p.inequalities[0], _full_mesh(grid), True)
+            v, g = _mesh_walk(p.inequalities[0], _open_mesh(grid), True)
         assert np.isnan(v).any()
         assert not all(np.isfinite(gi).all() for gi in g)
         fvals = objective_values(p, grid)
@@ -595,25 +636,56 @@ class TestMeshSlabs:
             results.append((mask.tobytes(), fvals.tobytes()))
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "vars: x1 x2 x3\nobjective: x1\nineq: x1 + 1\n",
+            "vars: x1 x2 x3\nobjective: x3^2\neq: x2\n",
+            "vars: x1 x2 x3\nobjective: 3\nineq: 2\n",
+            "vars: x1 x2\nobjective: 3\n",
+        ],
+        ids=["x1", "x3-only", "constants", "constant-2d"],
+    )
+    def test_arrays_of_partial_trees_are_whole(self, text, monkeypatch):
+        # trees reading one axis or none walk at a broadcast shape; the
+        # caller still gets full-shape arrays of its own
+        p = parse_problem(text)
+        grid = _grid(p, res=41)
+        row = 41 ** (p.n - 1)
+        for nodes in (1, 3 * row, 41 * row):
+            monkeypatch.setattr(topology, "_SLAB_NODES", nodes)
+            for a in _arrays(p, grid):
+                assert type(a) is np.ndarray and a.shape == (41,) * p.n
+                assert a.flags.c_contiguous and a.flags.writeable
+                assert a.flags.owndata and a.base is None
+        mask, fvals = _arrays(p, grid)
+        axis = grid.axes()[0]
+        if p.objective == Var(0):
+            assert (fvals == axis.reshape(-1, 1, 1)).all()
+        if p.inequalities == (Const(2.0),):
+            assert mask.all() and (fvals == 3.0).all()
 
-class TestMeshEval:
-    """The mesh walker against the scalar evaluator.  numpy's exp, log and
-    power round differently from libm, so values agree to rounding, not
-    bitwise."""
+
+class TestMeshWalk:
+    """The trees' own walks on mesh carriers against the scalar evaluator.
+    numpy's exp, log and power round differently from libm, so values agree
+    to rounding, not bitwise."""
 
     @MESH_TEXTS
     def test_matches_scalar_value_and_gradient(self, text):
         p = parse_problem(text)
         grid = _grid(p, res=41)
-        mesh = _full_mesh(grid)
+        mesh = _open_mesh(grid)
         rng = np.random.default_rng(3)
         nodes = rng.integers(0, 41, size=(300, p.n))
+        axes = grid.axes()
         checked = 0
         for e in _mesh_exprs(p):
             with np.errstate(all="ignore"):
-                v, g = _mesh_eval(e, mesh, True)
+                v, g = _mesh_walk(e, mesh, True)
+            v, g = _dense(v, grid), [_dense(gi, grid) for gi in g]
             for node in map(tuple, nodes):
-                x = [m[node] for m in mesh]
+                x = [axis[i] for axis, i in zip(axes, node)]
                 try:
                     ref_v = eval_value(e, x)
                     ref_g = eval_gradient(e, x)
@@ -628,13 +700,183 @@ class TestMeshEval:
     @MESH_TEXTS
     def test_value_only_walk_keeps_the_value_bits(self, text):
         p = parse_problem(text)
-        mesh = _full_mesh(_grid(p, res=41))
+        grid = _grid(p, res=41)
+        mesh = _open_mesh(grid)
         with np.errstate(all="ignore"):
             for e in _mesh_exprs(p):
-                v, g = _mesh_eval(e, mesh, False)
-                vg, gg = _mesh_eval(e, mesh, True)
+                v, g = _mesh_walk(e, mesh, False)
+                vg, gg = _mesh_walk(e, mesh, True)
                 assert g is None and len(gg) == p.n
-                assert v.tobytes() == vg.tobytes()
+                assert np.shape(v) == np.shape(vg)
+                assert _dense(v, grid).tobytes() == _dense(vg, grid).tobytes()
+
+
+# name -> (numpy function, derivative from the argument u and value w)
+REFERENCE_FUNCTIONS = {
+    "sin": (np.sin, lambda u, w: np.cos(u)),
+    "cos": (np.cos, lambda u, w: -np.sin(u)),
+    "exp": (np.exp, lambda u, w: w),
+    "log": (np.log, lambda u, w: 1.0 / u),
+}
+
+
+def _reference_eval(e, mesh, grad):
+    """(value array, list of partial-derivative arrays or None) over a dense
+    mesh: the mesh walker the open-mesh walks replaced, kept as the bitwise
+    reference; the caller sets the numpy error state."""
+    n, shape = len(mesh), mesh[0].shape
+    if isinstance(e, Const):
+        return np.full(shape, e.value), [np.zeros(shape)] * n if grad else None
+    if isinstance(e, Var):
+        if not grad:
+            return mesh[e.index], None
+        g = [np.zeros(shape) for _ in range(n)]
+        g[e.index] = np.ones(shape)
+        return mesh[e.index], g
+    if isinstance(e, Pow):
+        u, gu = _reference_eval(e.base, mesh, grad)
+        m = e.exponent
+        v = u ** float(m)
+        if not grad:
+            return v, None
+        if m == 0:
+            return v, [np.zeros(shape)] * n
+        a = m * u ** float(m - 1)
+        return v, [a * gi for gi in gu]
+    if isinstance(e, Neg):
+        v, g = _reference_eval(e.a, mesh, grad)
+        return -v, [-gi for gi in g] if grad else None
+    if isinstance(e, Func):
+        u, gu = _reference_eval(e.arg, mesh, grad)
+        if e.name == "log":
+            u = np.where(u > 0, u, np.nan)
+        f, df = REFERENCE_FUNCTIONS[e.name]
+        w = f(u)
+        if not grad:
+            return w, None
+        d = df(u, w)
+        return w, [d * gi for gi in gu]
+    va, ga = _reference_eval(e.a, mesh, grad)
+    vb, gb = _reference_eval(e.b, mesh, grad)
+    if isinstance(e, Add):
+        v, rule = va + vb, lambda x, y: x + y
+    elif isinstance(e, Sub):
+        v, rule = va - vb, lambda x, y: x - y
+    elif isinstance(e, Mul):
+        v, rule = va * vb, lambda x, y: va * y + vb * x
+    else:
+        v, rule = va / vb, lambda x, y: (x - v * y) / vb
+    return v, [rule(x, y) for x, y in zip(ga, gb)] if grad else None
+
+
+def _reference_arrays(p, grid):
+    """The mask and the objective values from :func:`_reference_eval`, on
+    dense meshes of slabs of whole rows of the first axis."""
+    axes = grid.axes()
+    shape = (grid.resolution,) * p.n
+    mask, fvals = np.empty(shape, dtype=bool), np.empty(shape)
+    scale = grid.feas_scale * grid.spacing
+    checks = (
+        [(h, True) for h in p.equalities]
+        + [(g, False) for g in p.inequalities]
+        + [(Mul(f1, f2), True) for f1, f2 in p.switches]
+    )
+    rows = max(1, (1 << 16) // grid.resolution ** (p.n - 1))
+    with np.errstate(all="ignore"):
+        for lo in range(0, grid.resolution, rows):
+            mesh = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
+            fvals[lo : lo + rows] = _reference_eval(p.objective, mesh, False)[0]
+            ok = np.ones(mesh[0].shape, dtype=bool)
+            for e, two_sided in checks:
+                v, g = _reference_eval(e, mesh, True)
+                tol = scale * (1.0 + np.sqrt(sum(gi * gi for gi in g)))
+                near = np.abs(v) <= tol if two_sided else v >= -tol
+                ok &= np.isfinite(v) & near
+            mask[lo : lo + rows] = ok
+    return mask, fvals
+
+
+# Var-free subtrees whose math-module walk raises (log(0-1), log(0),
+# exp(800)) or could round apart from numpy's (sin(2), 2^-3), constant
+# objectives and constraints, and one variable
+EDGE_PROBLEMS = {
+    "var-free-2d": """\
+vars: x1 x2
+objective: sin(2)*x1 + 2^-3*x2 + exp(3)
+ineq: exp(800)*x1 + 1
+switch: x1 | exp(3)
+""",
+    "var-free-nan-3d": """\
+vars: x1 x2 x3
+objective: log(0-1)*0 + x3
+eq: 0*log(0) + x1*x2
+ineq: cos(2)*x2 - 2^-3*x3 + sin(2)
+""",
+    "constants": """\
+vars: x1 x2 x3
+objective: 3
+ineq: 2
+""",
+    "one-variable": """\
+vars: x1
+objective: sin(2)*x1 + log(x1) + x1^(-3)
+eq: exp(x1) - exp(1)*x1^0
+switch: x1 | 2^-3
+""",
+}
+
+EXAMPLES = [CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH, INSTABILITY_ONE,
+            STABLE_WITHOUT_ND2]
+
+BITWISE_AT_41 = {
+    **{f"example{i}": text for i, text in enumerate(EXAMPLES)},
+    "mid3": MID3,
+    **{f"corpus-p{i:03d}": t for i, (t, _) in enumerate(_corpus()) if i % 5 == 0},
+    "mesh1d": MESH_1D,
+    "mesh2d": MESH_2D,
+    "mesh3d": MESH_3D,
+    **EDGE_PROBLEMS,
+}
+
+
+class TestOpenMeshBits:
+    """The mask and the objective values from the trees' own walks on open
+    meshes are byte-equal to the dense reference walker's on this machine.
+    (No digest is pinned: numpy's transcendental functions round
+    differently across CPU builds.)"""
+
+    @pytest.mark.parametrize("text", BITWISE_AT_41.values(), ids=list(BITWISE_AT_41))
+    @pytest.mark.parametrize("box", [(-2.0, 2.0), (-1.0, 2.0)], ids=["box2", "box1"])
+    def test_byte_equal_to_the_reference_at_41(self, text, box):
+        p = parse_problem(text)
+        grid = _grid(p, *box, res=41)
+        mask, fvals = _reference_arrays(p, grid)
+        assert feasibility_mask(p, grid).tobytes() == mask.tobytes()
+        assert objective_values(p, grid).tobytes() == fvals.tobytes()
+
+    def test_byte_equal_to_the_reference_on_levelsets_3d(self):
+        p = parse_problem(LEVELSETS_3D)
+        grid = GridSpec.for_problem(p, (-2.0, 2.0))
+        assert grid.resolution == 101
+        mask, fvals = _reference_arrays(p, grid)
+        assert feasibility_mask(p, grid).tobytes() == mask.tobytes()
+        assert objective_values(p, grid).tobytes() == fvals.tobytes()
+
+
+class TestGridDimension:
+    """The grid must have one axis per variable of the problem."""
+
+    def test_grid_with_more_axes_than_variables(self, cross_linear):
+        grid = GridSpec(((-2.0, 2.0),) * 3, 16)
+        for probe in (objective_values, feasibility_mask):
+            with pytest.raises(ValueError, match="grid has 3 axes but the problem"):
+                probe(cross_linear, grid)
+
+    def test_grid_with_fewer_axes_than_variables(self, cross_linear):
+        grid = GridSpec(((-2.0, 2.0),), 16)
+        for probe in (objective_values, feasibility_mask):
+            with pytest.raises(ValueError, match="grid has 1 axes but the problem"):
+                probe(cross_linear, grid)
 
 
 # perfbench's levelsets-3d problem, walked at its default 101^3 grid
@@ -656,4 +898,18 @@ def test_feasibility_mask_memory_at_101_cubed():
     finally:
         tracemalloc.stop()
     assert mask.shape == (101,) * 3 and mask.any()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_objective_values_memory_at_101_cubed():
+    p = parse_problem(LEVELSETS_3D)
+    grid = GridSpec.for_problem(p, (-2.0, 2.0))
+    assert grid.resolution == 101
+    tracemalloc.start()
+    try:
+        fvals = objective_values(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fvals.shape == (101,) * 3 and np.isfinite(fvals).all()
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
