@@ -25,8 +25,8 @@ for a whole array of points and reproduces the scalar walk bit for bit, lane
 by lane.  ``_StraightLine`` writes straight-line Python for a tree's shape
 (its nodes without their constant values) by running the scalar walk itself
 on code terms, so the code gives its bits by construction; it serves callers
-that evaluate one point at a time many times.  ``_affine_form`` reads an
-affine tree's exact coefficients and a bound on its float rounding.
+that evaluate one point at a time many times.  ``_affine_form`` runs ``val``
+on exact affine carriers for a tree's coefficients and rounding bound.
 Expressions and problems are immutable after construction and all
 evaluation entry points are reentrant.
 """
@@ -100,7 +100,15 @@ class Expr:
     value alone, and ``_derivatives(x, hess)``, one walk of the tree that
     returns the value, the gradient and, when ``hess``, the Hessian as lists
     (else None); whatever only the Hessian needs runs only then.
-    ``val_grad`` and ``val_grad_hess`` are that walk without and with it."""
+    ``val_grad`` and ``val_grad_hess`` are that walk without and with it.
+
+    The walks also run on carriers in place of floats: :class:`_Term` (code),
+    ``topology._Mesh`` (arrays over a mesh) and :class:`_Affine` (exact
+    affine values).  A carrier has ``+ - * /`` with floats and carriers on
+    both sides, unary ``-``, ``**`` by an int (in :func:`_pow`) and
+    ``call(name)`` for ``FUNCTIONS[name]`` (:func:`_apply`), and it equals
+    only itself, so the zero tests in :class:`Div` and :func:`_pow` are false
+    on it."""
 
     __slots__ = ()
 
@@ -561,6 +569,84 @@ def _up(v):
     return math.nextafter(v, math.inf)
 
 
+class _NotAffine(Exception):
+    """Raised by an :class:`_Affine` operation whose result is not affine."""
+
+
+def _operator(rule, arg):
+    """A binary operator of a carrier and its reflected twin:
+    ``rule(self, other, arg, flip)`` with ``flip`` false and true."""
+    return (
+        lambda self, other: rule(self, other, arg, False),
+        lambda self, other: rule(self, other, arg, True),
+    )
+
+
+class _Affine:
+    """The exact value (A·x + B) / D of an affine tree, n ints ``A`` and
+    ints ``B`` and ``D > 0``, with the floats ``mag`` bounding its absolute
+    value and ``err`` its float rounding: :func:`_affine_form`'s carrier."""
+
+    __slots__ = ("A", "B", "D", "mag", "err")
+
+    def __init__(self, A, B, D, mag, err):
+        self.A, self.B, self.D, self.mag, self.err = A, B, D, mag, err
+
+    @staticmethod
+    def constant(k, n):
+        """The float ``k`` over ``n`` variables, exact, if it is finite."""
+        k = float(k)
+        if not math.isfinite(k):
+            raise _NotAffine
+        num, den = k.as_integer_ratio()
+        return _Affine([0] * n, num, den, abs(k), 0.0)
+
+    def _sum(self, g, s, flip):
+        """``self + s·g``, or ``g + s·self`` when ``flip``: the bounds add,
+        and ``err`` gains u·(mag + err)."""
+        f = self
+        if type(g) is not _Affine:
+            g = _Affine.constant(g, len(f.A))
+        if flip:
+            f, g = g, f
+        mag, err = _up(f.mag + g.mag), _up(f.err + g.err)
+        err = _up(err + _up(_UNIT_ROUNDOFF * _up(mag + err)))
+        A = [c * g.D + s * c2 * f.D for c, c2 in zip(f.A, g.A)]
+        return _Affine(A, f.B * g.D + s * g.B * f.D, f.D * g.D, mag, err)
+
+    def _scaled(self, k, divide, flip):
+        """``self * k``, or ``self / k`` when ``divide``, for a float ``k``:
+        ``err`` gains u·(mag + err), the bounds scale by |k| and ``err``
+        gains η.  ``k / self`` is not affine."""
+        if type(k) is _Affine or divide and flip:
+            raise _NotAffine
+        k = _Affine.constant(k, 0)  # k = num / den exactly, |k| = s
+        num, den, s, mag = k.B, k.D, k.mag, self.mag
+        err = _up(self.err + _up(_UNIT_ROUNDOFF * _up(mag + self.err)))
+        if divide:
+            # times den / num, the denominator kept positive
+            sign = 1 if num > 0 else -1
+            num, den = sign * den, sign * num
+            mag, err = _up(mag / s), _up(err / s)
+        else:
+            mag, err = _up(mag * s), _up(err * s)
+        A = [c * num for c in self.A]
+        return _Affine(A, self.B * num, self.D * den, mag, _up(err + _UNDERFLOW))
+
+    __add__, __radd__ = _operator(_sum, 1)
+    __sub__, __rsub__ = _operator(_sum, -1)
+    __mul__, __rmul__ = _operator(_scaled, False)
+    __truediv__, __rtruediv__ = _operator(_scaled, True)
+
+    def __neg__(self):
+        return _Affine([-c for c in self.A], -self.B, self.D, self.mag, self.err)
+
+    def _not_affine(self, *_):
+        raise _NotAffine
+
+    __pow__ = call = _not_affine
+
+
 def _affine_form(e: Expr, n: int, radius: float):
     """``(A, B, D, err)`` when ``e`` is affine, else None.
 
@@ -568,86 +654,33 @@ def _affine_form(e: Expr, n: int, radius: float):
     with a Var-free subtree and quotients by a nonzero Var-free subtree.  A
     Var-free subtree reads no ``x``, so every walk gives it one float, its
     ``val``.  With those floats as constants, e(x) = (A·x + B) / D exactly,
-    for n ints ``A`` and ints ``B`` and ``D > 0`` (from
-    ``float.as_integer_ratio``), and the float ``err`` bounds |ê(x) - e(x)|
-    for the float walk ê at every ``x`` with max |x_j| <= ``radius`` where ê
-    is finite.  None also when no finite bound results.
+    and the float ``err`` bounds |ê(x) - e(x)| for the float walk ê at every
+    ``x`` with max |x_j| <= ``radius`` where ê is finite.  None also when no
+    finite bound results.
 
-    ``err`` applies the standard model fl(u op v) = (u op v)(1 + δ) + η,
-    |δ| <= 2^-53, η = 0 for sums and |η| <= 2^-1074 for products and
-    quotients (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    §2.2), node by node, each float operation of the bound rounded up.  It
-    is at most γ_N · |e|(radius), with N the rounding operations of the
-    tree, γ_N = N·u / (1 - N·u) and |e| the tree with absolute constants
-    (the floats of Var-free subtrees), + for - and |x_j| = ``radius``, plus
-    each underflow term carried through the scalings above it.
+    This is ``e.val`` run on one :class:`_Affine` per variable, the unit row
+    with ``mag = radius``.  Each operation of the carrier applies the
+    standard model fl(u op v) = (u op v)(1 + δ) + η, |δ| <= u = 2^-53, η = 0
+    for sums and |η| <= 2^-1074 for products and quotients (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §2.2), each float
+    operation of its bounds rounded up.  So ``err`` is at most
+    γ_N · |e|(radius), with N the rounding operations of the tree,
+    γ_N = N·u / (1 - N·u) and |e| the tree with absolute constants (the
+    floats of Var-free subtrees), + for - and |x_j| = ``radius``, plus each
+    underflow term carried through the scalings above it.
     """
-    u, eta = _UNIT_ROUNDOFF, _UNDERFLOW
-
-    def constant(c):
-        try:
-            k = float(c.val(()))
-        except EvalDomainError:
-            return None
-        return k if math.isfinite(k) else None
-
-    def walk(e):
-        """``(A, B, D, mag, err)``, ``mag`` bounding |e(x)|, or None."""
-        t = type(e)
-        if e.max_var_index() < 0:
-            k = constant(e)
-            if k is None:
-                return None
-            num, den = k.as_integer_ratio()
-            return [0] * n, num, den, abs(k), 0.0
-        if t is Var:
-            a = [0] * n
-            a[e.index] = 1
-            return a, 0, 1, float(radius), 0.0
-        if t is Neg:
-            f = walk(e.a)
-            return f and ([-c for c in f[0]], -f[1]) + f[2:]
-        if t in (Add, Sub):
-            f, g = walk(e.a), walk(e.b)
-            if f is None or g is None:
-                return None
-            s = 1 if t is Add else -1
-            (a, b, d), (a2, b2, d2) = f[:3], g[:3]
-            mag, err = _up(f[3] + g[3]), _up(f[4] + g[4])
-            return (
-                [c * d2 + s * c2 * d for c, c2 in zip(a, a2)],
-                b * d2 + s * b2 * d,
-                d * d2,
-                mag,
-                _up(err + _up(u * _up(mag + err))),
-            )
-        if t is Mul and e.a.max_var_index() < 0:
-            k, f = constant(e.a), walk(e.b)
-        elif t in (Mul, Div) and e.b.max_var_index() < 0:
-            k, f = constant(e.b), walk(e.a)
-        else:
-            return None  # Pow, Func, or a product of two variable factors
-        if k is None or f is None or (t is Div and k == 0.0):
-            return None
-        a, b, d, mag, err = f
-        num, den = k.as_integer_ratio()
-        err = _up(err + _up(u * _up(mag + err)))
-        s = abs(k)
-        if t is Div:
-            # times den / num, the denominator kept positive
-            sign = 1 if num > 0 else -1
-            num, den = sign * den, sign * num
-            mag, err = _up(mag / s), _up(err / s)
-        else:
-            mag, err = _up(mag * s), _up(err * s)
-        return [c * num for c in a], b * num, d * den, mag, _up(err + eta)
-
-    form = walk(e)
-    if form is None or not form[4] < math.inf:
+    x = [_Affine([int(i == j) for i in range(n)], 0, 1, float(radius), 0.0)
+         for j in range(n)]
+    try:
+        v = e.val(x)
+        if type(v) is not _Affine:
+            v = _Affine.constant(v, n)
+    except (_NotAffine, EvalDomainError):
         return None
-    a, b, d, _, err = form
-    g = math.gcd(*a, b, d)
-    return tuple(c // g for c in a), b // g, d // g, err
+    if not v.err < math.inf:
+        return None
+    g = math.gcd(*v.A, v.B, v.D)
+    return tuple(c // g for c in v.A), v.B // g, v.D // g, v.err
 
 
 # ---------------------------------------------------------------------------
@@ -695,27 +728,15 @@ _LEFT_IDENTITY = {"+": "-0.0", "*": "1.0"}
 _TEMP_NAME = re.compile(r"\bt\d+\b")
 
 
-def _operator(op):
-    """A binary operator of :class:`_Term` and its reflected twin."""
-    return (
-        lambda self, other: self._write(self, op, other),
-        lambda self, other: self._write(other, op, self),
-    )
-
-
 class _Term:
-    """A value of :class:`_StraightLine` code, held by the name ``name``.
-
-    Each operation with a term writes one line and returns the term of its
-    result: ``+ - * /`` with floats, ints and terms, unary ``-``, and ``**``,
-    which only :func:`_pow` reaches, so a power writes the checked
-    ``_pow``.  ``a + (-0.0)``, ``a - 0.0`` and ``a * 1.0``, which give ``a``
-    bit for bit, write nothing, and a division writes the zero test of its
-    divisor first.  An operation on floats alone is Python's own and so done
-    while writing.  A term equals only itself, so the walks' own tests of a
-    value (``vb == 0.0`` in :class:`Div`, ``u == 0.0`` in :func:`_pow`) are
-    false while writing and run in the code instead.
-    """
+    """A value of :class:`_StraightLine` code, held by the name ``name``: a
+    carrier (see :class:`Expr`), also with ints, each of whose operations
+    writes one line and returns the term of its result; a power writes the
+    checked ``_pow``.  ``a + (-0.0)``, ``a - 0.0`` and ``a * 1.0``, which
+    give ``a`` bit for bit, write nothing, and a division writes the zero
+    test of its divisor first.  An operation on floats alone is Python's own
+    and so done while writing; the walks' tests of a value, false on a term,
+    run in the code instead."""
 
     __slots__ = ("code", "name")
 
@@ -723,8 +744,9 @@ class _Term:
         self.code = code
         self.name = name
 
-    def _write(self, a, op, b):
-        """The term of ``a op b``; ``self`` is ``a`` or ``b``."""
+    def _write(self, other, op, flip):
+        """The term of ``self op other``, or ``other op self`` when ``flip``."""
+        a, b = (other, self) if flip else (self, other)
         if type(b) is float and repr(b) == _RIGHT_IDENTITY.get(op):
             return a
         if type(a) is float and repr(a) == _LEFT_IDENTITY.get(op):
@@ -734,10 +756,10 @@ class _Term:
             code.zero_test(b)
         return code.temp(f"{code.ref(a)} {op} {code.ref(b)}")
 
-    __add__, __radd__ = _operator("+")
-    __sub__, __rsub__ = _operator("-")
-    __mul__, __rmul__ = _operator("*")
-    __truediv__, __rtruediv__ = _operator("/")
+    __add__, __radd__ = _operator(_write, "+")
+    __sub__, __rsub__ = _operator(_write, "-")
+    __mul__, __rmul__ = _operator(_write, "*")
+    __truediv__, __rtruediv__ = _operator(_write, "/")
 
     def __neg__(self):
         return self.code.temp(f"-{self.name}")
@@ -943,6 +965,19 @@ class _ExprParser:
         self.pos += 1
         return tok
 
+    def accept(self, op):
+        """Whether the operator ``op`` comes next; it is consumed if so."""
+        found = self.peek()[:2] == ("op", op)
+        if found:
+            self.next()
+        return found
+
+    def expect(self, op, message):
+        """Consume the operator ``op``; raise ``message`` at any other token."""
+        kind, text, col = self.next()
+        if (kind, text) != ("op", op):
+            raise ParseError(message, self.line, col)
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, self.line, tok[2])
@@ -956,45 +991,32 @@ class _ExprParser:
 
     def expression(self):
         e = self.term()
-        while self.peek()[1] in ("+", "-") and self.peek()[0] == "op":
-            op = self.next()[1]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            e = (Add if self.next()[1] == "+" else Sub)(e, self.term())
         return e
 
     def term(self):
         e = self.factor()
-        while self.peek()[1] in ("*", "/") and self.peek()[0] == "op":
-            op = self.next()[1]
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+            e = (Mul if self.next()[1] == "*" else Div)(e, self.factor())
         return e
 
     def factor(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
+        if self.accept("-"):
             return Neg(self.factor())
         return self.power()
 
     def power(self):
         e = self.atom()
-        while self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.next()
+        while self.accept("^"):
             e = Pow(e, self.exponent())
         return e
 
     def exponent(self):
         """An integer literal, optionally negated and/or parenthesised, whose
         m*(m-1) is a finite float."""
-        parens = False
-        if self.peek()[0] == "op" and self.peek()[1] == "(":
-            self.next()
-            parens = True
-        sign = 1
-        if self.peek()[0] == "op" and self.peek()[1] == "-":
-            self.next()
-            sign = -1
+        parens = self.accept("(")
+        sign = -1 if self.accept("-") else 1
         kind, text, col = self.next()
         if kind != "number" or not re.fullmatch(r"\d+", text):
             raise ParseError("exponent must be an integer", self.line, col)
@@ -1006,9 +1028,7 @@ class _ExprParser:
                 "exponent beyond the float range", self.line, col
             ) from None
         if parens:
-            kind, text2, col2 = self.next()
-            if kind != "op" or text2 != ")":
-                raise ParseError("expected ')' after exponent", self.line, col2)
+            self.expect(")", "expected ')' after exponent")
         return m
 
     def atom(self):
@@ -1019,22 +1039,16 @@ class _ExprParser:
             return Const(float(text))
         if kind == "ident":
             if text in FUNCTIONS:
-                kind2, text2, col2 = self.next()
-                if kind2 != "op" or text2 != "(":
-                    raise ParseError(f"expected '(' after {text}", self.line, col2)
+                self.expect("(", f"expected '(' after {text}")
                 arg = self.expression()
-                kind3, text3, col3 = self.next()
-                if kind3 != "op" or text3 != ")":
-                    raise ParseError("expected ')'", self.line, col3)
+                self.expect(")", "expected ')'")
                 return Func(text, arg)
             if text not in self.names:
                 raise ParseError(f"unknown identifier {text!r}", self.line, col)
             return Var(self.names[text])
         if kind == "op" and text == "(":
             e = self.expression()
-            kind2, text2, col2 = self.next()
-            if kind2 != "op" or text2 != ")":
-                raise ParseError("expected ')'", self.line, col2)
+            self.expect(")", "expected ')'")
             return e
         raise ParseError(
             "expected a number, variable, function or '('", self.line, col
@@ -1086,24 +1100,14 @@ def parse_problem(text: str) -> Problem:
             var_names = []
             for m in re.finditer(r"\S+", body):
                 name = m.group(0)
-                if not _IDENT_RE.fullmatch(name):
-                    raise ParseError(
-                        f"invalid variable name {name!r}",
-                        line_no,
-                        col_offset + m.start() + 1,
-                    )
-                if name in FUNCTIONS:
-                    raise ParseError(
-                        f"variable name {name!r} is reserved",
-                        line_no,
-                        col_offset + m.start() + 1,
-                    )
-                if name in names:
-                    raise ParseError(
-                        f"duplicate variable {name!r}",
-                        line_no,
-                        col_offset + m.start() + 1,
-                    )
+                fault = (
+                    "invalid variable name {!r}" if not _IDENT_RE.fullmatch(name)
+                    else "variable name {!r} is reserved" if name in FUNCTIONS
+                    else "duplicate variable {!r}" if name in names else None
+                )
+                if fault:
+                    col = col_offset + m.start() + 1
+                    raise ParseError(fault.format(name), line_no, col)
                 names[name] = len(var_names)
                 var_names.append(name)
             if not var_names:
@@ -1201,17 +1205,11 @@ def format_expr(e: Expr, var_names: Sequence[str]) -> str:
 
 def format_problem(p: Problem) -> str:
     """Render a problem in the input grammar (round-trip stable)."""
-    lines = ["vars: " + " ".join(p.var_names)]
-    lines.append("objective: " + format_expr(p.objective, p.var_names))
-    for e in p.equalities:
-        lines.append("eq: " + format_expr(e, p.var_names))
-    for e in p.inequalities:
-        lines.append("ineq: " + format_expr(e, p.var_names))
-    for f1, f2 in p.switches:
-        lines.append(
-            "switch: "
-            + format_expr(f1, p.var_names)
-            + " | "
-            + format_expr(f2, p.var_names)
-        )
+    names = p.var_names
+    lines = ["vars: " + " ".join(names)]
+    lines.append("objective: " + format_expr(p.objective, names))
+    lines += ["eq: " + format_expr(e, names) for e in p.equalities]
+    lines += ["ineq: " + format_expr(e, names) for e in p.inequalities]
+    lines += [f"switch: {format_expr(f1, names)} | {format_expr(f2, names)}"
+              for f1, f2 in p.switches]
     return "\n".join(lines) + "\n"

@@ -19,8 +19,12 @@ from switchstat.expr import (
     Pow,
     Sub,
     Var,
+    _UNDERFLOW,
+    _UNIT_ROUNDOFF,
+    _affine_form,
     _expr_shape,
     _StraightLine,
+    _up,
     eval_batch,
     eval_gradient,
     eval_hessian,
@@ -29,6 +33,15 @@ from switchstat.expr import (
     format_problem,
     parse_expression,
     parse_problem,
+)
+from switchstat.relaxation import relax
+from switchstat.stationarity import _problem_slots, _slot_expr
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
 )
 
 
@@ -654,3 +667,174 @@ class TestFloatEdges:
         assert eval_value(e, [1e-200]) == math.log(1e-200)
         _, g, H = e.val_grad_hess([1e-200])
         assert g == [1.0 / 1e-200] and H == [[-math.inf]]
+
+
+def _reference_affine_form(e, n, radius):
+    """The node-by-node walk that ``_affine_form``'s carrier replaced, kept
+    as the reference: it dispatches on the node types and folds each
+    Var-free subtree to the float of its ``val``."""
+    u, eta = _UNIT_ROUNDOFF, _UNDERFLOW
+
+    def constant(c):
+        try:
+            k = float(c.val(()))
+        except EvalDomainError:
+            return None
+        return k if math.isfinite(k) else None
+
+    def walk(e):
+        """``(A, B, D, mag, err)``, ``mag`` bounding |e(x)|, or None."""
+        t = type(e)
+        if e.max_var_index() < 0:
+            k = constant(e)
+            if k is None:
+                return None
+            num, den = k.as_integer_ratio()
+            return [0] * n, num, den, abs(k), 0.0
+        if t is Var:
+            a = [0] * n
+            a[e.index] = 1
+            return a, 0, 1, float(radius), 0.0
+        if t is Neg:
+            f = walk(e.a)
+            return f and ([-c for c in f[0]], -f[1]) + f[2:]
+        if t in (Add, Sub):
+            f, g = walk(e.a), walk(e.b)
+            if f is None or g is None:
+                return None
+            s = 1 if t is Add else -1
+            (a, b, d), (a2, b2, d2) = f[:3], g[:3]
+            mag, err = _up(f[3] + g[3]), _up(f[4] + g[4])
+            return (
+                [c * d2 + s * c2 * d for c, c2 in zip(a, a2)],
+                b * d2 + s * b2 * d,
+                d * d2,
+                mag,
+                _up(err + _up(u * _up(mag + err))),
+            )
+        if t is Mul and e.a.max_var_index() < 0:
+            k, f = constant(e.a), walk(e.b)
+        elif t in (Mul, Div) and e.b.max_var_index() < 0:
+            k, f = constant(e.b), walk(e.a)
+        else:
+            return None  # Pow, Func, or a product of two variable factors
+        if k is None or f is None or (t is Div and k == 0.0):
+            return None
+        a, b, d, mag, err = f
+        num, den = k.as_integer_ratio()
+        err = _up(err + _up(u * _up(mag + err)))
+        s = abs(k)
+        if t is Div:
+            # times den / num, the denominator kept positive
+            sign = 1 if num > 0 else -1
+            num, den = sign * den, sign * num
+            mag, err = _up(mag / s), _up(err / s)
+        else:
+            mag, err = _up(mag * s), _up(err * s)
+        return [c * num for c in a], b * num, d * den, mag, _up(err + eta)
+
+    form = walk(e)
+    if form is None or not form[4] < math.inf:
+        return None
+    a, b, d, _, err = form
+    g = math.gcd(*a, b, d)
+    return tuple(c // g for c in a), b // g, d // g, err
+
+
+def _problem_functions():
+    """``(tree, n)`` for the objective and every slot function of the five
+    examples, mid3, levelsets-3d and the 100 criterion-7 corpus problems,
+    each plain and relaxed at t = 0.1 and t = 0.01."""
+    from tests.test_stationarity import LEVELSETS_3D, MID3, _corpus
+
+    texts = [CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH, INSTABILITY_ONE,
+             STABLE_WITHOUT_ND2, MID3, LEVELSETS_3D]
+    texts += [text for text, _ in _corpus()]
+    out = []
+    for text in texts:
+        p = parse_problem(text)
+        for q in (p, relax(p, 0.1).problem, relax(p, 0.01).problem):
+            out.append((q.objective, q.n))
+            out += [(_slot_expr(q, s), q.n) for s in _problem_slots(q)]
+    return out
+
+
+# signed zeros, a subnormal, a tiny, a huge and the largest finite constant,
+# and some ordinary ones, for random trees of mostly affine nodes
+AFFINE_CONSTANTS = [0.0, -0.0, 2.5e-310, 1e-300, 0.1, 1.5, -3.0, 7.0, 1e300,
+                    1e308, -1e308]
+
+
+def _random_affine_tree(rng, n, depth):
+    """Random tree of mostly affine nodes over :data:`AFFINE_CONSTANTS`, with
+    powers, functions and products of two variable factors among them."""
+    def const():
+        return Const(AFFINE_CONSTANTS[rng.integers(0, len(AFFINE_CONSTANTS))])
+
+    def sub():
+        return _random_affine_tree(rng, n, depth - 1)
+
+    if depth == 0 or rng.random() < 0.25:
+        return Var(int(rng.integers(0, n))) if rng.random() < 0.5 else const()
+    pick = rng.integers(0, 9)
+    if pick < 4:
+        return (Add, Sub, Mul, Div)[pick](sub(), sub())
+    if pick == 4:
+        return Mul(const(), sub())
+    if pick == 5:
+        return Div(sub(), const())
+    if pick == 6:
+        return Neg(sub())
+    if pick == 7:
+        return Pow(sub(), int(rng.integers(-2, 3)))
+    return Func(("sin", "cos", "exp", "log")[rng.integers(0, 4)], sub())
+
+
+class TestAffineForm:
+    """``_affine_form``, the tree's own ``val`` run on exact affine carriers,
+    gives the repr of the node-by-node walk it replaced: the same
+    ``(A, B, D, err)`` bits or None, at small, huge and tiny radii."""
+
+    radii = (2.4, 1e300, 1e-300)
+
+    def _compare(self, e, n):
+        """The forms of ``e`` at every radius, each equal to the reference's."""
+        forms = [_affine_form(e, n, r) for r in self.radii]
+        ref = [_reference_affine_form(e, n, r) for r in self.radii]
+        assert repr(forms) == repr(ref), format_expr(e, [f"x{i + 1}" for i in range(n)])
+        return forms
+
+    def test_problem_functions_match_the_reference(self):
+        functions = _problem_functions()
+        forms = [f for e, n in functions for f in self._compare(e, n)]
+        assert len(forms) == 3 * len(functions) > 3000
+        assert sum(f is not None for f in forms) > 1000
+
+    def test_random_trees_match_the_reference(self):
+        rng = np.random.default_rng(20261020)
+        forms = [f for _ in range(10000)
+                 for f in self._compare(_random_affine_tree(rng, 3, 5), 3)]
+        assert sum(f is not None for f in forms) > 1000
+
+    @pytest.mark.parametrize("text, radius, form", [
+        ("2 - x1", 2.4, ((-1, 0), 2, 1, 4.884981308350693e-16)),
+        ("x1/(0-4) - 2*x2", 2.4, ((-1, -8), 0, 4, 1.1990408665951703e-15)),
+        ("3/x1", 2.4, None),  # a carrier divisor
+        ("x1*x2", 2.4, None),  # a product of two carriers
+        ("x1^1", 2.4, None),
+        ("x1^0", 2.4, None),
+        ("sin(x1)", 2.4, None),
+        ("x1/(1-1)", 2.4, None),  # a zero divisor: EvalDomainError
+        ("exp(800)*x1", 2.4, None),  # exp overflows: EvalDomainError
+        ("(1e300*1e300)*x1", 2.4, None),  # inf meets a carrier
+        ("(1e300*1e300 - 1e300*1e300) + x1", 2.4, None),  # nan meets one
+        ("1e308*x1", 1e300, None),  # the bound is not finite
+        ("3", 2.4, ((0, 0), 3, 1, 0.0)),  # a Var-free tree
+        ("-0.0*x1", 2.4, ((0, 0), 0, 1, 1.5e-323)),
+        ("log(0-1) + x1", 2.4, None),
+    ])
+    def test_edge_inputs(self, text, radius, form):
+        e = parse_expression(text, {"x1": 0, "x2": 1})
+        self._compare(e, 2)
+        assert repr(_affine_form(e, 2, radius)) == repr(form)
+        assert repr(_reference_affine_form(e, 2, radius)) == repr(form)
