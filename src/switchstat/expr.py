@@ -17,16 +17,18 @@ written through exp/log.
 
 Evaluation propagates (value, gradient, Hessian) triples through the tree,
 so all derivatives are exact up to floating rounding; no finite differences
-are involved.  Each node states its derivative rules once, in one walk that
-computes the Hessian only when asked: ``val_grad`` and ``val_grad_hess`` are
-that walk without and with it.  Hessians are assembled so that transposed
+are involved.  Each node states its rules once, in one walk
+``_derivatives(x, order)`` that computes the gradient only from order 1 and
+the Hessian only at order 2: ``val``, ``val_grad`` and ``val_grad_hess`` are
+that walk at orders 0, 1 and 2.  Hessians are assembled so that transposed
 entries are the bitwise-identical floats.  ``eval_batch`` walks the tree once
 for a whole array of points and reproduces the scalar walk bit for bit, lane
-by lane.  ``_StraightLine`` writes straight-line Python for a tree's shape
-(its nodes without their constant values) by running the scalar walk itself
-on code terms, so the code gives its bits by construction; it serves callers
-that evaluate one point at a time many times.  ``_affine_form`` runs ``val``
-on exact affine carriers for a tree's coefficients and rounding bound.
+by lane.  The scalar walk also runs on carriers in place of floats:
+``_StraightLine`` writes straight-line Python for a tree's shape (its nodes
+without their constant values) by running it on code terms, so the code
+gives its bits by construction; it serves callers that evaluate one point at
+a time many times.  ``_affine_form`` runs it at order 0 on exact affine
+carriers for a tree's coefficients and rounding bound.
 Expressions and problems are immutable after construction and all
 evaluation entry points are reentrant.
 """
@@ -87,22 +89,22 @@ class EvalDomainError(ValueError):
     cos of an infinite value)."""
 
 
-def _zeros(n):
-    return [0.0] * n
-
-
-def _zmat(n):
-    return [[0.0] * n for _ in range(n)]
+def _constant(v, n, order):
+    """``_derivatives``' triple to ``order`` of a value ``v`` over ``n``
+    variables whose derivatives vanish."""
+    return (v, [0.0] * n if order else None,
+            [[0.0] * n for _ in range(n)] if order > 1 else None)
 
 
 class Expr:
-    """Base class for expression nodes.  Subclasses implement ``val``, the
-    value alone, and ``_derivatives(x, hess)``, one walk of the tree that
-    returns the value, the gradient and, when ``hess``, the Hessian as lists
-    (else None); whatever only the Hessian needs runs only then.
-    ``val_grad`` and ``val_grad_hess`` are that walk without and with it.
+    """Base class for expression nodes.  Each subclass states its rules once,
+    in ``_derivatives(x, order)``: one walk of the tree that returns the
+    value, the gradient when ``order`` >= 1 and the Hessian when ``order``
+    is 2, as lists (else None); whatever only a higher order needs runs only
+    then.  ``val``, ``val_grad`` and ``val_grad_hess`` are that walk at
+    orders 0, 1 and 2.
 
-    The walks also run on carriers in place of floats: :class:`_Term` (code),
+    The walk also runs on carriers in place of floats: :class:`_Term` (code),
     ``topology._Mesh`` (arrays over a mesh) and :class:`_Affine` (exact
     affine values).  A carrier has ``+ - * /`` with floats and carriers on
     both sides, unary ``-``, ``**`` by an int (in :func:`_pow`) and
@@ -112,51 +114,43 @@ class Expr:
 
     __slots__ = ()
 
-    def val(self, x):
+    def _derivatives(self, x, order):
         raise NotImplementedError
 
-    def _derivatives(self, x, hess):
-        raise NotImplementedError
+    def val(self, x):
+        return self._derivatives(x, 0)[0]
 
     def val_grad(self, x):
-        v, g, _ = self._derivatives(x, False)
+        v, g, _ = self._derivatives(x, 1)
         return v, g
 
     def val_grad_hess(self, x):
-        return self._derivatives(x, True)
+        return self._derivatives(x, 2)
 
     def max_var_index(self):
-        """Largest 0-based variable index referenced, or -1 if none."""
-        raise NotImplementedError
+        """Largest 0-based variable index referenced, or -1 if none: the
+        largest over the node's subtrees."""
+        return max([f.max_var_index() for f in vars(self).values()
+                    if isinstance(f, Expr)], default=-1)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
-    def val(self, x):
-        return self.value
-
-    def _derivatives(self, x, hess):
-        n = len(x)
-        return self.value, _zeros(n), _zmat(n) if hess else None
-
-    def max_var_index(self):
-        return -1
+    def _derivatives(self, x, order):
+        return _constant(self.value, len(x), order)
 
 
 @dataclass(frozen=True)
 class Var(Expr):
     index: int  # 0-based
 
-    def val(self, x):
-        return x[self.index]
-
-    def _derivatives(self, x, hess):
-        n = len(x)
-        g = _zeros(n)
-        g[self.index] = 1.0
-        return x[self.index], g, _zmat(n) if hess else None
+    def _derivatives(self, x, order):
+        v, g, H = _constant(x[self.index], len(x), order)
+        if order:
+            g[self.index] = 1.0
+        return v, g, H
 
     def max_var_index(self):
         return self.index
@@ -167,18 +161,14 @@ class Add(Expr):
     a: Expr
     b: Expr
 
-    def val(self, x):
-        return self.a.val(x) + self.b.val(x)
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
-        va, ga, Ha = self.a._derivatives(x, hess)
-        vb, gb, Hb = self.b._derivatives(x, hess)
-        H = [[Ha[i][j] + Hb[i][j] for j in range(n)] for i in range(n)] if hess else None
-        return va + vb, [ga[i] + gb[i] for i in range(n)], H
-
-    def max_var_index(self):
-        return max(self.a.max_var_index(), self.b.max_var_index())
+        va, ga, Ha = self.a._derivatives(x, order)
+        vb, gb, Hb = self.b._derivatives(x, order)
+        H = None
+        if order > 1:
+            H = [[Ha[i][j] + Hb[i][j] for j in range(n)] for i in range(n)]
+        return va + vb, [ga[i] + gb[i] for i in range(n)] if order else None, H
 
 
 @dataclass(frozen=True)
@@ -186,18 +176,14 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
-    def val(self, x):
-        return self.a.val(x) - self.b.val(x)
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
-        va, ga, Ha = self.a._derivatives(x, hess)
-        vb, gb, Hb = self.b._derivatives(x, hess)
-        H = [[Ha[i][j] - Hb[i][j] for j in range(n)] for i in range(n)] if hess else None
-        return va - vb, [ga[i] - gb[i] for i in range(n)], H
-
-    def max_var_index(self):
-        return max(self.a.max_var_index(), self.b.max_var_index())
+        va, ga, Ha = self.a._derivatives(x, order)
+        vb, gb, Hb = self.b._derivatives(x, order)
+        H = None
+        if order > 1:
+            H = [[Ha[i][j] - Hb[i][j] for j in range(n)] for i in range(n)]
+        return va - vb, [ga[i] - gb[i] for i in range(n)] if order else None, H
 
 
 @dataclass(frozen=True)
@@ -205,15 +191,12 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
-    def val(self, x):
-        return self.a.val(x) * self.b.val(x)
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
-        va, ga, Ha = self.a._derivatives(x, hess)
-        vb, gb, Hb = self.b._derivatives(x, hess)
+        va, ga, Ha = self.a._derivatives(x, order)
+        vb, gb, Hb = self.b._derivatives(x, order)
         H = None
-        if hess:
+        if order > 1:
             # the rank-one cross term is parenthesised so that (i,j) and (j,i)
             # run through bitwise-identical operations
             H = [
@@ -223,10 +206,8 @@ class Mul(Expr):
                 ]
                 for i in range(n)
             ]
-        return va * vb, [va * gb[i] + vb * ga[i] for i in range(n)], H
-
-    def max_var_index(self):
-        return max(self.a.max_var_index(), self.b.max_var_index())
+        w = va * vb
+        return w, [va * gb[i] + vb * ga[i] for i in range(n)] if order else None, H
 
 
 @dataclass(frozen=True)
@@ -234,22 +215,16 @@ class Div(Expr):
     a: Expr
     b: Expr
 
-    def val(self, x):
-        vb = self.b.val(x)
-        if vb == 0.0:
-            raise EvalDomainError("division by zero")
-        return self.a.val(x) / vb
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
-        va, ga, Ha = self.a._derivatives(x, hess)
-        vb, gb, Hb = self.b._derivatives(x, hess)
+        va, ga, Ha = self.a._derivatives(x, order)
+        vb, gb, Hb = self.b._derivatives(x, order)
         if vb == 0.0:
             raise EvalDomainError("division by zero")
         w = va / vb
-        g = [(ga[i] - w * gb[i]) / vb for i in range(n)]
+        g = [(ga[i] - w * gb[i]) / vb for i in range(n)] if order else None
         H = None
-        if hess:
+        if order > 1:
             H = [
                 [
                     ((Ha[i][j] - w * Hb[i][j]) - (g[i] * gb[j] + gb[i] * g[j])) / vb
@@ -258,9 +233,6 @@ class Div(Expr):
                 for i in range(n)
             ]
         return w, g, H
-
-    def max_var_index(self):
-        return max(self.a.max_var_index(), self.b.max_var_index())
 
 
 def _pow(u, m):
@@ -279,18 +251,15 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def val(self, x):
-        return _pow(self.base.val(x), self.exponent)
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
         m = self.exponent
-        u, gu, Hu = self.base._derivatives(x, hess)
-        if m == 0:
-            return _pow(u, 0), _zeros(n), _zmat(n) if hess else None
+        u, gu, Hu = self.base._derivatives(x, order)
+        if m == 0 or not order:
+            return _constant(_pow(u, m), n, order)
         a = m * _pow(u, m - 1)
         H = None
-        if hess:
+        if order > 1:
             # u^(m-2) may overflow where u^(m-1) does not
             b = 0.0 if m * (m - 1) == 0 else m * (m - 1) * _pow(u, m - 2)
             H = [
@@ -299,23 +268,15 @@ class Pow(Expr):
             ]
         return _pow(u, m), [a * gu[i] for i in range(n)], H
 
-    def max_var_index(self):
-        return self.base.max_var_index()
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
 
-    def val(self, x):
-        return -self.a.val(x)
-
-    def _derivatives(self, x, hess):
-        v, g, H = self.a._derivatives(x, hess)
-        return -v, [-gi for gi in g], [[-h for h in row] for row in H] if hess else None
-
-    def max_var_index(self):
-        return self.a.max_var_index()
+    def _derivatives(self, x, order):
+        v, g, H = self.a._derivatives(x, order)
+        return (-v, [-gi for gi in g] if order else None,
+                [[-h for h in row] for row in H] if order > 1 else None)
 
 
 def _fn_sin(u):
@@ -365,23 +326,17 @@ class Func(Expr):
     name: str
     arg: Expr
 
-    def val(self, x):
-        return _apply(self.name, self.arg.val(x))[0]
-
-    def _derivatives(self, x, hess):
+    def _derivatives(self, x, order):
         n = len(x)
-        u, gu, Hu = self.arg._derivatives(x, hess)
+        u, gu, Hu = self.arg._derivatives(x, order)
         w, d1, d2 = _apply(self.name, u)
         H = None
-        if hess:
+        if order > 1:
             H = [
                 [d1 * Hu[i][j] + d2 * (gu[i] * gu[j]) for j in range(n)]
                 for i in range(n)
             ]
-        return w, [d1 * gi for gi in gu], H
-
-    def max_var_index(self):
-        return self.arg.max_var_index()
+        return w, [d1 * gi for gi in gu] if order else None, H
 
 
 @dataclass(frozen=True)
@@ -429,13 +384,13 @@ def eval_value(e: Expr, x: Sequence[float]) -> float:
 
 def eval_gradient(e: Expr, x: Sequence[float]) -> np.ndarray:
     """Exact gradient of ``e`` at ``x`` (forward-propagated, length n)."""
-    _, g, _ = e._derivatives([float(v) for v in x], False)
+    _, g, _ = e._derivatives([float(v) for v in x], 1)
     return np.array(g, dtype=float)
 
 
 def eval_hessian(e: Expr, x: Sequence[float]) -> np.ndarray:
     """Exact Hessian of ``e`` at ``x``; transposed entries are bitwise equal."""
-    _, _, H = e._derivatives([float(v) for v in x], True)
+    _, _, H = e._derivatives([float(v) for v in x], 2)
     return np.array(H, dtype=float)
 
 
@@ -779,7 +734,7 @@ class _StraightLine:
     ``Z`` holds the point ``x0 .. x{n-1}`` followed by ``extra`` further
     floats ``y0 ..``; ``C`` holds the shapes' constants in the order of
     :func:`_expr_shape`.  The code of a shape is the tree's own scalar walk
-    (``_derivatives``, with or without its Hessian) run on :class:`_Term`
+    (``_derivatives`` at order 1 or 2) run on :class:`_Term`
     values: the tree is rebuilt from the shape with one term per constant
     and walked at the point of the terms ``x0 ..``.  So the code runs the
     walk's floating-point operations and raises :class:`EvalDomainError`
@@ -895,11 +850,11 @@ class _StraightLine:
     # -- trees --------------------------------------------------------------
 
     def derivatives(self, shape, hess: bool):
-        """Write the code of one tree's scalar walk; returns the terms (the
-        derivative constants as floats) of its value, its gradient and
-        (when ``hess``) its Hessian, else None."""
+        """Write the code of one tree's scalar walk at order ``1 + hess``;
+        returns the terms (the derivative constants as floats) of its value,
+        its gradient and (when ``hess``) its Hessian, else None."""
         x = [_Term(self, f"x{i}") for i in range(self.n)]
-        return _rebuild(shape, self._constant_terms())._derivatives(x, hess)
+        return _rebuild(shape, self._constant_terms())._derivatives(x, 1 + hess)
 
     def _constant_terms(self):
         """The terms ``c<k>`` of the constants from the next one on."""

@@ -24,6 +24,7 @@ from .expr import Add, Const, Mul, Problem, Sub
 from .stationarity import (
     DEFAULT_CONFIG,
     BranchPattern,
+    CombinatorialCapError,
     Multipliers,
     SolveConfig,
     WStationaryPoint,
@@ -46,6 +47,11 @@ __all__ = [
     "kkt_points_relaxed",
     "continue_path",
 ]
+
+
+# The most steps a continuation path may take; each step is a Newton solve
+# and a stored sample.
+_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,23 @@ def kkt_points_relaxed(
     return find_stationary_points(rp.problem, box, cfg)
 
 
+def _continuation_steps(t0, rho, t_min):
+    """The number of steps of the schedule ``t <- max(rho * t, t_min)`` from
+    ``t0`` down to ``t_min``, counted by running it.  Raises
+    CombinatorialCapError, before it counts further, once that number would
+    exceed ``_MAX_STEPS``."""
+    steps, t = 0, float(t0)
+    while t > t_min:
+        if steps == _MAX_STEPS:
+            raise CombinatorialCapError(
+                f"continuation from t0={t0:g} to t_min={t_min:g} at rho={rho:g}"
+                f" exceeds the step cap of {_MAX_STEPS} steps"
+            )
+        t = max(rho * t, t_min)
+        steps += 1
+    return steps
+
+
 def _frozen_pattern(rp, x, cfg):
     idx = active_sets(rp.problem, x, cfg)
     m = len(rp.problem.inequalities)
@@ -163,14 +186,16 @@ def continue_path(
 
     ``seed`` must be a KKT point of the relaxation at ``t0`` within
     ``tol_resid``.  The schedule is ``t <- max(rho * t, t_min)`` until
-    ``t_min`` is reached.  ``stationary`` optionally supplies the original
-    problem's W-stationary points for limit matching; when omitted they are
-    searched in a box around the path's end.
+    ``t_min`` is reached; a schedule of more than ``_MAX_STEPS`` steps
+    raises CombinatorialCapError before any step.  ``stationary``
+    optionally supplies the original problem's W-stationary points for limit
+    matching; when omitted they are searched in a box around the path's end.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not 0.0 < t_min <= t0:
         raise ValueError(f"need 0 < t_min <= t0, got t_min={t_min}, t0={t0}")
+    _continuation_steps(t0, rho, t_min)
     rp = relax(p, t0)
     seed_resid = stationarity_residual(rp.problem, seed.x, seed.mult)
     if seed_resid > cfg.tol_resid:

@@ -119,7 +119,8 @@ __all__ = [
 
 
 class CombinatorialCapError(RuntimeError):
-    """Branch or subset enumeration would exceed its configured cap."""
+    """Work would exceed its cap: branch or subset enumeration its
+    configured cap, or a continuation schedule the step cap."""
 
 
 class InfeasiblePointError(ValueError):
@@ -595,13 +596,13 @@ def _branch_system(objective, cons, z, n, hess):
     xl = z[:n].tolist()
     y = z[n:]
     m = len(cons)
-    _, df, Hf = objective._derivatives(xl, hess)
+    _, df, Hf = objective._derivatives(xl, 1 + hess)
     top = list(df)
     resid = np.empty(n + m)
     J = np.zeros((n + m, n + m)) if hess else None
     H = np.array(Hf) if hess else None
     for i, c in enumerate(cons):
-        cv, cg, cH = c._derivatives(xl, hess)
+        cv, cg, cH = c._derivatives(xl, 1 + hess)
         yi = y[i]
         if yi != 0.0:
             for t in range(n):

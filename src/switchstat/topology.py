@@ -5,7 +5,7 @@ constraint is active, so a raw grid sampling would miss it.  The mask
 therefore thickens every constraint to one grid cell, scaled by the local
 gradient magnitude: a node passes when each constraint residual is within
 ``feas_scale * spacing * (1 + |grad|)``.  The mask and the objective are
-the trees' own walks (``_derivatives`` and ``val``) on :class:`_Mesh`
+the trees' own walk ``_derivatives``, at orders 1 and 0, on :class:`_Mesh`
 carriers over an open mesh, slab by slab along the first axis: each node
 runs at the broadcast shape of the axes its subtree reads, so only nodes
 reading every axis run at full size and temporaries stay a few MiB.  The caller
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import Classification
-from .expr import Expr, Mul, Problem, _expr_shape, _rebuild
+from .expr import Expr, Mul, Problem, _expr_shape, _operator, _rebuild
 
 __all__ = [
     "GridSpec",
@@ -135,17 +135,9 @@ _MESH_FUNCTIONS = {
 }
 
 
-def _operator(op):
-    """A binary operator of :class:`_Mesh` and its reflected twin."""
-    return (
-        lambda u, v: _Mesh(op(u.a, v.a if type(v) is _Mesh else v)),
-        lambda u, v: _Mesh(op(v, u.a)),
-    )
-
-
 class _Mesh:
-    """Values ``a`` over a mesh: a carrier that the trees' own ``val`` and
-    ``_derivatives`` (without the Hessian) run on in place of floats.  Its
+    """Values ``a`` over a mesh: a carrier that the trees' own walk
+    ``_derivatives`` runs on at orders 0 and 1 in place of floats.  Its
     arithmetic is numpy's, at the broadcast shape of the axes a node reads.
     It equals only itself, so the walks' zero tests are false and inf and
     nan flow on; ``**`` is numpy's array power ``a ** float(m)``, also where
@@ -156,10 +148,15 @@ class _Mesh:
     def __init__(self, a):
         self.a = a
 
-    __add__, __radd__ = _operator(operator.add)
-    __sub__, __rsub__ = _operator(operator.sub)
-    __mul__, __rmul__ = _operator(operator.mul)
-    __truediv__, __rtruediv__ = _operator(operator.truediv)
+    def _arith(self, other, op, flip):
+        """``self op other``, or ``other op self`` when ``flip``."""
+        b = other.a if type(other) is _Mesh else other
+        return _Mesh(op(b, self.a) if flip else op(self.a, b))
+
+    __add__, __radd__ = _operator(_arith, operator.add)
+    __sub__, __rsub__ = _operator(_arith, operator.sub)
+    __mul__, __rmul__ = _operator(_arith, operator.mul)
+    __truediv__, __rtruediv__ = _operator(_arith, operator.truediv)
 
     def __neg__(self):
         return _Mesh(-self.a)
@@ -211,9 +208,9 @@ def objective_values(p: Problem, grid: GridSpec) -> np.ndarray:
 
 def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
     """Boolean lattice of nodes within one gradient-scaled cell of the
-    feasible set: each constraint's own ``_derivatives`` on the open mesh
-    carrier, at the shape of the axes each node reads, its check broadcast
-    into a mask of the full slab shape."""
+    feasible set: each constraint's own ``_derivatives`` at order 1 on the
+    open mesh carrier, at the shape of the axes each node reads, its check
+    broadcast into a mask of the full slab shape."""
     scale = grid.feas_scale * grid.spacing
     # (constraint, two-sided): equalities and switch products must be near
     # zero, inequalities only not far below it
@@ -226,7 +223,7 @@ def feasibility_mask(p: Problem, grid: GridSpec) -> np.ndarray:
     def fill(x, shape):
         mask = np.ones(shape, dtype=bool)
         for tree, two_sided in checks:
-            v, g, _ = tree._derivatives(x, False)
+            v, g, _ = tree._derivatives(x, 1)
             sq = sum(gi * gi for gi in g)  # a carrier, or a float
             tol = scale * (1.0 + np.sqrt(getattr(sq, "a", sq)))
             near = np.abs(v.a) <= tol if two_sided else v.a >= -tol

@@ -35,8 +35,9 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, name):
-    """``argv`` (command first, problem file left out) exits 2 naming
+def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, name,
+                                   code=2):
+    """``argv`` (command first, problem file left out) exits ``code`` naming
     ``name`` before the search starts, and writes no report."""
     from switchstat import cli, stationarity
 
@@ -47,7 +48,7 @@ def _assert_rejected_before_search(tmp_path, capsys, monkeypatch, argv, name):
         monkeypatch.setattr(module, "search_stationary_points", no_search)
     src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
     out = tmp_path / "report.json"
-    assert main([argv[0], src, *argv[1:], "--json", str(out)]) == 2
+    assert main([argv[0], src, *argv[1:], "--json", str(out)]) == code
     assert name in capsys.readouterr().err
     assert not out.exists()
 
@@ -256,6 +257,28 @@ class TestRelaxCommand:
         lost = [p for p in report["paths"] if p["lost"]]
         assert lost
         assert len(lost[0]["samples"]) >= 2
+
+    def test_schedule_beyond_the_step_cap_exit_3_before_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # about 2e7 steps per path; the count stops at the cap
+        _assert_rejected_before_search(
+            tmp_path, capsys, monkeypatch, ["relax", "--rho", "0.999999"],
+            "exceeds the step cap of 100000 steps", code=3,
+        )
+
+    @pytest.mark.parametrize("slack, code", [(0, 0), (-1, 3)])
+    def test_step_cap_at_the_default_schedule(self, tmp_path, monkeypatch,
+                                              slack, code):
+        from switchstat import relaxation
+
+        steps = relaxation._continuation_steps(0.1, 0.5, 1e-10)
+        assert steps == 30
+        monkeypatch.setattr(relaxation, "_MAX_STEPS", steps + slack)
+        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+        out = tmp_path / "report.json"
+        assert main(["relax", src, "--json", str(out)]) == code
+        assert out.exists() is (code == 0)
 
     def test_no_switches_trivial_paths(self, tmp_path):
         src = _write(tmp_path, "p.txt", "vars: x1\nobjective: (x1-1)^2\n")
@@ -532,9 +555,11 @@ class TestRangeErrors:
         assert re.fullmatch(r"error: box [^\n]*\n", err), err
         assert not out.exists()
 
-    def test_infinite_t0_exit_2(self, tmp_path):
-        # from t0 = inf the schedule t <- max(rho*t, tmin) never gets below
-        # inf, so the run would hang: the timeout makes that a failure
+    @staticmethod
+    def _relax_in_a_process(tmp_path, *options):
+        """``relax`` on the cross-quadratic problem in a new process with
+        ``options``, under a timeout that makes a hang a failure; returns
+        the finished process and the report path."""
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
         out = tmp_path / "report.json"
         env = dict(os.environ)
@@ -542,12 +567,29 @@ class TestRangeErrors:
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
         run = subprocess.run(
-            [sys.executable, "-m", "switchstat.cli", "relax", src, "--t0", "inf",
+            [sys.executable, "-m", "switchstat.cli", "relax", src, *options,
              "--json", str(out)],
             env=env, capture_output=True, text=True, timeout=60,
         )
+        return run, out
+
+    def test_infinite_t0_exit_2(self, tmp_path):
+        # from t0 = inf the schedule t <- max(rho*t, tmin) never gets below
+        # inf, so the run would hang
+        run, out = self._relax_in_a_process(tmp_path, "--t0", "inf")
         assert run.returncode == 2
         assert run.stderr == "error: --t0 must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_schedule_beyond_the_step_cap_exit_3(self, tmp_path):
+        # about 2e7 continuation steps per path: without the cap the run
+        # would effectively hang
+        run, out = self._relax_in_a_process(tmp_path, "--rho", "0.999999")
+        assert run.returncode == 3
+        assert run.stderr == (
+            "error: continuation from t0=0.1 to t_min=1e-10 at rho=0.999999"
+            " exceeds the step cap of 100000 steps\n"
+        )
         assert not out.exists()
 
     def test_infinite_t0_and_tmin_exit_2_before_search(self, tmp_path, capsys,

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from switchstat.expr import (
     Mul,
     Neg,
     ParseError,
+    Problem,
     Pow,
     Sub,
     Var,
     _UNDERFLOW,
     _UNIT_ROUNDOFF,
     _affine_form,
+    _apply,
     _expr_shape,
+    _pow,
     _StraightLine,
     _up,
     eval_batch,
@@ -277,7 +281,8 @@ class TestGradientsAndHessians:
     def test_each_node_states_its_derivatives_once(self):
         for node in (Const, Var, Add, Sub, Mul, Div, Pow, Neg, Func):
             assert "_derivatives" in vars(node), node
-            assert not {"val_grad", "val_grad_hess"} & set(vars(node)), node
+            assert not {"val", "val_grad", "val_grad_hess"} & set(vars(node)), node
+            assert ("max_var_index" in vars(node)) is (node is Var), node
 
 
 def _random_polynomial(rng, n, max_terms=6, max_degree=3):
@@ -838,3 +843,141 @@ class TestAffineForm:
         self._compare(e, 2)
         assert repr(_affine_form(e, 2, radius)) == repr(form)
         assert repr(_reference_affine_form(e, 2, radius)) == repr(form)
+
+
+def _reference_val(e, x):
+    """The nine ``val`` methods that the walk at order 0 replaced, kept
+    verbatim as the reference and dispatched on the node type."""
+    t = type(e)
+    if t is Const:
+        return e.value
+    if t is Var:
+        return x[e.index]
+    if t is Add:
+        return _reference_val(e.a, x) + _reference_val(e.b, x)
+    if t is Sub:
+        return _reference_val(e.a, x) - _reference_val(e.b, x)
+    if t is Mul:
+        return _reference_val(e.a, x) * _reference_val(e.b, x)
+    if t is Div:
+        vb = _reference_val(e.b, x)
+        if vb == 0.0:
+            raise EvalDomainError("division by zero")
+        return _reference_val(e.a, x) / vb
+    if t is Pow:
+        return _pow(_reference_val(e.base, x), e.exponent)
+    if t is Neg:
+        return -_reference_val(e.a, x)
+    if t is Func:
+        return _apply(e.name, _reference_val(e.arg, x))[0]
+    raise TypeError(f"unknown node {t.__name__}")
+
+
+def _reference_max_var_index(e):
+    """The ``max_var_index`` methods that the one over the node's fields
+    replaced, kept verbatim as the reference."""
+    t = type(e)
+    if t is Const:
+        return -1
+    if t is Var:
+        return e.index
+    if t in (Add, Sub, Mul, Div):
+        return max(_reference_max_var_index(e.a), _reference_max_var_index(e.b))
+    if t is Pow:
+        return _reference_max_var_index(e.base)
+    if t is Neg:
+        return _reference_max_var_index(e.a)
+    if t is Func:
+        return _reference_max_var_index(e.arg)
+    raise TypeError(f"unknown node {t.__name__}")
+
+
+def _value_outcome(fn, x):
+    """The bytes of the float ``fn(x)``, or the type of what it raises.  A
+    nan counts as one nan: the sign of ``nan * -nan`` in CPython 3.11 depends
+    on whether the interpreter has specialised the instruction yet."""
+    try:
+        v = fn(x)
+    except Exception as exc:  # the type is compared
+        return type(exc)
+    return struct.pack("d", math.nan if v != v else v)
+
+
+class TestValueIsTheWalkAtOrderZero:
+    """``val``, the walk at order 0, gives the bits and the exception type of
+    the per-node ``val`` methods it replaced, and ``max_var_index`` over the
+    node's fields gives their index."""
+
+    def _compare(self, e, points):
+        """Compares ``e`` at every point; returns the number that raised."""
+        assert e.max_var_index() == _reference_max_var_index(e), e
+        raised = 0
+        for x in points:
+            x = [float(v) for v in x]
+            got = _value_outcome(e.val, x)
+            assert got == _value_outcome(lambda x: _reference_val(e, x), x), (e, x)
+            raised += not isinstance(got, bytes)
+        return raised
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_texts(self, text):
+        e = parse_expression(text, TestBatchedEvaluation.names)
+        self._compare(e, TestBatchedEvaluation.points)
+
+    def test_random_trees(self):
+        # TestStraightLine's trees at its points
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, 1e-160, -2.5, 710.0, 1e200, np.inf, np.nan]
+        points = [tuple(rng.uniform(-2, 2, 3)) for _ in range(10)] + [
+            tuple(rng.choice(special + [0.5, -1.0], 3)) for _ in range(12)
+        ]
+        raised = sum(self._compare(_random_tree(rng, 3, 4), points)
+                     for _ in range(150))
+        assert raised > 100
+
+    def test_problem_functions(self):
+        rng = np.random.default_rng(28)
+        functions = _problem_functions()
+        raised = 0
+        for e, n in functions:
+            points = [rng.uniform(-2.4, 2.4, n) for _ in range(4)]
+            points += [[v] * n for v in (0.0, -0.0, -1.0, 1e-160, 1e200, np.inf)]
+            raised += self._compare(e, points)
+        assert len(functions) > 1300 and raised > 0
+
+    @pytest.mark.parametrize("text, x, value", [
+        ("x1^(-2)", [1e-103], 1e-103 ** -2),  # val_grad's u^-3 overflows
+        ("x1^0", [0.0], 1.0),
+        ("1/x1", [0.0], EvalDomainError),
+        ("0^(-1)", [0.0], EvalDomainError),
+    ])
+    def test_edge_inputs(self, text, x, value):
+        e = parse_expression(text, {"x1": 0})
+        self._compare(e, [x])
+        if value is EvalDomainError:
+            with pytest.raises(EvalDomainError):
+                e.val(x)
+        else:
+            assert struct.pack("d", e.val(x)) == struct.pack("d", value)
+
+    def test_order_zero_runs_no_derivative_power(self):
+        e = Pow(Var(0), -2)
+        assert e.val([1e-103]) == 1e-103 ** -2 == 1e206
+        with pytest.raises(EvalDomainError, match="power overflows"):
+            e.val_grad([1e-103])
+
+    def test_a_quotient_evaluates_its_numerator_first(self):
+        e = parse_expression("log(x1)/x2", {"x1": 0, "x2": 1})
+        with pytest.raises(EvalDomainError, match="log of a nonpositive value"):
+            e.val([-1.0, 0.0])
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            _reference_val(e, [-1.0, 0.0])
+
+    def test_problems_check_every_field(self):
+        # a variable read only under a function, a power or a negation
+        for text in ("sin(x3)", "x3^2", "-x3", "x1 + exp(x3 - x2)"):
+            e = parse_expression(text, {"x1": 0, "x2": 1, "x3": 2})
+            assert e.max_var_index() == 2
+            with pytest.raises(ValueError, match="index 2 but n=2"):
+                Problem(n=2, var_names=("x1", "x2"), objective=e)
+        assert Const(1.5).max_var_index() == -1

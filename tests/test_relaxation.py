@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from switchstat.expr import eval_value, parse_problem
+from switchstat import relaxation
 from switchstat.relaxation import (
     _accept_step,
+    _continuation_steps,
     continue_path,
     kkt_points_relaxed,
     relax,
 )
-from switchstat.stationarity import Multipliers, SolveConfig, find_stationary_points
+from switchstat.stationarity import (
+    CombinatorialCapError,
+    Multipliers,
+    SolveConfig,
+    find_stationary_points,
+)
 from tests.test_stationarity import UNDEFINED_CONSTRAINT
 
 CFG = SolveConfig()
@@ -190,6 +197,30 @@ class TestContinuePath:
             continue_path(cross_quadratic, seeds[0], 0.1, 1.5, 1e-10)
         with pytest.raises(ValueError):
             continue_path(cross_quadratic, seeds[0], 0.1, 0.5, -1e-10)
+
+    @pytest.mark.parametrize("t0, rho, t_min", [
+        (0.1, 0.5, 1e-10), (0.1, 0.3, 1e-10), (0.05, 0.8, 1e-10),
+        (0.1, 0.5, 0.1),
+    ])
+    def test_step_count_is_the_path_length(self, cross_quadratic, t0, rho, t_min):
+        seed = kkt_points_relaxed(relax(cross_quadratic, t0), (-1.0, 2.0))[0]
+        path = continue_path(cross_quadratic, seed, t0, rho, t_min, stationary=[])
+        assert _continuation_steps(t0, rho, t_min) == len(path.samples) - 1
+
+    def test_schedule_beyond_the_step_cap_raises_before_any_step(
+        self, cross_quadratic, monkeypatch
+    ):
+        (seed, *_) = kkt_points_relaxed(relax(cross_quadratic, 0.1), (-1.0, 2.0))
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("a Newton step ran")
+
+        monkeypatch.setattr(relaxation, "newton_solve_branch", no_newton)
+        with pytest.raises(CombinatorialCapError, match="step cap of 100000 steps"):
+            continue_path(cross_quadratic, seed, 0.1, 0.999999, 1e-10)
+        monkeypatch.setattr(relaxation, "_MAX_STEPS", 29)
+        with pytest.raises(CombinatorialCapError, match="step cap of 29 steps"):
+            continue_path(cross_quadratic, seed, 0.1, 0.5, 1e-10)
 
     def test_bad_seed_rejected(self, cross_quadratic):
         from switchstat.stationarity import WStationaryPoint, Multipliers, IndexSets

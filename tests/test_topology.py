@@ -591,7 +591,7 @@ def _mesh_walk(e, mesh, grad):
     tree, x = topology._mesh_tree(e), [topology._Mesh(a) for a in mesh]
     if not grad:
         return tree.val(x).a, None
-    v, g, _ = tree._derivatives(x, False)
+    v, g, _ = tree._derivatives(x, 1)
     return v.a, [getattr(gi, "a", gi) for gi in g]
 
 
