@@ -8,9 +8,9 @@ conditions stays auditable and overridable in one place.
 Rank comes from the diagonal of a column-pivoted Householder QR computed
 here in plain Python, with LAPACK ``dgeqp3``'s pivot rule.  The matrices
 ranked are active-gradient stacks of a few rows and columns, where a Python
-loop costs less than a LAPACK call, and without scipy in this module
-``analyze`` and ``relax`` never import it: its import takes more start-up
-time and memory than numpy's and this package's together.
+loop costs less than a LAPACK call, and without scipy here no command
+imports it: its import takes more start-up time and memory than numpy's and
+this package's together.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ __all__ = [
 
 class CombinatorialCapError(RuntimeError):
     """Work would exceed its cap: branch or subset enumeration its
-    configured cap, or a continuation schedule the step cap."""
+    configured cap, a continuation schedule the step cap, or a grid the
+    node cap."""
 
 
 class InfeasiblePointError(ValueError):

@@ -353,15 +353,15 @@ class TestLevelsetsCommand:
         assert set(labels) <= {-1, 0, 1}
 
     def test_each_distinct_sublevel_set_is_labelled_once(self, tmp_path, monkeypatch):
-        from scipy import ndimage
+        from switchstat import topology
 
-        label, calls = ndimage.label, []
+        label, calls = topology._label, []
 
         def spy(*args, **kwargs):
             calls.append(1)
             return label(*args, **kwargs)
 
-        monkeypatch.setattr(ndimage, "label", spy)
+        monkeypatch.setattr(topology, "_label", spy)
         src = _write(tmp_path, "p.txt", LEVELSETS_3D)
         out = tmp_path / "report.json"
         argv = ["levelsets", src, "--auto", "8", "--grid", "41", "--json", str(out)]
@@ -371,8 +371,8 @@ class TestLevelsetsCommand:
         calls.clear()
         assert main(argv + ["--emit-labels"]) == 0
         assert levels == 17
-        assert plain <= levels
-        assert len(calls) <= plain
+        assert 0 < plain <= levels
+        assert len(calls) == plain
 
     def test_levels_and_auto_exclusive(self, tmp_path):
         src = _write(tmp_path, "p.txt", CROSS_LINEAR)
@@ -556,22 +556,28 @@ class TestRangeErrors:
         assert not out.exists()
 
     @staticmethod
-    def _relax_in_a_process(tmp_path, *options):
-        """``relax`` on the cross-quadratic problem in a new process with
-        ``options``, under a timeout that makes a hang a failure; returns
-        the finished process and the report path."""
-        src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)
+    def _in_a_process(tmp_path, text, command, *options, code=None):
+        """``command`` on the problem ``text`` in a new process with
+        ``options``, run by ``python -c code`` (``switchstat.cli`` when
+        None), under a timeout that makes a hang a failure; returns the
+        finished process and the report path."""
+        src = _write(tmp_path, "p.txt", text)
         out = tmp_path / "report.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p
         )
+        runner = ["-m", "switchstat.cli"] if code is None else ["-c", code]
         run = subprocess.run(
-            [sys.executable, "-m", "switchstat.cli", "relax", src, *options,
-             "--json", str(out)],
+            [sys.executable, *runner, command, src, *options, "--json", str(out)],
             env=env, capture_output=True, text=True, timeout=60,
         )
         return run, out
+
+    @classmethod
+    def _relax_in_a_process(cls, tmp_path, *options):
+        """``relax`` on the cross-quadratic problem, as :meth:`_in_a_process`."""
+        return cls._in_a_process(tmp_path, CROSS_QUADRATIC, "relax", *options)
 
     def test_infinite_t0_exit_2(self, tmp_path):
         # from t0 = inf the schedule t <- max(rho*t, tmin) never gets below
@@ -589,6 +595,29 @@ class TestRangeErrors:
         assert run.stderr == (
             "error: continuation from t0=0.1 to t_min=1e-10 at rho=0.999999"
             " exceeds the step cap of 100000 steps\n"
+        )
+        assert not out.exists()
+
+    def test_grid_beyond_the_node_cap_exit_3_before_search(self, tmp_path):
+        # 257^3 nodes, just past the cap of 2^24: the run stops before the
+        # search and before any array of the grid, which the spies check;
+        # the timeout stops a run that got past them
+        code = (
+            "import sys\n"
+            "from switchstat import cli\n"
+            "def spy(*args):\n"
+            "    raise AssertionError('called before the grid cap')\n"
+            "cli.search_stationary_points = cli.feasibility_mask = spy\n"
+            "cli.objective_values = spy\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        run, out = self._in_a_process(
+            tmp_path, LEVELSETS_3D, "levelsets", "--auto", "8", "--grid", "257",
+            code=code,
+        )
+        assert run.returncode == 3
+        assert run.stderr == (
+            "error: a grid of 257^3 nodes exceeds the grid cap of 16777216 nodes\n"
         )
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 """Feasibility masks, sublevel component counts and the mountain-pass count."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -30,7 +31,7 @@ from switchstat.expr import (
     eval_value,
     parse_problem,
 )
-from switchstat.stationarity import find_stationary_points
+from switchstat.stationarity import CombinatorialCapError, find_stationary_points
 from switchstat.topology import (
     DegenerateInputError,
     DimensionError,
@@ -51,7 +52,7 @@ from tests.conftest import (
     INSTABILITY_ONE,
     STABLE_WITHOUT_ND2,
 )
-from tests.test_stationarity import MID3, _corpus
+from tests.test_stationarity import LEVELSETS_3D, MID3, _corpus
 
 
 def _grid(p, lo=-2.0, hi=2.0, res=401):
@@ -94,6 +95,15 @@ class TestGridSpec:
         p4 = parse_problem("vars: a b c d\nobjective: a + b + c + d\n")
         with pytest.raises(DimensionError):
             GridSpec.for_problem(p4, (-1, 1))
+
+    def test_node_cap(self):
+        # the cap is 2^24 nodes: 4096^2 and 256^3 reach it and pass, one more
+        # point per axis does not; only the spec is built, never an array
+        assert GridSpec(((0.0, 1.0),) * 2, 4096).resolution == 4096
+        assert GridSpec(((0.0, 1.0),) * 3, 256).resolution == 256
+        for n, res in [(1, 2**24 + 1), (2, 4097), (3, 257)]:
+            with pytest.raises(CombinatorialCapError, match="grid cap of 16777216"):
+                GridSpec(((0.0, 1.0),) * n, res)
 
 
 class TestFeasibilityMask:
@@ -228,6 +238,117 @@ class TestActiveLabels:
         grid = labels.reshape(active.shape)
         assert grid[0, 0, 0] == grid[3, 3, 3] == 0
         assert grid[5, 5, 5] == 1
+
+
+def _spiral(n):
+    """A one-node-wide square spiral on an n-by-n lattice whose arms lie two
+    nodes apart, so that only the path itself joins them."""
+    active = np.zeros((n, n), dtype=bool)
+    steps = [n - 1] * 3 + [m for k in range(n - 3, 0, -2) for m in (k, k)]
+    turns = itertools.cycle([(0, 1), (1, 0), (0, -1), (-1, 0)])
+    r = c = 0
+    for (dr, dc), m in zip(turns, steps):
+        for _ in range(m):
+            active[r, c] = True
+            r, c = r + dr, c + dc
+    active[r, c] = True
+    return active
+
+
+def _serpentine(rows, width):
+    """Full even rows, joined by one node alternately at the right and at
+    the left end: one path through every row."""
+    active = np.zeros((rows, width), dtype=bool)
+    active[::2] = True
+    active[1::4, -1] = True
+    active[3::4, 0] = True
+    return active
+
+
+class TestLabelAgainstNdimage:
+    """The run-based labeller against ``scipy.ndimage.label`` under full
+    diagonal adjacency: labels equal bit for bit, counts equal, and the
+    counts-only call gives the painted call's count."""
+
+    @staticmethod
+    def _check(active):
+        from scipy import ndimage
+
+        structure = np.ones((3,) * active.ndim, dtype=bool)
+        ref, ref_count = ndimage.label(active, structure=structure)
+        labels, count = topology._label(active)
+        assert type(count) is int
+        assert count == ref_count
+        assert labels.dtype == ref.dtype
+        np.testing.assert_array_equal(labels, ref)
+        assert topology._label(active, False) == (None, count)
+        return count
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(20261021)
+        for _ in range(3000):
+            shape = tuple(rng.integers(1, 13, size=rng.integers(1, 4)))
+            self._check(rng.random(shape) < rng.uniform(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (1, 1), (1, 1, 1), (9,), (1, 9), (9, 1), (9, 1, 1), (1, 9, 1),
+         (1, 1, 9), (4, 5), (3, 4, 5)],
+    )
+    def test_edge_shapes(self, shape):
+        assert self._check(np.zeros(shape, dtype=bool)) == 0
+        assert self._check(np.ones(shape, dtype=bool)) == 1
+        single = np.zeros(shape, dtype=bool)
+        single[tuple(n // 2 for n in shape)] = True
+        assert self._check(single) == 1
+
+    @pytest.mark.parametrize("n", [5, 6, 31, 64])
+    def test_spiral_and_serpentine(self, n):
+        for active in (_spiral(n), _serpentine(n, n + 3)):
+            assert self._check(active) == 1
+            assert self._check(np.ascontiguousarray(active.T)) == 1
+            self._check(~active)
+            assert self._check(active[None].repeat(3, axis=0)) == 1
+
+    def test_runs_do_not_wrap_into_other_lines(self):
+        # the last column of one row and column 0 of the next
+        rows = np.zeros((4, 6), dtype=bool)
+        rows[1, -1] = rows[2, 0] = True
+        assert self._check(rows) == 2
+        # in 3-D, line (i, N1 - 1) against line (i + 1, 0) and (i + 2, 0),
+        # and line (i, 0) against line (i, N1 - 1), at overlapping columns
+        for a, b in [((1, -1), (2, 0)), ((0, -1), (2, 0)), ((1, 0), (1, -1))]:
+            lines = np.zeros((4, 5, 6), dtype=bool)
+            lines[a][2:4] = lines[b][1:5] = True
+            assert self._check(lines) == 2
+        # the last node of one line and the first of the next, in 3-D
+        ends = np.zeros((3, 4, 6), dtype=bool)
+        ends[1, 1, -1] = ends[1, 2, 0] = True
+        assert self._check(ends) == 2
+
+    def test_every_level_of_levelsets_3d_and_a_corpus_slice(self):
+        from scipy import ndimage
+
+        from switchstat.cli import _auto_levels
+        from switchstat.stationarity import DEFAULT_CONFIG, search_stationary_points
+
+        problems = [(LEVELSETS_3D, DEFAULT_CONFIG.grid_points)] + _corpus()[::5]
+        for text, grid_points in problems:
+            p = parse_problem(text)
+            cfg = dataclasses.replace(DEFAULT_CONFIG, grid_points=grid_points)
+            points = search_stationary_points(p, (-2.0, 2.0), cfg).points
+            mask, fvals = _arrays(p, GridSpec.for_problem(p, (-2.0, 2.0)))
+            levels = _auto_levels(fvals, points, 8)
+            sets = list(topology._sublevel_sets(mask, fvals, levels, np.asarray))
+            counts = [c for _, c in topology._sublevel_sets(mask, fvals, levels, None)]
+            assert counts == [count for _, count in sets]
+            ok = mask & np.isfinite(fvals)
+            structure = np.ones((3,) * p.n, dtype=bool)
+            for a, (labels, count) in zip(levels, sets):
+                with np.errstate(invalid="ignore"):
+                    ref, ref_count = ndimage.label(ok & (fvals <= a), structure)
+                assert count == ref_count
+                np.testing.assert_array_equal(labels, ref.ravel() - 1)
 
 
 class TestSweep:
@@ -485,9 +606,9 @@ class TestThreeDimensional:
         assert vals.shape == (32, 32)
 
 
-def test_cli_import_does_not_load_ndimage(tmp_path):
-    # only labelling needs scipy (ndimage, imported on first use), so the
-    # CLI's import, analyze and relax load no scipy module at all
+def test_cli_commands_load_no_scipy(tmp_path):
+    # every command runs on numpy alone: neither the CLI's import nor
+    # analyze, relax or levelsets loads any scipy module
     src = os.path.dirname(os.path.dirname(switchstat.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -502,7 +623,7 @@ def test_cli_import_does_not_load_ndimage(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "seen = {'import': scipy_modules()}\n"
         "for cmd, extra in (('analyze', []), ('relax', []),"
-        " ('levelsets', ['--auto', '3'])):\n"
+        " ('levelsets', ['--auto', '3', '--emit-labels'])):\n"
         "    code = cli.main([cmd, sys.argv[1], *extra, '--json', sys.argv[2]])\n"
         "    seen[cmd] = (code, scipy_modules())\n"
         "print(json.dumps(seen))\n"
@@ -518,8 +639,7 @@ def test_cli_import_does_not_load_ndimage(tmp_path):
     assert seen["import"] == []
     assert seen["analyze"] == [0, []]
     assert seen["relax"] == [0, []]
-    assert seen["levelsets"][0] == 0
-    assert "scipy.ndimage" in seen["levelsets"][1]
+    assert seen["levelsets"] == [0, []]
 
 
 # Every node type in the objective and again across the constraints, with
