@@ -484,11 +484,26 @@ def _parse_levels(text):
     return sorted(levels)
 
 
-def _auto_levels(fvals, points, count):
-    finite = fvals[np.isfinite(fvals)]
-    if finite.size == 0:
+def _finite_span(fvals):
+    """(least, greatest) of the finite ``fvals``, read in place with no copy
+    of them.  Where -0.0 and +0.0 tie, the least is -0.0 and the greatest
+    +0.0, as IEEE 754-2019 minimum and maximum have it."""
+    finite = np.isfinite(fvals)
+    if not finite.any():
         raise ValueError("objective has no finite values on the grid")
-    base = np.linspace(float(finite.min()), float(finite.max()), count)
+    lo = float(np.min(fvals, where=finite, initial=np.inf))
+    hi = float(np.max(fvals, where=finite, initial=-np.inf))
+    if lo == 0.0 or hi == 0.0:
+        zeros, negative = fvals == 0.0, np.signbit(fvals)
+        if lo == 0.0:
+            lo = -0.0 if np.any(zeros & negative) else 0.0
+        if hi == 0.0:
+            hi = 0.0 if np.any(zeros & ~negative) else -0.0
+    return lo, hi
+
+
+def _auto_levels(fvals, points, count):
+    base = np.linspace(*_finite_span(fvals), count)
     values = sorted({pt.f_value for pt in points})
     mids = [
         0.5 * (values[i] + values[i + 1])

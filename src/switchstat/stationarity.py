@@ -120,8 +120,8 @@ __all__ = [
 
 class CombinatorialCapError(RuntimeError):
     """Work would exceed its cap: branch or subset enumeration its
-    configured cap, a continuation schedule the step cap, or a grid the
-    node cap."""
+    configured cap, a continuation schedule the step cap, a multi-start grid
+    the start cap, or a grid the node cap."""
 
 
 class InfeasiblePointError(ValueError):
@@ -1249,8 +1249,22 @@ def _newton_solve_patterns(
 # ---------------------------------------------------------------------------
 
 
+# The most multi-start rows a search may have.  Each pattern is solved from
+# every row, and a row costs about 3 KiB and 0.2 ms per pattern: 5^7 rows of a
+# 7-variable problem with one pattern took 18 s and 241 MiB.  At the default
+# grid_points = 5, n = 8 (390 625 rows) is the first size it rejects.
+_MAX_STARTS = 2**17
+
+
 def _grid_starts(n, box, cfg):
-    """Multi-start points, one per row, in lexicographic grid order."""
+    """Multi-start points, one per row, in lexicographic grid order; raises
+    CombinatorialCapError, before any row is built, when there would be more
+    than ``_MAX_STARTS`` of them."""
+    if cfg.grid_points**n > _MAX_STARTS:
+        raise CombinatorialCapError(
+            f"{cfg.grid_points}^{n} multi-start rows exceed the start cap of"
+            f" {_MAX_STARTS} rows"
+        )
     lo, hi = float(box[0]), float(box[1])
     if cfg.grid_points < 2:
         axes = [np.array([(lo + hi) / 2.0])] * n

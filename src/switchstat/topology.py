@@ -13,13 +13,17 @@ computes the two arrays once per grid and every labelling and sweep reads
 them.  Connected components of ``{feasible, f <= a}`` are labelled under
 full diagonal adjacency (8 neighbours in 2-D, 26 in 3-D), so one-cell-wide
 bands never fragment, by a run-based labeller in numpy: runs of nodes along
-the last axis, joined across neighbouring lines.  A level sweep labels each
+one axis, joined across neighbouring lines.  A level sweep labels each
 distinct sublevel set once, inside its bounding box, and paints node labels
 only when they are asked for; a level whose set repeats the previous
-level's reuses its count and labels.  Sweeping the level and comparing the
-count changes against the stationary values gives a desk-scale check of the
-deformation and cell-attachment behaviour, and counting minimizers against
-index-one saddles checks the mountain-pass inequality.
+level's reuses its count and labels.  Painted labels run along the last
+axis, which numbers the components in raster-scan order; a sweep that only
+counts runs along the axis where the feasible nodes have clearly the fewest
+runs, since the labeller's cost follows the runs.  Sweeping the level and
+comparing the count changes against the stationary values gives a
+desk-scale check of the deformation and cell-attachment behaviour, and
+counting minimizers against index-one saddles checks the mountain-pass
+inequality.
 
 Dimensions above 3 are rejected, and so are grids of more than
 ``_MAX_GRID_NODES`` nodes: the grid cost grows like resolution^n and the
@@ -348,6 +352,31 @@ def _level_box(minima, a):
     return tuple(box)
 
 
+# Runs are counted on every 4th line, 1/16 of the nodes per axis in 3-D: on
+# the 212 grids of tools/sweep_traffic.py it picks the axis that counting
+# every line picks, or one whose sweep is within 0.1 ms of it.
+_RUN_SAMPLE_STEP = 4
+
+
+def _fewest_runs_axis(ok):
+    """The axis along which a counts-only sweep labels the sets of ``ok``:
+    the one with the fewest runs of True nodes on every
+    ``_RUN_SAMPLE_STEP``-th line, if they are at most half the last axis's
+    runs, else the last axis.  The copy that moves an axis last costs about
+    what a small cut in runs saves: on the 31 grids of 101^3 nodes of
+    tools/sweep_traffic.py, the five whose fewest runs were at most 0.39 of
+    the last axis's swept 0.15-21 ms faster along that axis, and cuts to
+    0.53-0.93 ranged from 1.9 ms faster to 0.7 ms slower."""
+    last = ok.ndim - 1
+    runs = []
+    for k in range(ok.ndim):
+        lines = np.moveaxis(ok, k, -1)[(slice(None, None, _RUN_SAMPLE_STEP),) * last]
+        starts = np.count_nonzero(lines[..., 1:] > lines[..., :-1])
+        runs.append(np.count_nonzero(lines[..., 0]) + starts)
+    k = min(range(ok.ndim), key=lambda j: (runs[j], j != last))
+    return k if 2 * runs[k] <= runs[last] else last
+
+
 def _sublevel_sets(mask, fvals, levels, out):
     """Yield ``(labels, count)`` for each level's set of the ``mask`` nodes
     whose ``fvals`` is finite and at most the level: ``labels`` is ``out``
@@ -358,9 +387,14 @@ def _sublevel_sets(mask, fvals, levels, out):
     numbers are those of labelling the whole lattice.  The sets of two
     levels are nested, so a set with as many nodes as the previous level's
     is that set: it is not labelled again and yields the same tuple.
+    Without ``out`` each set is labelled along the axis that
+    :func:`_fewest_runs_axis` picks once for the sweep, which changes no
+    count; with ``out`` along the last axis, as the scan-order numbers need.
     """
     ok = mask & np.isfinite(fvals)
     minima = _slab_minima(ok, fvals)
+    # painted labels need the raster-scan numbering along the last axis
+    axis = ok.ndim - 1 if out else _fewest_runs_axis(ok)
     last, last_nodes = None, 0
     for a in levels:
         box, nodes = _level_box(minima, a), 0
@@ -370,7 +404,10 @@ def _sublevel_sets(mask, fvals, levels, out):
             active &= ok[box]
             nodes = np.count_nonzero(active)
         if last is None or nodes != last_nodes:
-            labels, count = _label(active, bool(out)) if nodes else (None, 0)
+            if nodes:
+                labels, count = _label(np.moveaxis(active, axis, -1), bool(out))
+            else:
+                labels, count = None, 0
             last = (out(_flat_labels(ok.shape, box, labels)) if out else None, count)
             last_nodes = nodes
         yield last

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from switchstat.cli import main, render_json
+from switchstat.expr import parse_problem
 from switchstat.linalg import ToleranceConfig
 from switchstat.stationarity import SolveConfig, config_fields
 from tests.conftest import (
@@ -317,6 +319,65 @@ class TestLevelsetsCommand:
         assert report["mountain_pass"]["r"] == 2
         assert report["mountain_pass"]["r_s"] == 1
 
+    def test_auto_level_span_breaks_zero_ties_by_sign(self):
+        from switchstat.cli import _auto_levels, _finite_span
+
+        def span(values):
+            lo, hi = _finite_span(np.array(values))
+            return (lo, math.copysign(1.0, lo)), (hi, math.copysign(1.0, hi))
+
+        # the least prefers -0.0 and the greatest +0.0, in any order
+        for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [np.nan, 0.0, -0.0]):
+            assert span(values)[0] == (0.0, -1.0)
+        for values in ([-1.0, 0.0, -0.0], [-0.0, 0.0, -1.0], [np.inf, -0.0, 0.0]):
+            assert span(values)[1] == (0.0, 1.0)
+        assert span([-0.0, -0.0]) == ((0.0, -1.0), (0.0, -1.0))
+        assert span([0.0, 0.0]) == ((0.0, 1.0), (0.0, 1.0))
+        assert span([-2.0, 3.0, np.nan]) == ((-2.0, -1.0), (3.0, 1.0))
+        with pytest.raises(ValueError, match="no finite values"):
+            _finite_span(np.array([np.nan, -np.inf]))
+        # the greatest level is the span's end, so its sign reaches the report
+        levels = _auto_levels(np.array([-1.0, -0.0, 0.0, -0.0]), [], 3)
+        assert [math.copysign(1.0, a) for a in levels] == [-1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "objective, levels",
+        # 0*x1*x2 is -0.0 or +0.0 at every node; 0*(0-x1) - x2^2 ties at its
+        # greatest value, which numpy's max over a copy of the finite values
+        # gave as -0
+        [("0*x1*x2", "0"), ("0*(0-x1) - x2^2", "-4, -3.42857142857,"
+          " -2.85714285714, -2.28571428571, -1.71428571429, -1.14285714286,"
+          " -0.571428571429, 0")],
+    )
+    def test_auto_levels_with_both_zeros(self, tmp_path, capsys, objective,
+                                         levels):
+        from switchstat.topology import GridSpec, objective_values
+
+        src = _write(tmp_path, "p.txt", f"vars: x1 x2\nobjective: {objective}\n")
+        p = parse_problem(f"vars: x1 x2\nobjective: {objective}\n")
+        fvals = objective_values(p, GridSpec.for_problem(p, (-2.0, 2.0)))
+        assert (fvals == 0).any() and np.signbit(fvals[fvals == 0]).any()
+        assert not np.signbit(fvals[fvals == 0]).all()
+        assert main(["levelsets", src, "--auto", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"levels: {levels}"
+
+    def test_auto_levels_copy_no_objective_array(self):
+        import tracemalloc
+
+        from switchstat.cli import _auto_levels
+
+        fvals = np.linspace(-1.0, 1.0, 101**3).reshape((101,) * 3)
+        fvals[0, 0, :7] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.0, -0.0]
+        tracemalloc.start()
+        try:
+            levels = _auto_levels(fvals, [], 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels == list(np.linspace(fvals[0, 0, 7], 1.0, 8))
+        # a bool array or two, not a float copy of the finite values
+        assert peak < fvals.nbytes // 4
+
     def test_dimension_exit_5(self, tmp_path):
         src = _write(
             tmp_path, "p.txt", "vars: a b c d\nobjective: a + b + c + d\n"
@@ -618,6 +679,35 @@ class TestRangeErrors:
         assert run.returncode == 3
         assert run.stderr == (
             "error: a grid of 257^3 nodes exceeds the grid cap of 16777216 nodes\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["relax"], ["levelsets", "--auto", "8"]],
+        ids=" ".join,
+    )
+    def test_start_rows_beyond_the_start_cap_exit_3_before_search(
+        self, tmp_path, command
+    ):
+        # 2^17 + 1 rows of a 1-variable problem, just past the cap: the run
+        # stops before any row is built and before any lane is solved, which
+        # the spies check; the timeout stops a run that got past them
+        code = (
+            "import sys\n"
+            "from switchstat import cli, stationarity\n"
+            "def spy(*args):\n"
+            "    raise AssertionError('called past the start cap')\n"
+            "stationarity._newton_solve_patterns = stationarity._affine_form = spy\n"
+            "cli.feasibility_mask = cli.objective_values = spy\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        run, out = self._in_a_process(
+            tmp_path, "vars: x1\nobjective: x1^2\n", command[0], *command[1:],
+            "--tol", "grid_points=131073", code=code,
+        )
+        assert run.returncode == 3
+        assert run.stderr == (
+            "error: 131073^1 multi-start rows exceed the start cap of 131072 rows\n"
         )
         assert not out.exists()
 

@@ -206,6 +206,27 @@ class TestSolveConfig:
         starts = _grid_starts(2, (-2.0, 2.0), SolveConfig(grid_points=1))
         assert starts.tolist() == [[0.0, 0.0]]
 
+    def test_start_cap(self, cross_quadratic, monkeypatch):
+        # the default 5^2 rows of a 2-variable problem pass a cap of 25 and
+        # exceed one of 24 before any row is built or any lane is solved
+        monkeypatch.setattr(stationarity, "_MAX_STARTS", 25)
+        assert _grid_starts(2, (-2.0, 2.0), SolveConfig()).shape == (25, 2)
+        points = search_stationary_points(cross_quadratic, (-2.0, 2.0)).points
+        assert len(points) == 3
+
+        def spy(*args):
+            raise AssertionError("called past the start cap")
+
+        monkeypatch.setattr(stationarity, "_MAX_STARTS", 24)
+        monkeypatch.setattr(stationarity.itertools, "product", spy)
+        monkeypatch.setattr(stationarity, "_newton_solve_patterns", spy)
+        message = "5\\^2 multi-start rows exceed the start cap of 24 rows"
+        with pytest.raises(CombinatorialCapError, match=message):
+            _grid_starts(2, (-2.0, 2.0), SolveConfig())
+        monkeypatch.setattr(stationarity, "enumerate_branches", lambda p, cfg: [])
+        with pytest.raises(CombinatorialCapError, match=message):
+            search_stationary_points(cross_quadratic, (-2.0, 2.0))
+
 
 class TestActiveSets:
     def test_biactive_origin(self, cross_linear):

@@ -282,6 +282,9 @@ class TestLabelAgainstNdimage:
         assert labels.dtype == ref.dtype
         np.testing.assert_array_equal(labels, ref)
         assert topology._label(active, False) == (None, count)
+        # a counts-only sweep may label along any axis
+        for k in range(active.ndim):
+            assert topology._label(np.moveaxis(active, k, -1), False)[1] == count
         return count
 
     def test_random_masks(self):
@@ -349,6 +352,59 @@ class TestLabelAgainstNdimage:
                     ref, ref_count = ndimage.label(ok & (fvals <= a), structure)
                 assert count == ref_count
                 np.testing.assert_array_equal(labels, ref.ravel() - 1)
+
+
+class TestRunAxis:
+    """The axis a counts-only sweep labels along."""
+
+    def test_fewest_runs_axis(self):
+        planes = np.zeros((20, 20, 20), dtype=bool)
+        # two planes crossing along axis 1, like levelsets-3d's two
+        # thickened switch planes: lines along axis 1 lie in a plane or miss
+        # both, the other lines cross one plane at a node
+        planes[4] = planes[:, :, 4] = True
+        assert topology._fewest_runs_axis(planes) == 1
+        assert topology._fewest_runs_axis(np.moveaxis(planes, 1, 0)) == 0
+        # no clear cut keeps the last axis: one run on every line of every
+        # axis, or a noise-like mask with about as many runs on each axis
+        assert topology._fewest_runs_axis(np.ones((20, 20, 20), dtype=bool)) == 2
+        noise = np.random.default_rng(30).random((20, 20, 20)) < 0.5
+        assert topology._fewest_runs_axis(noise) == 2
+        assert topology._fewest_runs_axis(np.zeros((5, 6), dtype=bool)) == 1
+        assert topology._fewest_runs_axis(np.ones(7, dtype=bool)) == 0
+
+    def test_counts_only_sweep_labels_along_axis_1_on_levelsets_3d(
+        self, monkeypatch
+    ):
+        # on levelsets-3d the feasible nodes have 10 201 runs along axes 0
+        # and 2 but 955 along axis 1, so the counts-only sweep moves axis 1
+        # last; corpus p000, whose sets have 10 201 runs along every axis,
+        # keeps the last axis
+        from switchstat.cli import _auto_levels
+        from switchstat.stationarity import search_stationary_points
+
+        p = parse_problem(LEVELSETS_3D)
+        mask, fvals = _arrays(p, GridSpec.for_problem(p, (-2.0, 2.0)))
+        points = search_stationary_points(p, (-2.0, 2.0)).points
+        levels = _auto_levels(fvals, points, 8)
+        assert topology._fewest_runs_axis(mask & np.isfinite(fvals)) == 1
+        label, seen = topology._label, []
+
+        def spy(active, paint=True):
+            seen.append(active)
+            return label(active, paint)
+
+        monkeypatch.setattr(topology, "_label", spy)
+        counts = sweep_levels(mask, fvals, levels).counts
+        moved = seen.copy()
+        seen.clear()
+        sweep, _ = sweep_level_labels(mask, fvals, levels)
+        assert sweep.counts == counts == (0, 3, 4, 4, 4, 4, 4) + (1,) * 10
+        assert len(moved) == len(seen) > 1
+        for a, b in zip(moved, seen):
+            assert b.flags.c_contiguous and not a.flags.c_contiguous
+            # the same set, with axis 1 moved last
+            np.testing.assert_array_equal(a, np.moveaxis(b, 1, -1))
 
 
 class TestSweep:
