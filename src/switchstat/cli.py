@@ -23,7 +23,7 @@ from .expr import Problem, format_problem, parse_problem
 from .linalg import SingularSystemError
 from .relaxation import (
     PathLossError,
-    _continuation_steps,
+    _schedule,
     continue_path,
     kkt_points_relaxed,
     relax,
@@ -315,7 +315,7 @@ def cmd_relax(args) -> int:
         raise ValueError(
             f"--tmin must lie in (0, t0], got {args.tmin} with t0={args.t0}"
         )
-    _continuation_steps(args.t0, args.rho, args.tmin)
+    _schedule(args.t0, args.rho, args.tmin)
     rp = relax(p, args.t0)
     seeds = kkt_points_relaxed(rp, box, cfg)
     stationary = search_stationary_points(p, box, cfg).points

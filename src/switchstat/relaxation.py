@@ -5,9 +5,10 @@ Each switching product is relaxed into the two inequalities
 turns the program into an ordinary NLP whose KKT points can be found with
 the same branch search.  Continuation reduces ``t`` geometrically, warm
 starting Newton at every step with the active set frozen from the previous
-step (re-detected, then searched exhaustively, on failure).  The reported
-limit is the tracked point's matched W-stationary point of the original
-program when one lies within ``match_radius``, otherwise the final iterate;
+step; on failure it solves every pattern from the previous iterate and keeps
+the nearest root.  The reported limit is the tracked point's matched
+W-stationary point of the original program when one lies within
+``match_radius``, otherwise the final iterate;
 multipliers may legitimately diverge along a path and are flagged, not
 treated as failure, while the iterates stay accurate.
 """
@@ -81,8 +82,8 @@ class ContinuationPath:
 
 
 class PathLossError(RuntimeError):
-    """Newton failed even after active-set re-detection; carries the partial
-    path in ``path``."""
+    """Newton failed on the frozen pattern and on every other pattern;
+    carries the partial path in ``path``."""
 
     def __init__(self, message, path: ContinuationPath):
         super().__init__(message)
@@ -125,35 +126,26 @@ def kkt_points_relaxed(
     return find_stationary_points(rp.problem, box, cfg)
 
 
-def _continuation_steps(t0, rho, t_min):
-    """The number of steps of the schedule ``t <- max(rho * t, t_min)`` from
-    ``t0`` down to ``t_min``, counted by running it.  Raises
-    CombinatorialCapError, before it counts further, once that number would
-    exceed ``_MAX_STEPS``."""
-    steps, t = 0, float(t0)
-    while t > t_min:
-        if steps == _MAX_STEPS:
+def _schedule(t0, rho, t_min):
+    """The values of ``t`` along the schedule ``t <- max(rho * t, t_min)``
+    from ``t0`` down to ``t_min``, both included.  Raises
+    CombinatorialCapError, before it runs further, once the schedule would
+    take more than ``_MAX_STEPS`` steps."""
+    ts = [float(t0)]
+    while ts[-1] > t_min:
+        if len(ts) > _MAX_STEPS:
             raise CombinatorialCapError(
                 f"continuation from t0={t0:g} to t_min={t_min:g} at rho={rho:g}"
                 f" exceeds the step cap of {_MAX_STEPS} steps"
             )
-        t = max(rho * t, t_min)
-        steps += 1
-    return steps
+        ts.append(float(max(rho * ts[-1], t_min)))
+    return ts
 
 
 def _frozen_pattern(rp, x, cfg):
     idx = active_sets(rp.problem, x, cfg)
     m = len(rp.problem.inequalities)
     return BranchPattern((), tuple(j in set(idx.j0) for j in range(m)))
-
-
-def _loose_pattern(rp, x, threshold):
-    xl = [float(v) for v in x]
-    actives = tuple(
-        g.val(xl) <= threshold for g in rp.problem.inequalities
-    )
-    return BranchPattern((), actives)
 
 
 def _accept_step(rp, outcome, cfg):
@@ -185,9 +177,9 @@ def continue_path(
     """Track a KKT point of the relaxation from ``t0`` down to ``t_min``.
 
     ``seed`` must be a KKT point of the relaxation at ``t0`` within
-    ``tol_resid``.  The schedule is ``t <- max(rho * t, t_min)`` until
-    ``t_min`` is reached; a schedule of more than ``_MAX_STEPS`` steps
-    raises CombinatorialCapError before any step.  ``stationary``
+    ``tol_resid``.  ``t`` runs through ``_schedule(t0, rho, t_min)``; a
+    schedule of more than ``_MAX_STEPS`` steps raises
+    CombinatorialCapError before any step.  ``stationary``
     optionally supplies the original problem's W-stationary points for limit
     matching; when omitted they are searched in a box around the path's end.
     """
@@ -195,22 +187,20 @@ def continue_path(
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if not 0.0 < t_min <= t0:
         raise ValueError(f"need 0 < t_min <= t0, got t_min={t_min}, t0={t0}")
-    _continuation_steps(t0, rho, t_min)
+    schedule = _schedule(t0, rho, t_min)
     rp = relax(p, t0)
     seed_resid = stationarity_residual(rp.problem, seed.x, seed.mult)
     if seed_resid > cfg.tol_resid:
         raise ValueError(
             f"seed residual {seed_resid:.3e} exceeds tol_resid at t0={t0}"
         )
-    samples = [PathSample(float(t0), seed.x, seed.mult, seed_resid)]
+    samples = [PathSample(schedule[0], seed.x, seed.mult, seed_resid)]
     pattern = _frozen_pattern(rp, seed.x, cfg)
     x_prev = np.array(seed.x, dtype=float)
     mult_prev = seed.mult
 
-    t = float(t0)
-    while t > t_min:
-        t_next = max(rho * t, t_min)
-        rp = relax(p, t_next)
+    for t in schedule[1:]:
+        rp = relax(p, t)
         step = _accept_step(
             rp,
             newton_solve_branch(
@@ -219,20 +209,7 @@ def continue_path(
             cfg,
         )
         if step is None:
-            # active set changed: re-detect near the previous iterate, then
-            # fall back to trying every pattern and keep the nearest root
-            loose = _loose_pattern(rp, x_prev, max(cfg.tol_active, 2.0 * (t - t_next)))
-            if loose != pattern:
-                step = _accept_step(
-                    rp,
-                    newton_solve_branch(
-                        rp.problem, loose, x_prev, cfg, mult_start=mult_prev
-                    ),
-                    cfg,
-                )
-                if step is not None:
-                    pattern = loose
-        if step is None:
+            # active set changed: try every pattern and keep the nearest root
             best = None
             for pat in enumerate_branches(rp.problem, cfg):
                 cand = _accept_step(
@@ -243,21 +220,18 @@ def continue_path(
                 dist = float(np.linalg.norm(np.asarray(cand[0]) - x_prev))
                 if best is None or dist < best[0]:
                     best = (dist, pat, cand)
-            if best is not None:
-                pattern = best[1]
-                step = best[2]
-        if step is None:
-            partial = _finish_path(p, samples, stationary, cfg)
-            raise PathLossError(
-                f"continuation lost the path at t={t_next:.3e}", partial
-            )
+            if best is None:
+                partial = _finish_path(p, samples, stationary, cfg)
+                raise PathLossError(
+                    f"continuation lost the path at t={t:.3e}", partial
+                )
+            _, pattern, step = best
         x_new, mult_new, resid = step
         x_prev = np.asarray(x_new, dtype=float)
         mult_prev = mult_new
         samples.append(
-            PathSample(float(t_next), tuple(float(v) + 0.0 for v in x_new), mult_new, resid)
+            PathSample(t, tuple(float(v) + 0.0 for v in x_new), mult_new, resid)
         )
-        t = t_next
     return _finish_path(p, samples, stationary, cfg)
 
 

@@ -16,7 +16,7 @@ def _tool():
 def test_examples_digest_repeats():
     tool = _tool()
     runs = tool.runs()
-    assert len(runs) == 120
+    assert len(runs) == 220
     examples = [r for r in runs
                 if r[0] == "analyze" and r[1] in tool.workloads.RELAX_EXAMPLES]
     main = tool.import_program()

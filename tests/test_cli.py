@@ -274,7 +274,7 @@ class TestRelaxCommand:
                                               slack, code):
         from switchstat import relaxation
 
-        steps = relaxation._continuation_steps(0.1, 0.5, 1e-10)
+        steps = len(relaxation._schedule(0.1, 0.5, 1e-10)) - 1
         assert steps == 30
         monkeypatch.setattr(relaxation, "_MAX_STEPS", steps + slack)
         src = _write(tmp_path, "p.txt", CROSS_QUADRATIC)

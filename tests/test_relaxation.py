@@ -1,15 +1,17 @@
 """Relaxed-problem construction, KKT enumeration and continuation paths."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from switchstat.cli import main
 from switchstat.expr import eval_value, parse_problem
 from switchstat import relaxation
 from switchstat.relaxation import (
     _accept_step,
-    _continuation_steps,
+    _schedule,
     continue_path,
     kkt_points_relaxed,
     relax,
@@ -18,7 +20,15 @@ from switchstat.stationarity import (
     CombinatorialCapError,
     Multipliers,
     SolveConfig,
+    enumerate_branches,
     find_stationary_points,
+)
+from tests.conftest import (
+    CROSS_LINEAR,
+    CROSS_QUADRATIC,
+    INSTABILITY_BOTH,
+    INSTABILITY_ONE,
+    STABLE_WITHOUT_ND2,
 )
 from tests.test_stationarity import UNDEFINED_CONSTRAINT
 
@@ -154,8 +164,9 @@ class TestContinuePath:
 
     def test_active_set_redetection_along_path(self):
         # the interior stationary point (1, 0.5) leaves the relaxed band once
-        # t < 0.5, so the frozen (all-inactive) pattern fails and the band
-        # constraint has to be re-detected; the path then lands on (1, 0)
+        # t < 0.5, so the frozen (all-inactive) pattern fails and the
+        # exhaustive fallback finds the band pattern; the path then lands on
+        # (1, 0)
         p = parse_problem(
             "vars: x1 x2\nobjective: (x1-1)^2 + (x2-0.5)^2\nswitch: x1 | x2\n"
         )
@@ -205,7 +216,7 @@ class TestContinuePath:
     def test_step_count_is_the_path_length(self, cross_quadratic, t0, rho, t_min):
         seed = kkt_points_relaxed(relax(cross_quadratic, t0), (-1.0, 2.0))[0]
         path = continue_path(cross_quadratic, seed, t0, rho, t_min, stationary=[])
-        assert _continuation_steps(t0, rho, t_min) == len(path.samples) - 1
+        assert _schedule(t0, rho, t_min) == [s.t for s in path.samples]
 
     def test_schedule_beyond_the_step_cap_raises_before_any_step(
         self, cross_quadratic, monkeypatch
@@ -235,6 +246,86 @@ class TestContinuePath:
         )
         with pytest.raises(ValueError, match="residual"):
             continue_path(cross_quadratic, fake, 0.1, 0.5, 1e-10)
+
+
+# corpus p049: the frozen step from its only seed fails at t = 0.05
+P049 = """\
+vars: x1 x2
+objective: 1.133*x1 + -1.778*x2 + 0.486*x1^2 + 1.969*x2^2 + -0.677*x2 + 0.39
+ineq: 0.9*x1 + 1.153*x2 + 0.247
+switch: -0.536*x1 + -0.402*x2 + -0.404 | 1.479*x1 + 1.161*x2 + 0.121
+"""
+
+
+def _spy_newton(monkeypatch):
+    """Record continuation's Newton calls as ``(problem, pattern, cfg, warm,
+    accepted)``: ``warm`` when given a multiplier start, ``accepted`` when
+    ``_accept_step`` keeps the outcome."""
+    calls = []
+    real = relaxation.newton_solve_branch
+
+    def spy(problem, pattern, start, cfg, mult_start=None):
+        out = real(problem, pattern, start, cfg, mult_start=mult_start)
+        accepted = _accept_step(SimpleNamespace(problem=problem), out, cfg)
+        calls.append(
+            (problem, pattern, cfg, mult_start is not None, accepted is not None)
+        )
+        return out
+
+    monkeypatch.setattr(relaxation, "newton_solve_branch", spy)
+    return calls
+
+
+def _sweeps(calls):
+    """The number of exhaustive sweeps in ``calls``, asserting that every
+    call is a warm-started frozen step or one step of a sweep that follows a
+    failed frozen step and tries each pattern once, cold, in order."""
+    sweeps, i = 0, 0
+    while i < len(calls):
+        problem, _, cfg, warm, accepted = calls[i]
+        assert warm, f"call {i} is cold outside an exhaustive sweep"
+        i += 1
+        if accepted:
+            continue
+        patterns = enumerate_branches(problem, cfg)
+        sweep = calls[i:i + len(patterns)]
+        assert [c[1] for c in sweep] == patterns
+        assert all(c[0] is problem and not c[3] for c in sweep)
+        i += len(patterns)
+        sweeps += 1
+    return sweeps
+
+
+class TestRecoveryRoutes:
+    @pytest.mark.parametrize("box", [[], ["--box", "-1", "2"]])
+    def test_every_newton_call_is_frozen_or_exhaustive(
+        self, tmp_path, monkeypatch, box
+    ):
+        calls = _spy_newton(monkeypatch)
+        sweeps = 0
+        examples = (CROSS_LINEAR, CROSS_QUADRATIC, INSTABILITY_BOTH,
+                    INSTABILITY_ONE, STABLE_WITHOUT_ND2)
+        for i, text in enumerate(examples):
+            src = tmp_path / f"p{i}.txt"
+            src.write_text(text)
+            calls.clear()
+            main(["relax", str(src), *box, "--json", str(tmp_path / "r.json")])
+            sweeps += _sweeps(calls)
+        assert sweeps > 0
+
+    def test_failed_frozen_step_recovers_through_the_sweep(self, monkeypatch):
+        p = parse_problem(P049)
+        box = (-2.0, 2.0)
+        (seed,) = kkt_points_relaxed(relax(p, 0.1), box, CFG)
+        stationary = find_stationary_points(p, box, CFG)
+        calls = _spy_newton(monkeypatch)
+        path = continue_path(p, seed, 0.1, 0.5, 1e-10, CFG, stationary=stationary)
+        assert path.samples[1].t == 0.05
+        assert calls[0][3] and not calls[0][4]
+        assert _sweeps(calls) >= 1
+        assert path.matched_stationary is not None
+        assert path.limit == path.matched_stationary.x
+        assert all(s.residual <= CFG.tol_resid for s in path.samples)
 
 
 class TestAcceptStep:

@@ -1,11 +1,13 @@
 """Digest of the acceptance set: one SHA-256 per CLI run over its exit code,
 standard output, standard error and JSON report.
 
-The set has 120 runs: ``analyze`` on mid3 (seeds 0 and 7), on the five
+The set has 220 runs: ``analyze`` on mid3 (seeds 0 and 7), on the five
 examples of the test suite and on the 100 criterion-7 corpus problems at
 their ``grid_points``; ``relax`` on the five examples at the default box and
-at ``--box -1 2``, and on mid3; ``levelsets --auto 8`` on ``levelsets-3d`` at
-the default grid and at ``--grid 41``.  A change that promises byte-identical
+at ``--box -1 2``, on mid3 and on the 100 corpus problems at their
+``grid_points``; ``levelsets --auto 8`` on ``levelsets-3d`` at the default
+grid and at ``--grid 41``.  The corpus ``relax`` runs are the ones whose
+continuation often leaves its frozen pattern and recovers.  A change that promises byte-identical
 behaviour must leave every line the same:
 
     python3 tools/acceptance_set.py > change.txt
@@ -48,14 +50,17 @@ def runs():
     """``(command, problem name, problem text, options)`` for every run, the
     options being the CLI arguments after the problem file."""
     mid3, examples = workloads.MID3, workloads.RELAX_EXAMPLES
+    corpus = workloads.items("analyze-corpus")
     out = [("analyze", "mid3", mid3, []),
            ("analyze", "mid3", mid3, ["--seed", "7"])]
     out += [("analyze", name, text, []) for name, text in examples.items()]
     out += [("analyze", item.name, item.text, list(item.options))
-            for item in workloads.items("analyze-corpus")]
+            for item in corpus]
     for box in ([], ["--box", "-1", "2"]):
         out += [("relax", name, text, box) for name, text in examples.items()]
     out.append(("relax", "mid3", mid3, []))
+    out += [("relax", item.name, item.text, list(item.options))
+            for item in corpus]
     out += [("levelsets", "levelsets-3d", workloads.LEVELSETS_3D,
              ["--auto", "8", *grid]) for grid in ([], ["--grid", "41"])]
     return out
